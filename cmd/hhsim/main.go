@@ -118,11 +118,21 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, res.Summary())
+	fmt.Fprintln(out, engineLine(res))
 	fmt.Fprintf(out, "final commitments by nest: %v\n", res.Commitments)
 	if *plot {
 		fmt.Fprint(out, res.RenderPlot(72, 16))
 	}
 	return nil
+}
+
+// engineLine reports which engine ran and, for the scalar fallback, why the
+// batch engine declined.
+func engineLine(res *househunt.Result) string {
+	if res.EngineReason == "" {
+		return "engine: " + res.Engine
+	}
+	return fmt.Sprintf("engine: %s (%s)", res.Engine, res.EngineReason)
 }
 
 // parseQualities parses "0.2,0.5,0.9" into a quality slice.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/gmrl/househunt/internal/core"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -17,6 +19,31 @@ func TestRunBasic(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "final commitments") {
 		t.Fatalf("commitments missing:\n%s", out.String())
+	}
+}
+
+// TestRunPrintsEngine pins the engine provenance line: batch-eligible runs
+// (plotted or not) report the batch engine, and the scalar-only options
+// report the scalar engine with core.CompileForBatch's decline reason.
+func TestRunPrintsEngine(t *testing.T) {
+	base := []string{"-n", "64", "-k", "2", "-good", "1", "-seed", "4"}
+	cases := []struct {
+		extra []string
+		want  string
+	}{
+		{nil, "engine: batch\n"},
+		{[]string{"-plot", "-crash", "0.1"}, "engine: batch\n"},
+		{[]string{"-jitter", "0.1"}, "engine: scalar (" + core.ReasonWrapperScalarOnly + ")\n"},
+		{[]string{"-concurrent"}, "engine: scalar (" + core.ReasonConcurrentScalarOnly + ")\n"},
+	}
+	for _, tc := range cases {
+		var out bytes.Buffer
+		if err := run(append(append([]string(nil), base...), tc.extra...), &out); err != nil {
+			t.Fatalf("%v: %v", tc.extra, err)
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.extra, tc.want, out.String())
+		}
 	}
 }
 

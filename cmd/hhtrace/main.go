@@ -87,7 +87,17 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown format %q (want csv or json)", *format)
 	}
 	fmt.Fprintln(os.Stderr, res.Summary())
+	fmt.Fprintln(os.Stderr, engineLine(res))
 	return nil
+}
+
+// engineLine reports which engine ran and, for the scalar fallback, why the
+// batch engine declined.
+func engineLine(res *househunt.Result) string {
+	if res.EngineReason == "" {
+		return "engine: " + res.Engine
+	}
+	return fmt.Sprintf("engine: %s (%s)", res.Engine, res.EngineReason)
 }
 
 // liveAlgorithm maps -algo names to batch-compilable algorithms with the

@@ -21,6 +21,13 @@
 // cover the paper's §6 extensions (adaptive rates, non-binary qualities,
 // noisy perception) and the ablation variants. Fault injection, asynchrony
 // and tracing are all options.
+//
+// A colony runs on the compiled batch engine whenever core.CompileForBatch
+// accepts its configuration (traced or not, with or without fault options)
+// and falls back to the scalar agent engine for the scalar-only features:
+// WithJitter and WithConcurrentAnts. Both engines are bit-identical for a
+// given seed; Result.Engine and Result.EngineReason report which one ran and
+// why.
 package househunt
 
 import (
@@ -189,7 +196,8 @@ func WithStabilityWindow(rounds int) Option {
 }
 
 // WithConcurrentAnts runs every ant as its own goroutine (same semantics and
-// randomness as the default sequential engine, validated against it).
+// randomness as the default sequential engine, validated against it). The
+// mode is scalar-only, so such colonies never run on the batch engine.
 func WithConcurrentAnts() Option {
 	return func(c *Config) error {
 		c.concurrent = true
@@ -198,7 +206,10 @@ func WithConcurrentAnts() Option {
 }
 
 // WithTracing records per-round populations and commitments; the Result then
-// carries a History and supports CSV export and ASCII plotting.
+// carries a History and supports CSV export and ASCII plotting. Tracing does
+// not change the engine choice: a batch-eligible colony is traced by the
+// batch engine (sim.TraceObserver) with the same rows core.RunTraced records
+// on the scalar engine.
 func WithTracing() Option {
 	return func(c *Config) error {
 		c.traced = true
@@ -286,7 +297,9 @@ func WithIdleAnts(fraction float64, window int) Option {
 }
 
 // WithJitter holds each ant independently with probability p per round and
-// staggers wake-up by up to maxDelay rounds (§6 asynchrony).
+// staggers wake-up by up to maxDelay rounds (§6 asynchrony). Asynchrony is an
+// agent wrapper the batch engine does not model, so jittered colonies run on
+// the scalar engine.
 func WithJitter(p float64, maxDelay int) Option {
 	return func(c *Config) error {
 		if p < 0 || p >= 1 {
@@ -436,15 +449,60 @@ func buildAlgorithm(cfg Config) (core.Algorithm, error) {
 	}
 }
 
-// Run executes the colony once and reports the result.
+// Run executes the colony once and reports the result. The colony runs on
+// the batch engine whenever core.CompileForBatch accepts its configuration,
+// and on the scalar engine otherwise; both produce the same result and
+// history for the same seed, and Result.Engine reports which one ran.
 func (c *Colony) Run() (*Result, error) {
+	algorithm, runCfg, err := c.lower()
+	if err != nil {
+		return nil, err
+	}
+	var (
+		tr  *trace.Trace
+		obs sim.BatchObserver
+	)
+	if c.cfg.traced {
+		tr = trace.New(runCfg.Env.K())
+		to, err := sim.NewTraceObserver(tr, runCfg.Env.K())
+		if err != nil {
+			return nil, err
+		}
+		obs = to
+	}
+	batched, ok, err := core.RunBatchObserved(algorithm, runCfg, []uint64{runCfg.Seed}, obs)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return newResult(batched[0], tr, engineBatch, ""), nil
+	}
+
+	// Declined: ask for the reason only now, so the batch path compiles once.
+	_, _, reason := core.CompileForBatch(algorithm, runCfg)
+	var res core.Result
+	if tr != nil {
+		runCfg.Trace = tr
+		res, err = core.RunTraced(algorithm, runCfg)
+	} else {
+		res, err = core.Run(algorithm, runCfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return newResult(res, tr, engineScalar, reason), nil
+}
+
+// lower maps the colony to the core runner's inputs: the algorithm and an
+// untraced run configuration.
+func (c *Colony) lower() (core.Algorithm, core.RunConfig, error) {
 	env, err := sim.NewEnvironment(c.cfg.qualities)
 	if err != nil {
-		return nil, fmt.Errorf("househunt: %w", err)
+		return nil, core.RunConfig{}, fmt.Errorf("househunt: %w", err)
 	}
 	algorithm, err := buildAlgorithm(c.cfg)
 	if err != nil {
-		return nil, err
+		return nil, core.RunConfig{}, err
 	}
 
 	runCfg := core.RunConfig{
@@ -490,22 +548,7 @@ func (c *Colony) Run() (*Result, error) {
 	case asyncWrap != nil:
 		runCfg.Wrap = asyncWrap
 	}
-
-	var (
-		res core.Result
-		tr  *trace.Trace
-	)
-	if c.cfg.traced {
-		tr = trace.New(env.K())
-		runCfg.Trace = tr
-		res, err = core.RunTraced(algorithm, runCfg)
-	} else {
-		res, err = core.Run(algorithm, runCfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return newResult(res, env, tr), nil
+	return algorithm, runCfg, nil
 }
 
 // Run is the one-call convenience: configure, validate and execute a colony.

@@ -2,8 +2,14 @@ package househunt
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/gmrl/househunt/internal/core"
+	"github.com/gmrl/househunt/internal/trace"
 )
 
 func TestRunQuickstart(t *testing.T) {
@@ -335,6 +341,186 @@ func TestQuorumViaFacade(t *testing.T) {
 	}
 	if res.Winner != 1 && res.Winner != 2 {
 		t.Fatalf("quorum winner %d is not a good nest", res.Winner)
+	}
+}
+
+// runReference runs the colony's lowered configuration through the scalar
+// reference runners, core.Run or (traced) core.RunTraced, and converts the
+// outcome with the same engine labels as got so the two compare whole.
+func runReference(t *testing.T, colony *Colony, got *Result) *Result {
+	t.Helper()
+	algorithm, cfg, err := colony.lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		res core.Result
+		tr  *trace.Trace
+	)
+	if colony.cfg.traced {
+		tr = trace.New(cfg.Env.K())
+		cfg.Trace = tr
+		res, err = core.RunTraced(algorithm, cfg)
+	} else {
+		res, err = core.Run(algorithm, cfg)
+	}
+	if err != nil {
+		t.Fatalf("scalar reference: %v", err)
+	}
+	return newResult(res, tr, got.Engine, got.EngineReason)
+}
+
+// assertMatchesReference checks a facade result against the scalar reference
+// on the same configuration: every public field, the history, and the CSV
+// and JSON export bytes of traced runs.
+func assertMatchesReference(t *testing.T, colony *Colony, got *Result) {
+	t.Helper()
+	want := runReference(t, colony, got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("facade result diverged from the scalar reference:\ngot  %+v\nwant %+v", got, want)
+	}
+	if !got.Traced() {
+		return
+	}
+	if !reflect.DeepEqual(got.History(), want.History()) {
+		t.Fatal("history diverged from core.RunTraced")
+	}
+	for _, export := range []func(*Result, io.Writer) error{(*Result).WriteCSV, (*Result).WriteJSON} {
+		var a, b bytes.Buffer
+		if err := export(got, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := export(want, &b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("export bytes diverged from core.RunTraced:\ngot  %.200s\nwant %.200s", a.String(), b.String())
+		}
+	}
+}
+
+// TestRunBatchMatchesScalarReference pins the facade's engine routing: every
+// algorithm, plain and traced, with and without fault options, a stability
+// window and a budget too small to converge, runs on the batch engine and
+// reproduces core.Run/core.RunTraced on the same configuration exactly.
+func TestRunBatchMatchesScalarReference(t *testing.T) {
+	t.Parallel()
+	algos := []Algorithm{
+		AlgorithmOptimal, AlgorithmOptimalLiteral, AlgorithmSimple,
+		AlgorithmSimplePFSM, AlgorithmAdaptive, AlgorithmQualityAware,
+		AlgorithmSpreader, AlgorithmQuorum, AlgorithmApproxN,
+	}
+	variants := []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"crash", []Option{WithCrashFaults(0.1, 30)}},
+		{"byzantine", []Option{WithByzantineAnts(0.05)}},
+		{"idle", []Option{WithIdleAnts(0.1, 30)}},
+		{"window3", []Option{WithStabilityWindow(3)}},
+		{"budget", []Option{WithMaxRounds(6)}},
+	}
+	for _, a := range algos {
+		nests := WithBinaryNests(4, 2)
+		if a == AlgorithmSpreader {
+			nests = WithBinaryNests(4, 1)
+		}
+		for _, v := range variants {
+			for _, traced := range []bool{false, true} {
+				a, v, traced := a, v, traced
+				name := fmt.Sprintf("%s/%s/traced=%v", a, v.name, traced)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					for _, seed := range []uint64{1, 7, 42} {
+						opts := append([]Option{
+							WithColonySize(96), nests, WithAlgorithm(a), WithSeed(seed),
+						}, v.opts...)
+						if traced {
+							opts = append(opts, WithTracing())
+						}
+						colony, err := New(opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := colony.Run()
+						if err != nil {
+							t.Fatalf("seed %d: %v", seed, err)
+						}
+						if got.Engine != "batch" || got.EngineReason != "" {
+							t.Fatalf("seed %d: engine %q (%s), want batch", seed, got.Engine, got.EngineReason)
+						}
+						if v.name == "budget" && got.Solved {
+							t.Fatalf("seed %d: solved within a 6-round budget", seed)
+						}
+						assertMatchesReference(t, colony, got)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunScalarOnlyOptions pins the fallback: jittered and goroutine-per-ant
+// colonies report the scalar engine with CompileForBatch's named reason and
+// still match the scalar reference, traced or not.
+func TestRunScalarOnlyOptions(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name   string
+		opts   []Option
+		reason string
+	}{
+		{"jitter", []Option{WithJitter(0.1, 2)}, core.ReasonWrapperScalarOnly},
+		{"jitter+crash", []Option{WithJitter(0.1, 2), WithCrashFaults(0.1, 30)}, core.ReasonWrapperScalarOnly},
+		{"concurrent", []Option{WithConcurrentAnts()}, core.ReasonConcurrentScalarOnly},
+	}
+	for _, tc := range cases {
+		for _, traced := range []bool{false, true} {
+			opts := append([]Option{
+				WithColonySize(64), WithBinaryNests(3, 2), WithSeed(11), WithMaxRounds(4000),
+			}, tc.opts...)
+			if traced {
+				opts = append(opts, WithTracing())
+			}
+			colony, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := colony.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if got.Engine != "scalar" || got.EngineReason != tc.reason {
+				t.Fatalf("%s: engine %q (%s), want scalar (%s)", tc.name, got.Engine, got.EngineReason, tc.reason)
+			}
+			assertMatchesReference(t, colony, got)
+		}
+	}
+}
+
+// TestRunInvalidConfigFailsOnBothEngines pins that routing cannot turn a
+// configuration error into a result: the batch engine declines a spreader
+// colony with two good nests, and the facade and the scalar reference both
+// fail on it.
+func TestRunInvalidConfigFailsOnBothEngines(t *testing.T) {
+	t.Parallel()
+	colony, err := New(WithColonySize(64), WithBinaryNests(3, 2), WithAlgorithm(AlgorithmSpreader))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := colony.Run(); err == nil {
+		t.Fatal("facade accepted spreader with two good nests")
+	}
+	algorithm, cfg, err := colony.lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := core.RunBatch(algorithm, cfg, []uint64{cfg.Seed}); ok || err != nil {
+		t.Fatalf("batch engine: ok=%v err=%v, want a decline", ok, err)
+	}
+	if _, err := core.Run(algorithm, cfg); err == nil {
+		t.Fatal("core.Run accepted spreader with two good nests")
 	}
 }
 

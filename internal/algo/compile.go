@@ -25,7 +25,9 @@ import (
 // wrapper other than a fault spec) forces the scalar path regardless of the
 // algorithm; core.CompileForBatch reports which field blocked compilation via
 // the core.Reason* constants. Every algorithm in the package now has a
-// compiled form — only scalar-only cfg features fall back.
+// compiled form — only scalar-only cfg features fall back. (Traced colonies
+// of the househunt facade leave cfg.Trace unset and record through
+// sim.TraceObserver instead, so they stay on the batch path.)
 //
 //	algorithm      plain cfg   batch path          notes
 //	Simple         batch       lockstep            Algorithm 3

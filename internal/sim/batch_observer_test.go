@@ -257,3 +257,22 @@ func TestNewStreamObserverValidates(t *testing.T) {
 		t.Errorf("valid wiring rejected: %v", err)
 	}
 }
+
+// TestNewTraceObserverValidates covers the trace observer's wiring errors:
+// a trace built for the wrong k is rejected by name, like a collector of the
+// wrong width.
+func TestNewTraceObserverValidates(t *testing.T) {
+	if _, err := NewTraceObserver(nil, 2); err == nil {
+		t.Error("nil trace accepted")
+	}
+	if _, err := NewTraceObserver(trace.New(0), 0); err == nil {
+		t.Error("k=0 accepted")
+	}
+	_, err := NewTraceObserver(trace.New(3), 2)
+	if want := "sim: trace built for 3 nests, want k=2"; err == nil || err.Error() != want {
+		t.Errorf("k mismatch: err = %v, want %q", err, want)
+	}
+	if _, err := NewTraceObserver(trace.New(2), 2); err != nil {
+		t.Errorf("valid wiring rejected: %v", err)
+	}
+}

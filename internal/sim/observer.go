@@ -26,10 +26,12 @@ type BatchObserver interface {
 // ascend, terminated by one ReplicateDone; replicates from different lanes
 // interleave arbitrarily (the lane pool streams replicates dynamically).
 //
-// Both methods are on the engine's measured path — 0 allocs/round holds with
-// an observer attached (pinned by AllocsPerRun), so implementations must not
-// allocate or retain the argument slices, which are lane-owned scratch valid
-// only during the call.
+// The argument slices are lane-owned scratch valid only during the call: an
+// implementation must copy what it keeps. Both methods are on the engine's
+// measured path, and the streaming observers (StreamObserver) must not
+// allocate there — 0 allocs/round holds with one attached (pinned by
+// AllocsPerRun). Observers that retain history by design, like
+// TraceObserver, allocate their copies.
 type LaneObserver interface {
 	// ObserveRound delivers one resolved round: end-of-round populations by
 	// nest (index 0 = home) and the commitment census (index 0 =
@@ -131,3 +133,48 @@ func (s *streamLane) ReplicateDone(rep int, res *BatchResult) {
 	}
 	s.ring.Push(int32(rep), StreamEndRound, row)
 }
+
+// TraceObserver is the BatchObserver that records a single-replicate run
+// into a trace.Trace: each round's (round, populations, commitment census)
+// row, exactly the rows core.RunTraced records on the scalar engine, so a
+// traced colony can run batched with byte-identical exports. Only replicate
+// 0 is recorded — attach it to single-seed runs. It retains the history, so
+// it allocates O(k) per round by design; StreamObserver is the zero-alloc
+// tap for sweeps.
+type TraceObserver struct {
+	tr *trace.Trace
+}
+
+// NewTraceObserver wires a trace to an environment with k candidate nests.
+// The trace must have been built for k nests.
+func NewTraceObserver(tr *trace.Trace, k int) (*TraceObserver, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("sim: trace observer needs a trace")
+	}
+	if k < 1 {
+		return nil, fmt.Errorf("sim: trace observer needs k ≥ 1, got %d", k)
+	}
+	if got := tr.NumNests(); got != k {
+		return nil, fmt.Errorf("sim: trace built for %d nests, want k=%d", got, k)
+	}
+	return &TraceObserver{tr: tr}, nil
+}
+
+// LaneObserver implements BatchObserver. Every lane shares the observer: a
+// replicate runs on exactly one lane, so replicate 0's rounds arrive from a
+// single goroutine and the other lanes never touch the trace.
+func (o *TraceObserver) LaneObserver(int) LaneObserver { return o }
+
+// ObserveRound implements LaneObserver: append replicate 0's round to the
+// trace (which copies both slices).
+func (o *TraceObserver) ObserveRound(rep, round int, counts, committed []int) {
+	if rep != 0 {
+		return
+	}
+	// Both slices have length k+1 by engine construction and the trace's k
+	// was checked at wiring time, so RecordRound cannot fail.
+	_ = o.tr.RecordRound(round, counts, committed)
+}
+
+// ReplicateDone implements LaneObserver; the trace needs no end marker.
+func (o *TraceObserver) ReplicateDone(int, *BatchResult) {}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/gmrl/househunt/internal/core"
-	"github.com/gmrl/househunt/internal/sim"
 	"github.com/gmrl/househunt/internal/trace"
 )
 
@@ -36,25 +35,37 @@ type Result struct {
 	Commitments []int
 	// FaultyAnts counts ants excluded from the census by fault injection.
 	FaultyAnts int
+	// Engine names the engine that ran the colony: "batch" or "scalar".
+	Engine string
+	// EngineReason says why the batch engine declined the colony (for
+	// example, that WithJitter's agent wrapper is scalar-only); empty when
+	// the batch engine ran.
+	EngineReason string
 
 	tr *trace.Trace
 }
 
+// The Result.Engine values.
+const (
+	engineBatch  = "batch"
+	engineScalar = "scalar"
+)
+
 // newResult converts the internal result (and optional trace) to the public
 // shape.
-func newResult(res core.Result, env sim.Environment, tr *trace.Trace) *Result {
-	out := &Result{
+func newResult(res core.Result, tr *trace.Trace, engine, reason string) *Result {
+	return &Result{
 		Solved:        res.Solved,
 		Winner:        int(res.Winner),
 		WinnerQuality: res.WinnerQuality,
 		Rounds:        res.Rounds,
 		Algorithm:     res.Algorithm,
+		Commitments:   append([]int(nil), res.FinalCensus.Committed...),
 		FaultyAnts:    res.FinalCensus.Faulty,
+		Engine:        engine,
+		EngineReason:  reason,
 		tr:            tr,
 	}
-	out.Commitments = append([]int(nil), res.FinalCensus.Committed...)
-	_ = env
-	return out
 }
 
 // Traced reports whether the run recorded a history.
