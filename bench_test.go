@@ -440,6 +440,39 @@ func BenchmarkMatcherSweepBatchRendezvous(b *testing.B) {
 	benchMatcherSweep(b, func() sim.Matcher { return &sim.RendezvousMatcher{} }, true)
 }
 
+// BenchmarkLargeColonyBatch runs one million-ant Algorithm 3 colony (k=16, 2
+// good nests) per iteration through core.RunBatch on the default worker
+// budget, so the single replicate shards across every core, and reports
+// ns/ant-round. A -cpuprofile of it attributes the million-ant cell's time
+// without the bench module:
+//
+//	go test -run '^$' -bench LargeColonyBatch -benchtime 4x -cpuprofile cpu.out .
+func BenchmarkLargeColonyBatch(b *testing.B) {
+	const (
+		n = 1_000_000
+		k = 16
+	)
+	env, err := sim.Uniform(k, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.RunConfig{N: n, Env: env, MaxRounds: 4000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	antRounds := 0.0
+	for i := 0; i < b.N; i++ {
+		res, ok, err := core.RunBatch(algo.Simple{}, cfg, []uint64{uint64(i + 1)})
+		if err != nil || !ok {
+			b.Fatalf("RunBatch: ok=%v err=%v", ok, err)
+		}
+		if !res[0].Solved {
+			b.Fatal("million-ant colony did not converge")
+		}
+		antRounds += float64(n) * float64(res[0].Rounds)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/antRounds, "ns/ant-round")
+}
+
 // BenchmarkEngineRoundConcurrent measures the goroutine-per-ant mode's round
 // latency (including the two barrier crossings).
 func BenchmarkEngineRoundConcurrent(b *testing.B) {

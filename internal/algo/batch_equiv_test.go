@@ -1039,9 +1039,11 @@ func (scalarOnlyMatcher) Match(n int, active []bool, src *rng.Source, capturedBy
 // every count fitting that range, so n = 2^16 + 1 is exactly the cell where
 // the reciprocal kernels (rng.Recip) take over from the tables. One seed and
 // a short budget keep the scalar oracle affordable; the three algorithms
-// cover the population draw (simple), the adaptive ladder rebuild at full-n
-// counts (adaptive) and the quality-scaled product kernel (quality). One
-// sharded variant runs the same colony through the parallel phase kernels.
+// cover the population draw (simple), the adaptive c/(c+decay) draw at
+// full-n counts (adaptive) and the quality-scaled product kernel (quality),
+// all three through the per-call threshold memo. Sharded variants run the
+// same colonies through the parallel phase kernels, where each shard's draw
+// call owns its own memo and the capture fold splits the capture list.
 func TestBatchCeilingBoundaryEquivalence(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -1055,6 +1057,8 @@ func TestBatchCeilingBoundaryEquivalence(t *testing.T) {
 		{name: "ceiling/adaptive", algo: Adaptive{}, n: n, env: env, seeds: seeds, maxRounds: 12},
 		{name: "ceiling/quality", algo: QualityAware{}, n: n, env: env, seeds: seeds, maxRounds: 12},
 		{name: "ceiling/simple+shards", algo: Simple{}, n: n, env: env, seeds: seeds, maxRounds: 12, shards: 4},
+		{name: "ceiling/quality+shards", algo: QualityAware{}, n: n, env: env, seeds: seeds, maxRounds: 12, shards: 4},
+		{name: "ceiling/adaptive+shards", algo: Adaptive{}, n: n, env: env, seeds: seeds, maxRounds: 12, shards: 4},
 	}
 	for _, c := range cases {
 		c := c
@@ -1085,6 +1089,7 @@ func TestBatchShardInvariance(t *testing.T) {
 	cases := []diffCase{
 		{name: "simple", algo: Simple{}, n: 96, env: envBinary, seeds: []uint64{1, 7}, maxRounds: 200},
 		{name: "quality", algo: QualityAware{}, n: 97, env: envGraded, seeds: []uint64{1, 7}, maxRounds: 200},
+		{name: "adaptive", algo: Adaptive{}, n: 97, env: envBinary, seeds: []uint64{1, 7}, maxRounds: 200},
 		{name: "optimal", algo: Optimal{}, n: 96, env: envBinary, seeds: []uint64{1, 7}, maxRounds: 160},
 		{name: "quorum", algo: Quorum{}, n: 96, env: envBinary, seeds: []uint64{1, 7}, maxRounds: 200},
 		{name: "simple+faults", algo: Simple{}, n: 96, env: envBinary, seeds: []uint64{1, 7}, maxRounds: 200, faults: mixed},

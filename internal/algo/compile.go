@@ -86,10 +86,12 @@ import (
 // independent up to the engine's int32 ant-index limit: the recruit draws
 // resolve fixed-point thresholds from a reciprocal (rng.Recip) above the
 // 2^16 table crossover, so no compiled form falls back to float kernels or
-// allocates per-count tables at large n. The one large-n gate left is
+// allocates per-count tables at large n; each draw call memoizes those
+// thresholds on the kernel's full input. The one large-n gate left is
 // Quorum's: a threshold M·n that cannot live in the engine's 32-bit
 // count register declines to compile (named fallback reason, scalar path).
-// Inside the engine a replicate's phase loops shard across workers
+// Inside the engine a replicate's phase loops — the lockstep capture fold
+// included, one chunk of the capture list per shard — shard across workers
 // (sim.WithBatchWorkers / sim.WithBatchShards, cfg.BatchWorkers /
 // cfg.BatchShards at the runner layer); only per-ant-stream loops
 // parallelize — environment and matcher draws stay in a sequential

@@ -134,18 +134,24 @@ func (r Recip) Threshold(c int) Threshold {
 // ThresholdMul returns NewThreshold(q * float64(c) / float64(n)) — the
 // scalar quality-weighted probability, with its left-to-right float
 // evaluation order (the product rounds once, the quotient rounds once) —
-// computed with integer arithmetic on the main path. Inputs outside the
-// fast domain (q ≤ 0, NaN, infinite or subnormal q, non-positive c, or
-// products that leave float64's normal range) fall back to the float
-// oracle itself, which is trivially exact and cold: engine quality
-// registers hold environment qualities, 0 or 1, and counts at most n.
+// computed with integer arithmetic on the main path. q = ±0 — the quality
+// register of every ant at a bad nest or just captured — returns
+// ThresholdNever up front, exactly: ±0·c/n is ±0 for every int c. The other
+// inputs outside the fast domain (negative, NaN, infinite or subnormal q,
+// non-positive c, or products that leave float64's normal range) fall back
+// to the float oracle itself, which is trivially exact and cold: engine
+// quality registers hold environment qualities, 0 or 1, and counts at most
+// n.
 //
 //hh:hotpath
 func (r Recip) ThresholdMul(q float64, c int) Threshold {
+	if q == 0 {
+		return ThresholdNever
+	}
 	qb := math.Float64bits(q)
 	exp := int(qb >> 52) // sign bit folds in: negatives have exp ≥ 2048
 	if c <= 0 || uint64(c) > 1<<53 || exp == 0 || exp >= 0x7ff {
-		// q ≤ 0 (sign set ⇒ exp ≥ 2048), ±0/subnormal (exp 0), NaN/Inf
+		// q < 0 (sign set ⇒ exp ≥ 2048), subnormal q (exp 0), NaN/Inf
 		// (exp 0x7ff), a non-positive count, or a count too large to
 		// convert to float64 exactly: delegate to the float definition.
 		// Cold by construction for engine inputs (counts never exceed n).

@@ -50,9 +50,10 @@ func TestRecipThresholdLargeDivisors(t *testing.T) {
 
 // TestRecipThresholdMul pins the quality-weighted kernel against the scalar
 // expression q·float64(c)/float64(n) over a grid of qualities — environment
-// values, exact binary fractions, near-1 and near-0 extremes, and the IEEE
-// specials that must take the oracle fallback — crossed with boundary and
-// random counts for small and large divisors.
+// values, exact binary fractions, near-1 and near-0 extremes, ±0 (the
+// up-front ThresholdNever) and the IEEE specials that must take the oracle
+// fallback — crossed with boundary and random counts, up to 2^53+1, for small
+// and large divisors.
 func TestRecipThresholdMul(t *testing.T) {
 	qs := []float64{
 		0, 1, 0.5, 0.25, 0.75, 0.1, 0.3, 0.7, 0.9, 1.0 / 3.0,
@@ -64,7 +65,7 @@ func TestRecipThresholdMul(t *testing.T) {
 	src := New(0xBEEF)
 	for _, n := range divisors {
 		r := NewRecip(n)
-		cs := []int{-3, -1, 0, 1, 2, n / 2, n - 1, n, n + 1, 3 * n}
+		cs := []int{-3, -1, 0, 1, 2, n / 2, n - 1, n, n + 1, 3 * n, 1<<53 + 1}
 		for i := 0; i < 600; i++ {
 			cs = append(cs, int(src.Uint64n(uint64(n)+1)))
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -32,11 +33,13 @@ import (
 // The recruit draws run on fixed-point kernels at every colony size: each
 // Bernoulli probability whose numerator is a population count resolves to an
 // rng.Threshold — from a small per-count table below batchTableMaxN, and from
-// the precomputed reciprocal kernels (rng.Recip.Threshold for count/n,
+// the exact reciprocal kernels (rng.Recip.Threshold for count/n,
 // rng.Recip.ThresholdMul for quality·count/n) above it — so the per-ant inner
-// loops compare raw integers with zero floating-point operations and no O(n)
-// table memory. The threshold transform is bit-identical to
-// rng.Source.Bernoulli by construction (see rng.Threshold and rng.Recip).
+// loops compare raw integers with no O(n) table memory. Thresholds beyond
+// the table are memoized per draw call (thresholdMemo), so a kernel runs
+// once per distinct input rather than once per ant. The threshold transform
+// is bit-identical to rng.Source.Bernoulli by construction (see
+// rng.Threshold and rng.Recip).
 //
 // Within one replicate the O(n) phases — regrouping, per-ant draws, emit and
 // observe folds, register init — can additionally be sharded across worker
@@ -44,16 +47,18 @@ import (
 // moves a draw between streams or reorders draws within a stream: the shared
 // envSrc and matchSrc streams are consumed only in sequential ant-order
 // passes, parallel loops draw exclusively from per-ant streams (which are
-// stream-disjoint, so shard order is immaterial), and cross-ant reductions
-// (population tallies, commitment deltas, the recruiting-slot prefix) are
-// deterministic sums — so results are bit-identical for every shard count, a
-// property the differential harness pins.
+// stream-disjoint, so shard order is immaterial), the lockstep capture fold
+// splits the matcher's capture list into disjoint per-shard chunks, and
+// cross-ant reductions (population tallies, commitment deltas, the
+// recruiting-slot prefix) are deterministic sums — so results are
+// bit-identical for every shard count, a property the differential harness
+// pins.
 //
 // The recruitment pairing defaults to the paper's Algorithm 1 and can be
-// swapped for any Matcher via WithBatchMatcher: the engine hands the matcher
-// the recruiting slots in scalar engine order, so the stock ablation models
-// (SimultaneousMatcher, RendezvousMatcher) run batched with exactly their
-// scalar draw sequences.
+// swapped for any capture-listing Matcher via WithBatchMatcher: the engine
+// hands the matcher the recruiting slots in scalar engine order, so the
+// stock ablation models (SimultaneousMatcher, RendezvousMatcher) run batched
+// with exactly their scalar draw sequences.
 //
 // The engine is bit-compatible with the scalar path: replicate r seeded with
 // seeds[r] produces round-for-round identical populations, commitments and
@@ -90,15 +95,14 @@ type Batch struct {
 	usesCarry bool
 	faulted   bool
 
-	// Shared read-only fixed-point draw kernels (see newLane for the
-	// per-lane mutable ones). popT is nil when the program does not use the
-	// opcode or the colony is above the table/reciprocal crossover; rcp is
-	// the table-free kernel backing every count-ratio draw beyond the table
-	// (and all quality-weighted draws at any size).
+	// Shared read-only fixed-point draw kernels. popT is nil when the
+	// program does not use the opcode or the colony is above the
+	// table/reciprocal crossover; rcp is the table-free kernel backing every
+	// count-ratio draw beyond the table (and all quality-weighted draws at
+	// any size), called through a per-call thresholdMemo.
 	popT []rng.Threshold // Bernoulli(count/n) by count, EmitRecruitPop
 	rcp  rng.Recip       // reciprocal kernels for count/n and q·count/n
 	docT rng.Threshold   // Bernoulli(QuorumDocility), ObserveQuorumTransport
-	ada  bool            // lanes maintain the EmitRecruitAdaptive decay table
 }
 
 // batchTableMaxN is the table/reciprocal crossover for the count-ratio draw:
@@ -179,11 +183,16 @@ func WithBatchProbe(probe func(rep, round int, counts, committed []int)) BatchOp
 // paper's Algorithm 1). Matchers carry per-engine scratch state, so the
 // option takes a factory; every worker lane constructs its own instance, and
 // the factory must return a fresh matcher on each call (lanes are built
-// concurrently). A nil factory keeps the default. Programs that transport
-// (carry > 1) require the factory's matchers to implement CarryMatcher.
+// concurrently). A nil factory keeps the default. The factory's matchers must
+// implement CaptureLister (as every stock matcher does), and programs that
+// transport (carry > 1) additionally require CarryMatcher.
 func WithBatchMatcher(newMatcher func() Matcher) BatchOption {
 	return func(b *Batch) { b.newMatcher = newMatcher }
 }
+
+// ErrNoCaptureList reports a batch matcher without CaptureLister: the lanes
+// read a round's captures only from the matcher's capture list.
+var ErrNoCaptureList = errors.New("sim: batch matcher implements no CaptureLister")
 
 // NewBatch builds a batch engine for n-ant colonies of prog in env.
 func NewBatch(env Environment, prog Program, n int, opts ...BatchOption) (*Batch, error) {
@@ -223,6 +232,9 @@ func NewBatch(env Environment, prog Program, n int, opts ...BatchOption) (*Batch
 	if probe == nil {
 		return nil, fmt.Errorf("sim: batch matcher factory returned nil")
 	}
+	if _, ok := probe.(CaptureLister); !ok {
+		return nil, fmt.Errorf("%w: matcher %q", ErrNoCaptureList, probe.Name())
+	}
 	if _, carryOK := probe.(CarryMatcher); b.usesCarry && prog.Params.QuorumCarry > 1 && !carryOK {
 		return nil, fmt.Errorf("sim: program %q transports (carry %d > 1) but matcher %q implements no CarryMatcher",
 			prog.Algorithm, prog.Params.QuorumCarry, probe.Name())
@@ -236,12 +248,12 @@ func NewBatch(env Environment, prog Program, n int, opts ...BatchOption) (*Batch
 // threshold of the exact float probability the scalar agents feed to
 // Bernoulli, so kernel draws and float draws are interchangeable bit for bit
 // at any colony size: the count-ratio draw uses a per-count table up to the
-// batchTableMaxN crossover and the rng.Recip reciprocal above it, the
+// batchTableMaxN crossover and the rng.Recip reciprocal above it, and the
 // quality-weighted draw uses rng.Recip.ThresholdMul everywhere (its former
 // (k+1)×(n+1) table cost O(k·n) threshold entries — ~134 MB at the old
-// ceiling with 255 nests — for no exactness gain), and the adaptive decay
-// ladder is a per-lane table at every size because its divisor varies with
-// the colony's phase clock, not just the count.
+// ceiling with 255 nests — for no exactness gain). The adaptive draw needs
+// no shared kernel: its divisor count+decay varies with the colony's phase
+// clock, so each draw call memoizes its own thresholds (thresholdMemo.ada).
 func (b *Batch) buildTables() {
 	var hasPop, hasQual, hasDoc bool
 	for _, st := range b.prog.States {
@@ -250,8 +262,6 @@ func (b *Batch) buildTables() {
 			hasPop = true
 		case EmitRecruitQual:
 			hasQual = true
-		case EmitRecruitAdaptive:
-			b.ada = true
 		}
 		if st.Observe == ObserveQuorumTransport {
 			hasDoc = true
@@ -425,7 +435,6 @@ type lane struct {
 	isRecr   []uint8 // 0 = not recruiting, 1 = recruit, 2 = transport
 	actBit   []uint8
 	preState []uint8  // per recruited ant: the state it emitted from, for the capture pass
-	capScrat []int32  // capture-list scratch for matchers without CaptureLister
 	slotNest []NestID // per-slot resolved outcome nest (capturer's advertised nest)
 
 	// Sharding scaffolding (see Batch's doc comment for the draw-placement
@@ -529,21 +538,13 @@ type lane struct {
 	schedOps []FaultOp
 	nCrashed int
 
-	matcher   Matcher
-	carryM    CarryMatcher  // matcher's carry form; nil when unimplemented
-	capLister CaptureLister // matcher's capture list; nil when unimplemented
+	matcher CaptureLister // NewBatch admits only capture-listing matchers
+	carryM  CarryMatcher  // matcher's carry form; nil when unimplemented
 
-	// Fixed-point draw kernels. popT/rcp/docT are shared from the Batch;
-	// adaT is per-lane because the adaptive decay steps down over a
-	// replicate and the table is rebuilt for each new decay value (its
-	// divisor count+decay varies with the phase clock, so no reciprocal
-	// applies — the ladder stays a table at every colony size).
-	popT     []rng.Threshold
-	rcp      rng.Recip
-	docT     rng.Threshold
-	ada      bool
-	adaT     []rng.Threshold
-	adaDecay float64
+	// Fixed-point draw kernels, shared read-only from the Batch.
+	popT []rng.Threshold
+	rcp  rng.Recip
+	docT rng.Threshold
 
 	// The dense state table and Final flags, padded to the full uint8 index
 	// range so per-ant dispatch indexes with no bounds checks. searches
@@ -590,7 +591,6 @@ func newLane(b *Batch, shards int) *lane {
 		popT:       b.popT,
 		rcp:        b.rcp,
 		docT:       b.docT,
-		ada:        b.ada,
 	}
 	copy(ln.states[:], b.prog.States)
 	for i, st := range b.prog.States {
@@ -657,7 +657,6 @@ func newLane(b *Batch, shards int) *lane {
 		ln.isRecr = make([]uint8, n)
 		ln.actBit = make([]uint8, n)
 		ln.preState = make([]uint8, n)
-		ln.capScrat = make([]int32, 0, n)
 		ln.slotNest = make([]NestID, n)
 		ln.shCounts = make([]int, shards*(k+1))
 		ln.shNRecr = make([]int32, shards)
@@ -687,9 +686,8 @@ func newLane(b *Batch, shards int) *lane {
 	ln.fnObserve = ln.observeShard
 	ln.fnReset = ln.resetShard
 	ln.pool = newShardPool(shards)
-	ln.matcher = b.newMatcher()
+	ln.matcher = b.newMatcher().(CaptureLister) // NewBatch checked the factory
 	ln.carryM, _ = ln.matcher.(CarryMatcher)
-	ln.capLister, _ = ln.matcher.(CaptureLister)
 	if sized, ok := ln.matcher.(sizedMatcher); ok {
 		sized.Reserve(n) // recruiting sets reach colony size; never grow mid-run
 	}
@@ -704,10 +702,6 @@ func newLane(b *Batch, shards int) *lane {
 	}
 	if b.usesCarry {
 		ln.carries = make([]int, n)
-	}
-	if ln.ada {
-		ln.adaT = make([]rng.Threshold, n+1)
-		ln.adaDecay = -1 // no decay value tabled yet
 	}
 	return ln
 }
@@ -979,18 +973,14 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 	case EmitRecruitPop, EmitRecruitQual, EmitRecruitAdaptive, EmitRecruitApproxN:
 		recruited = true
 		// The active bits draw only from per-ant streams (stream-disjoint),
-		// so the draw loop shards; the adaptive ladder's decay hoist and
-		// table rebuild run once, sequentially, first.
-		ln.drawActivePrep(st.Emit)
+		// so the draw loop shards. The adaptive decay term is hoisted here,
+		// sequentially: the phase clock is colony-uniform on lockstep
+		// programs, and the draw shards advance paramI as they go.
+		if st.Emit == EmitRecruitAdaptive {
+			ln.phDecay = adaptiveDecay(n, int(ln.paramI[0]), ln.prog.Params.Tau, ln.prog.Params.FloorDiv)
+		}
 		ln.phOp = st.Emit
 		ln.par(ln.fnDraw)
-		// actNest snapshots the advertised nests (each recruiter advertises
-		// its commitment). The observe folds below resolve a captured ant's
-		// outcome nest from this snapshot on the fly — there is no rewrite
-		// pass over the capture table, and the snapshot (rather than nest
-		// itself) is read because a simultaneous-model capturer can itself
-		// be captured and adopt mid-fold.
-		copy(actNest, nest)
 		for i := range counts {
 			counts[i] = 0
 		}
@@ -1004,23 +994,13 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 		ln.matcher.Match(n, ln.active, &ln.matchSrc, ln.capturedBy, ln.succeeded)
 	}
 
-	// Observe: fold outcomes into the registers. The adoption-family capture
-	// folds are sparse and run sequentially first (they write the commitment
-	// census directly); the bulk per-ant folds then shard across the lane's
-	// ant ranges, accumulating commitment changes into per-shard delta slabs
-	// folded back in one O(k·shards) pass (see lockFoldShard). Recruit
-	// outcomes carry no quality and report the home population (= n,
-	// everyone recruited).
-	if recruited {
-		switch st.Observe {
-		case ObserveDiscovery:
-			ln.foldCaptureAdopts(adoptPlain)
-		case ObserveAdopt:
-			ln.foldCaptureAdopts(adoptQualOne)
-		case ObserveAdoptZero:
-			ln.foldCaptureAdopts(adoptQualZero)
-		}
-	}
+	// Observe: fold outcomes into the registers. The fold shards across the
+	// lane's ant ranges — and, on recruit rounds, the adoption family's
+	// sparse capture folds across chunks of the capture list — accumulating
+	// commitment changes into per-shard delta slabs folded back in one
+	// O(k·shards) pass (see lockFoldShard). Recruit outcomes carry no
+	// quality and report the home population (= n, everyone recruited).
+	//
 	// Converged-tail bookkeeping: once the count column is known to hold n
 	// everywhere, a fold that would rewrite it with n — every recruit round,
 	// and any go/search round with the whole colony in one nest — is skipped
@@ -1057,13 +1037,16 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 }
 
 // lockFoldShard applies one lockstep round's bulk observe fold to one ant
-// range. On recruit rounds a captured ant's outcome nest is its capturer's
-// advertised nest, resolved on the fly from the actNest snapshot (see the
-// emit phase) instead of via a rewrite pass over the capture table:
-// capturedBy streams through each fold exactly once. Commitment changes go
-// to the shard's delta slab; every other write targets the folding ant's own
-// registers, and the only draws are the noisy perception hooks on the ant's
-// own stream — which is what makes the fold safe to shard.
+// range and, on the adoption family's recruit rounds, the shard's chunk of
+// the capture list (see foldCaptureAdopts). On recruit rounds a captured
+// ant's outcome nest is its capturer's advertised nest, resolved on the fly
+// from the actNest snapshot (see drawActiveShard) instead of via a rewrite
+// pass over the capture table. Commitment changes go to the shard's delta
+// slab; every other write targets the folding ant's own registers (a
+// capture chunk writes only registers its opcode's recruited bulk arm
+// leaves alone: nest, plus quality in the two adopt modes), and the only
+// draws are the noisy perception hooks on the ant's own stream — which is
+// what makes the fold safe to shard.
 //
 //hh:hotpath
 //hh:draws noisy perception hooks only, from the observing ant's own stream; every other fold is draw-free
@@ -1086,8 +1069,9 @@ func (ln *lane) lockFoldShard(sh int) {
 		count := ln.count
 		quality := ln.quality
 		if recruited {
-			// Capture adoptions already folded sequentially; the uniform
-			// recruit outcome (home population, no quality) folds here.
+			// Captures move nests only; the uniform recruit outcome (home
+			// population, no quality) folds over the ant range.
+			ln.foldCaptureAdopts(sh, commit, adoptPlain)
 			for i := lo; i < hi; i++ {
 				count[i] = int32(n)
 				quality[i] = 0
@@ -1106,7 +1090,9 @@ func (ln *lane) lockFoldShard(sh int) {
 			}
 		}
 	case ObserveAdopt:
-		if !recruited {
+		if recruited {
+			ln.foldCaptureAdopts(sh, commit, adoptQualOne)
+		} else {
 			quality := ln.quality
 			for i := lo; i < hi; i++ {
 				if outNest := act[i]; outNest != nest[i] {
@@ -1131,7 +1117,9 @@ func (ln *lane) lockFoldShard(sh int) {
 			}
 		}
 	case ObserveAdoptZero:
-		if !recruited {
+		if recruited {
+			ln.foldCaptureAdopts(sh, commit, adoptQualZero)
+		} else {
 			quality := ln.quality
 			for i := lo; i < hi; i++ {
 				if outNest := act[i]; outNest != nest[i] {
@@ -1231,44 +1219,75 @@ func (ln *lane) foldCommitDeltas() {
 	}
 }
 
-// drawActivePrep hoists the colony-uniform work of a drawn-recruit round
-// ahead of the sharded draw loops. Only the adaptive schedule has any: its
-// decay term depends on the colony-uniform phase clock, so it is derived once
-// here (and the per-lane threshold ladder rebuilt on the rare decay steps)
-// instead of per shard — the rebuild writes lane-shared state and must not
-// race.
+// memoBits sizes thresholdMemo at 2^memoBits entries, well above the keys one
+// recruit round draws: ants at a nest share its count, so a round sees at
+// most k+2 counts, each paired with one of the few values a quality register
+// holds.
+const memoBits = 6
+
+// thresholdMemo is a direct-mapped cache of count-ratio thresholds, owned by
+// one shard's draw call and kept on its stack, so the exact kernels (a
+// 128-by-64-bit division each) run once per distinct input instead of once
+// per ant. Entries are keyed on the kernel's full input — the count, plus
+// the quality's bits for ThresholdMul — so a hit returns exactly what the
+// kernel would; colliding keys only evict each other. One memo serves one
+// kernel (and, for the adaptive draw, one decay).
+type thresholdMemo [1 << memoBits]struct {
+	q uint64 // math.Float64bits of the quality operand; 0 for count-only kernels
+	c int32
+	t rng.Threshold
+}
+
+// reset empties the memo: entry j gets the key (0, j+1), which hashes to slot
+// j+1, never j, so no lookup can hit an entry before a miss has written it.
 //
 //hh:hotpath
-func (ln *lane) drawActivePrep(op EmitOp) {
-	if op != EmitRecruitAdaptive {
-		return
+func (m *thresholdMemo) reset() {
+	for j := range m {
+		m[j].q, m[j].c = 0, int32(j+1)
 	}
-	// The phase clock is colony-uniform here — lockstep programs march every
-	// ant through the same emits — so the schedule's decay term is hoisted out
-	// of the draw loops; only count varies per ant, and c/(c+decay) is
-	// float-identical to AdaptiveRecruitProbability. The decay steps down a
-	// handful of times per replicate, so the threshold ladder is rebuilt only
-	// on those steps.
-	tau, floorDiv := ln.prog.Params.Tau, ln.prog.Params.FloorDiv
-	decay := adaptiveDecay(ln.n, int(ln.paramI[0]), tau, floorDiv)
-	if decay != ln.adaDecay {
-		//hh:floatok ladder rebuild on decay steps: the float→fixed compile happens a handful of times per replicate
-		for c := 0; c <= ln.n; c++ {
-			cF := float64(c)
-			ln.adaT[c] = rng.NewThreshold(cF / (cF + decay))
-		}
-		ln.adaDecay = decay
-	}
-	ln.phDecay = decay
+}
+
+// memoSlot hashes a memo key: the count's low bits, xored with a Fibonacci
+// hash of the quality bits — zero for q = +0, so count-only keys index by
+// count alone.
+//
+//hh:hotpath
+func memoSlot(q uint64, c int32) uint32 {
+	return (uint32(c) ^ uint32(q*0x9E3779B97F4A7C15>>(64-memoBits))) & (1<<memoBits - 1)
+}
+
+// find returns the memoized threshold of the key (q, c), if the memo holds
+// it. It stays inlinable, so a hit costs no call; a miss computes the
+// kernel at the call site and memoizes it with put.
+//
+//hh:hotpath
+func (m *thresholdMemo) find(q uint64, c int32) (rng.Threshold, bool) {
+	e := &m[memoSlot(q, c)]
+	return e.t, e.c == c && e.q == q
+}
+
+// put memoizes t, the kernel's threshold for the key (q, c), and returns it.
+//
+//hh:hotpath
+func (m *thresholdMemo) put(q uint64, c int32, t rng.Threshold) rng.Threshold {
+	e := &m[memoSlot(q, c)]
+	e.q, e.c, e.t = q, c, t
+	return t
 }
 
 // drawActiveShard is the fnDraw phase body: the drawn-recruit loop over one
-// shard's ant range. Safe to shard because every iteration draws from its own
-// ant's stream only (see drawActiveRange).
+// shard's ant range (safe to shard: every draw comes from the drawing ant's
+// own stream, see drawActiveRange), then the range's stretch of the actNest
+// snapshot of the advertised nests. The observe folds read a capturer's
+// nest from the snapshot rather than from nest itself, because a
+// simultaneous-model capturer can itself be captured and adopt mid-fold.
 //
 //hh:hotpath
 func (ln *lane) drawActiveShard(sh int) {
-	ln.drawActiveRange(ln.phOp, int(ln.shardLo[sh]), int(ln.shardLo[sh+1]))
+	lo, hi := int(ln.shardLo[sh]), int(ln.shardLo[sh+1])
+	ln.drawActiveRange(ln.phOp, lo, hi)
+	copy(ln.actNest[lo:hi], ln.nest[lo:hi])
 }
 
 // drawActiveRange fills the active column for ants [lo, hi) of a drawn-recruit
@@ -1279,14 +1298,14 @@ func (ln *lane) drawActiveShard(sh int) {
 // scalar ant would be passive, and rng.Source's Bernoulli consumes nothing at
 // p <= 0 or p >= 1, so both formulations touch the streams identically.
 //
-// Every draw is the fixed-point kernel — one integer compare against a bound
-// that is either tabled (count-ratio below the crossover, the adaptive
-// ladder) or derived on the fly from the lane's reciprocal (count-ratio above
-// the crossover, quality-weighted at every size) — at any colony size. The
-// tabled paths guard on a count-range check because the noisy estimators can
-// report counts outside [0, n]; out-of-range counts resolve draw-free exactly
-// like Bernoulli at p outside (0, 1), and the reciprocal kernels fold the
-// same resolution in via their sentinel thresholds.
+// Every draw but ApproxN's is the fixed-point kernel — one integer compare
+// against a bound that is either tabled (count-ratio below the crossover) or
+// memoized per call (thresholdMemo: count-ratio above the crossover,
+// quality-weighted at every size, and the adaptive c/(c+decay)) — at any
+// colony size. The table path guards on a count-range check because the
+// noisy estimators can report counts outside [0, n]; out-of-range counts
+// resolve draw-free exactly like Bernoulli at p outside (0, 1), and the
+// memoized kernels fold the same resolution in via their sentinel thresholds.
 //
 //hh:hotpath
 //hh:draws at most one word per ant from its own stream, each ant touched by exactly one shard; draw-free for sentinel thresholds and out-of-range counts
@@ -1321,14 +1340,21 @@ func (ln *lane) drawActiveRange(op EmitOp, lo, hi int) {
 				active[i] = b
 			}
 		} else {
-			rcp := ln.rcp
+			var memo thresholdMemo
+			memo.reset()
 			for i := lo; i < hi; i++ {
 				b := false
 				if quality[i] > 0 {
-					// Above the table crossover the threshold is derived per
-					// draw; rcp.Threshold's sentinels already resolve counts
-					// outside (0, n) draw-free, so no range guard is needed.
-					if t := rcp.Threshold(int(count[i])); t-1 < rng.ThresholdAlways-1 {
+					// Above the table crossover the threshold comes from the
+					// memoized reciprocal, whose sentinels already resolve
+					// counts outside (0, n) draw-free, so no range guard is
+					// needed.
+					c := count[i]
+					t, ok := memo.find(0, c)
+					if !ok {
+						t = memo.put(0, c, ln.rcp.Threshold(int(c)))
+					}
+					if t-1 < rng.ThresholdAlways-1 {
 						b = antSrc[i].Uint64()>>11 < uint64(t)
 					} else {
 						b = t.Draw(&antSrc[i])
@@ -1338,14 +1364,17 @@ func (ln *lane) drawActiveRange(op EmitOp, lo, hi int) {
 			}
 		}
 	case EmitRecruitQual:
-		rcp := ln.rcp
+		var memo thresholdMemo
+		memo.reset()
 		for i := lo; i < hi; i++ {
-			// The quality-weighted draw derives its threshold on the fly at
-			// every colony size (the former per-(quality, count) table cost
-			// O(k·n) entries); ThresholdMul emulates the scalar expression
-			// q·c/n including its out-of-range and q=0 cases, so the loop has
-			// no guards at all.
-			t := rcp.ThresholdMul(quality[i], int(count[i]))
+			// ThresholdMul emulates the scalar expression q·c/n including its
+			// out-of-range and q=0 cases, so the loop has no guards at all.
+			q, c := quality[i], count[i]
+			qb := math.Float64bits(q)
+			t, ok := memo.find(qb, c)
+			if !ok {
+				t = memo.put(qb, c, ln.rcp.ThresholdMul(q, int(c)))
+			}
 			if t-1 < rng.ThresholdAlways-1 {
 				active[i] = antSrc[i].Uint64()>>11 < uint64(t)
 			} else {
@@ -1353,25 +1382,28 @@ func (ln *lane) drawActiveRange(op EmitOp, lo, hi int) {
 			}
 		}
 	case EmitRecruitAdaptive:
-		// Decay and ladder were hoisted by drawActivePrep (colony-uniform
-		// phase clock); the ladder exists at every colony size because its
-		// divisor count+decay varies with the phase, defeating a reciprocal.
+		// The decay was hoisted by stepLockstep (the phase clock is
+		// colony-uniform), so only the count varies per ant. A threshold's
+		// Draw is Bernoulli's at every float p, so noisy out-of-range counts
+		// need no separate float path either.
 		decay := ln.phDecay
-		adaT := ln.adaT
 		paramI := ln.paramI
+		var memo thresholdMemo
+		memo.reset()
 		for i := lo; i < hi; i++ {
 			b := false
 			if quality[i] > 0 {
-				//hh:draws out-of-range counts resolve draw-free, exactly like Bernoulli at p outside (0, 1)
-				if c := int(count[i]); uint(c) <= uint(n) {
-					if t := adaT[c]; t-1 < rng.ThresholdAlways-1 {
-						b = antSrc[i].Uint64()>>11 < uint64(t)
-					} else {
-						b = t.Draw(&antSrc[i])
-					}
+				c := count[i]
+				t, ok := memo.find(0, c)
+				//hh:floatok a miss compiles c/(c+decay), AdaptiveRecruitProbability's exact float expression, once per distinct count per draw call
+				if !ok {
+					cF := float64(c)
+					t = memo.put(0, c, rng.NewThreshold(cF/(cF+decay)))
+				}
+				if t-1 < rng.ThresholdAlways-1 {
+					b = antSrc[i].Uint64()>>11 < uint64(t)
 				} else {
-					cF := float64(c)                           //hh:floatok out-of-range noisy count falls back to the float formula
-					b = antSrc[i].Bernoulli(cF / (cF + decay)) //hh:floatok same float expression as AdaptiveRecruitProbability
+					b = t.Draw(&antSrc[i])
 				}
 			}
 			paramI[i]++
@@ -1649,26 +1681,16 @@ func (ln *lane) stepGeneral() error {
 	// rewrite — their capturer's advertised entry, always read from the
 	// pristine actNest column (a simultaneous-model capturer can itself be
 	// captured, so chaining through slotNest could read a rewritten value).
-	// Captures are sparse, so a capture-listing matcher turns this into a
-	// handful of writes; other matchers pay one branch-free pass over the
-	// slots. The observe folds then reach a recruiter's outcome through
-	// slotOf → slotNest, two loads instead of a four-deep capture walk.
+	// Captures are sparse, so walking the matcher's capture list is a
+	// handful of writes. The observe folds then reach a recruiter's outcome
+	// through slotOf → slotNest, two loads instead of a four-deep capture
+	// walk.
 	slotNest := ln.slotNest
 	if nR > 0 {
 		capt := ln.capturedBy
-		if ln.capLister != nil {
-			for _, t32 := range ln.capLister.Captures() {
-				t := int(t32)
-				if cb := int(capt[t]); cb != t {
-					slotNest[t] = actNest[rec[cb]]
-				}
-			}
-		} else {
-			for t := 0; t < nR; t++ {
-				cb := int(capt[t])
-				if cb < 0 {
-					cb = t
-				}
+		for _, t32 := range ln.matcher.Captures() {
+			t := int(t32)
+			if cb := int(capt[t]); cb != t {
 				slotNest[t] = actNest[rec[cb]]
 			}
 		}
@@ -1716,20 +1738,8 @@ func (ln *lane) stepGeneral() error {
 	isFinal := &ln.final
 	preState := ln.preState
 	if nR > 0 {
-		caps := ln.capScrat[:0]
-		if ln.capLister != nil {
-			caps = ln.capLister.Captures()
-		} else {
-			capt := ln.capturedBy
-			for t := 0; t < nR; t++ {
-				if capt[t] >= 0 {
-					caps = append(caps, int32(t)) //hh:allocok grows only to a new maximum capture count; steady-state rounds reuse capScrat's capacity
-				}
-			}
-			ln.capScrat = caps[:0]
-		}
 		capt := ln.capturedBy
-		for _, t32 := range caps {
+		for _, t32 := range ln.matcher.Captures() {
 			t := int(t32)
 			cb := int(capt[t])
 			if cb == t {
@@ -2071,22 +2081,26 @@ func (ln *lane) emitShard(sh int) {
 			}
 		case EmitRecruitPop:
 			popT := ln.popT
-			rcp := ln.rcp
+			var memo thresholdMemo
+			memo.reset()
 			for _, i32 := range members {
 				i := int(i32)
 				b := false
 				if quality[i] > 0 {
-					c := int(count[i])
+					c := count[i]
 					var t rng.Threshold
 					//hh:draws out-of-range counts resolve draw-free via the sentinel thresholds, exactly like Bernoulli at p outside (0, 1)
 					if popT != nil && uint(c) <= uint(n) {
 						t = popT[c]
 					} else {
 						// Above the table crossover (or out of range) the
-						// threshold derives on the fly; the reciprocal
-						// kernel's sentinels resolve c outside (0, n)
+						// threshold comes from the memoized reciprocal,
+						// whose sentinels resolve c outside (0, n)
 						// draw-free.
-						t = rcp.Threshold(c)
+						var ok bool
+						if t, ok = memo.find(0, c); !ok {
+							t = memo.put(0, c, ln.rcp.Threshold(int(c)))
+						}
 					}
 					if t-1 < rng.ThresholdAlways-1 {
 						b = antSrc[i].Uint64()>>11 < uint64(t)
@@ -2109,14 +2123,20 @@ func (ln *lane) emitShard(sh int) {
 				preState[i] = uint8(s)
 			}
 		case EmitRecruitQual:
-			rcp := ln.rcp
+			var memo thresholdMemo
+			memo.reset()
 			for _, i32 := range members {
 				i := int(i32)
-				// The fixed-point kernel derives the exact threshold of the
-				// scalar expression q·c/n per draw — q = 0 and out-of-range
-				// counts included — so the loop needs no guards and no
-				// floats at any colony size.
-				t := rcp.ThresholdMul(quality[i], int(count[i]))
+				// The memoized kernel returns the exact threshold of the
+				// scalar expression q·c/n — q = 0 and out-of-range counts
+				// included — so the loop needs no guards and no floats at
+				// any colony size.
+				q, c := quality[i], count[i]
+				qb := math.Float64bits(q)
+				t, ok := memo.find(qb, c)
+				if !ok {
+					t = memo.put(qb, c, ln.rcp.ThresholdMul(q, int(c)))
+				}
 				var b bool
 				if t-1 < rng.ThresholdAlways-1 {
 					b = antSrc[i].Uint64()>>11 < uint64(t)
@@ -2138,9 +2158,10 @@ func (ln *lane) emitShard(sh int) {
 				preState[i] = uint8(s)
 			}
 		case EmitRecruitAdaptive:
-			// Per-ant phase clocks defeat both the ladder and a reciprocal
-			// (each ant may sit at a different decay); the float formula is
-			// bit-identical to the scalar AdaptiveAnt by construction.
+			// Per-ant phase clocks defeat both a per-call memo and a
+			// reciprocal (each ant may sit at a different decay); the float
+			// formula is bit-identical to the scalar AdaptiveAnt by
+			// construction.
 			tau, floorDiv := ln.prog.Params.Tau, ln.prog.Params.FloorDiv
 			paramI := ln.paramI
 			for _, i32 := range members {
@@ -2773,46 +2794,41 @@ const (
 	adoptQualZero              // nest move, quality zeroed (ObserveAdoptZero)
 )
 
-// foldCaptureAdopts applies one adoption per lockstep-round ant whose
-// capturer advertises a nest different from the ant's own — the common core
-// of the recruit-round adoption folds. With a capture-listing matcher only
-// the actual captures are visited (they are sparse); otherwise the whole
-// capture table is scanned. Reading the capturer's nest from the actNest
-// snapshot keeps the fold order-independent even for matchers whose
-// capturers can themselves be captured.
+// foldCaptureAdopts applies shard sh's contiguous chunk of the matcher's
+// capture list — the common core of the lockstep recruit-round adoption
+// folds: one adoption per captured ant whose capturer advertises a nest
+// different from the ant's own, with the commitment changes going to the
+// delta slab commit. Chunks never share an ant, because listed captures are
+// distinct (pinned by TestCaptureListMatchesCaptureTable), and reading the
+// capturer's nest from the actNest snapshot keeps the fold order-independent
+// even for matchers whose capturers can themselves be captured.
 //
 //hh:hotpath
-func (ln *lane) foldCaptureAdopts(mode uint8) {
+func (ln *lane) foldCaptureAdopts(sh int, commit []int, mode uint8) {
+	caps := ln.matcher.Captures()
+	nc, shards := int64(len(caps)), int64(ln.shards)
+	lo, hi := nc*int64(sh)/shards, nc*int64(sh+1)/shards
 	nest := ln.nest
 	actNest := ln.actNest
 	capturedBy := ln.capturedBy
-	if ln.capLister != nil {
-		for _, t32 := range ln.capLister.Captures() {
-			i := int(t32) // slot t is ant t on the lockstep path
-			if cb := int(capturedBy[i]); cb != i {
-				if outNest := actNest[cb]; outNest != nest[i] {
-					ln.adoptCapture(i, outNest, mode)
-				}
-			}
-		}
-		return
-	}
-	for i := range nest {
-		if cb := int(capturedBy[i]); cb >= 0 && cb != i {
+	for _, t32 := range caps[lo:hi] {
+		i := int(t32) // slot t is ant t on the lockstep path
+		if cb := int(capturedBy[i]); cb != i {
 			if outNest := actNest[cb]; outNest != nest[i] {
-				ln.adoptCapture(i, outNest, mode)
+				ln.adoptCapture(commit, i, outNest, mode)
 			}
 		}
 	}
 }
 
-// adoptCapture moves ant i to its capturer's advertised nest, maintaining the
-// incremental commitment census, and applies the mode's register updates.
+// adoptCapture moves ant i to its capturer's advertised nest, recording the
+// move in the commitment tally commit, and applies the mode's register
+// updates.
 //
 //hh:hotpath
-func (ln *lane) adoptCapture(i int, outNest NestID, mode uint8) {
-	ln.commit[ln.nest[i]]--
-	ln.commit[outNest]++
+func (ln *lane) adoptCapture(commit []int, i int, outNest NestID, mode uint8) {
+	commit[ln.nest[i]]--
+	commit[outNest]++
 	ln.nest[i] = outNest
 	switch mode {
 	case adoptQualOne:

@@ -1,18 +1,34 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"github.com/gmrl/househunt/internal/rng"
+)
 
 // newFoldLane builds the minimal lane slice-set the capture-adoption fold
 // reads: three ants committed to nests 1, 2, 2 with a 3-nest commitment
-// census (index 0 is home).
+// census (index 0 is home), folded by a single shard.
 func newFoldLane() *lane {
 	return &lane{
 		nest:    []NestID{1, 2, 2},
 		quality: []float64{0.25, 0.5, 0.75},
 		commit:  []int{0, 1, 2},
 		actNest: []NestID{2, 1, 2},
+		shards:  1,
 	}
 }
+
+// listedCaptures is a CaptureLister replaying a fixed capture list, so the
+// fold tests can pose captures without running a matcher.
+type listedCaptures []int32
+
+func (listedCaptures) Name() string { return "listed" }
+
+func (listedCaptures) Match(int, []bool, *rng.Source, []int32, []bool) {}
+
+func (l listedCaptures) Captures() []int32 { return l }
 
 // TestAdoptCaptureModes pins the mode-dispatched adoption fold that replaced
 // the per-call-site closures: every mode moves the ant and maintains the
@@ -23,7 +39,7 @@ func TestAdoptCaptureModes(t *testing.T) {
 
 	t.Run("plain", func(t *testing.T) {
 		ln := newFoldLane()
-		ln.adoptCapture(0, 2, adoptPlain)
+		ln.adoptCapture(ln.commit, 0, 2, adoptPlain)
 		if ln.nest[0] != 2 {
 			t.Fatalf("nest[0] = %d, want 2", ln.nest[0])
 		}
@@ -37,7 +53,7 @@ func TestAdoptCaptureModes(t *testing.T) {
 
 	t.Run("qualOne", func(t *testing.T) {
 		ln := newFoldLane()
-		ln.adoptCapture(1, 1, adoptQualOne)
+		ln.adoptCapture(ln.commit, 1, 1, adoptQualOne)
 		if ln.nest[1] != 1 {
 			t.Fatalf("nest[1] = %d, want 1", ln.nest[1])
 		}
@@ -51,7 +67,7 @@ func TestAdoptCaptureModes(t *testing.T) {
 
 	t.Run("qualZero", func(t *testing.T) {
 		ln := newFoldLane()
-		ln.adoptCapture(2, 1, adoptQualZero)
+		ln.adoptCapture(ln.commit, 2, 1, adoptQualZero)
 		if ln.nest[2] != 1 {
 			t.Fatalf("nest[2] = %d, want 1", ln.nest[2])
 		}
@@ -63,15 +79,18 @@ func TestAdoptCaptureModes(t *testing.T) {
 
 // TestFoldCaptureAdoptsScan pins the lockstep capture scan: only ants whose
 // capturer is a different ant advertising a different nest fold, so self-pairs,
-// uncaptured ants and same-nest captures are all no-ops.
+// uncaptured ants and same-nest captures are all no-ops; and a capture list
+// split across shards folds each chunk into its own delta slab, touching only
+// the chunk's ants.
 func TestFoldCaptureAdoptsScan(t *testing.T) {
 	t.Parallel()
 	ln := newFoldLane()
 	// Ant 0: captured by ant 2, which advertises nest 2 != nest[0]=1 → folds.
 	// Ant 1: self-pair (capturedBy[1] = 1) → no fold.
-	// Ant 2: uncaptured → no fold.
+	// Ant 2: uncaptured (and so not listed) → no fold.
 	ln.capturedBy = []int32{2, 1, -1}
-	ln.foldCaptureAdopts(adoptQualOne)
+	ln.matcher = listedCaptures{0, 1}
+	ln.foldCaptureAdopts(0, ln.commit, adoptQualOne)
 	if ln.nest[0] != 2 || ln.quality[0] != 1 {
 		t.Fatalf("ant 0 should adopt nest 2 with quality 1; got nest=%d q=%v", ln.nest[0], ln.quality[0])
 	}
@@ -89,8 +108,29 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	ln2 := newFoldLane()
 	ln2.actNest = []NestID{2, 2, 2}
 	ln2.capturedBy = []int32{-1, 2, -1} // ant 1 captured by ant 2: actNest 2 == nest[1]
-	ln2.foldCaptureAdopts(adoptQualZero)
+	ln2.matcher = listedCaptures{1}
+	ln2.foldCaptureAdopts(0, ln2.commit, adoptQualZero)
 	if ln2.nest[1] != 2 || ln2.quality[1] != 0.5 {
 		t.Fatalf("same-nest capture must not fold: nest=%d q=%v", ln2.nest[1], ln2.quality[1])
+	}
+
+	// Two shards: chunk 0 is capture {0} (ant 0 adopts ant 2's nest 2),
+	// chunk 1 is capture {2} (ant 2 adopts ant 1's nest 1). Each chunk's
+	// census changes land in its own slab.
+	ln3 := newFoldLane()
+	ln3.shards = 2
+	ln3.capturedBy = []int32{2, -1, 1}
+	ln3.matcher = listedCaptures{0, 2}
+	slab0, slab1 := make([]int, 3), make([]int, 3)
+	ln3.foldCaptureAdopts(0, slab0, adoptPlain)
+	if ln3.nest[0] != 2 || ln3.nest[2] != 2 {
+		t.Fatalf("chunk 0 folded nests %v, want ant 0 moved to 2 and ant 2 untouched", ln3.nest)
+	}
+	ln3.foldCaptureAdopts(1, slab1, adoptPlain)
+	if ln3.nest[2] != 1 {
+		t.Fatalf("chunk 1 left ant 2 at nest %d, want 1", ln3.nest[2])
+	}
+	if want0, want1 := []int{0, -1, 1}, []int{0, 1, -1}; !slices.Equal(slab0, want0) || !slices.Equal(slab1, want1) {
+		t.Fatalf("slabs = %v, %v; want %v, %v", slab0, slab1, want0, want1)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -277,7 +278,22 @@ func TestNewBatchRejectsBadInputs(t *testing.T) {
 	if _, err := NewBatch(env, simpleProgram(), math.MaxInt32); err != nil {
 		t.Errorf("NewBatch(n=MaxInt32): %v", err)
 	}
+	// The lanes fold captures from the matcher's capture list only, so a
+	// factory whose matchers list no captures is rejected by name.
+	unlisted := WithBatchMatcher(func() Matcher { return tableOnlyMatcher{} })
+	if _, err := NewBatch(env, simpleProgram(), 8, unlisted); !errors.Is(err, ErrNoCaptureList) {
+		t.Errorf("matcher without CaptureLister: err = %v, want ErrNoCaptureList", err)
+	} else if !strings.Contains(err.Error(), "table-only") {
+		t.Errorf("ErrNoCaptureList %q does not name the matcher", err)
+	}
 }
+
+// tableOnlyMatcher is a Matcher that implements no CaptureLister.
+type tableOnlyMatcher struct{}
+
+func (tableOnlyMatcher) Name() string { return "table-only" }
+
+func (tableOnlyMatcher) Match(int, []bool, *rng.Source, []int32, []bool) {}
 
 // TestBatchMatchesScalarRoundForRound is the engine-level golden equivalence
 // check: for equal seeds, every round's populations and commitment census

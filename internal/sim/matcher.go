@@ -46,8 +46,10 @@ type sizedMatcher interface {
 // recent Match/MatchCarry call (self-pairs included), in capture order; the
 // slice is matcher-owned scratch, valid until the next call. Captures are
 // sparse — a consumer folding only captured slots touches a fraction of the
-// colony instead of scanning the whole capture table, which is why the batch
-// engine prefers this interface when the matcher offers it.
+// colony instead of scanning the whole capture table — and distinct, so a
+// consumer may split the list into chunks folded concurrently. The batch
+// engine reads captures only through this interface; NewBatch rejects
+// matchers without it.
 type CaptureLister interface {
 	Matcher
 	Captures() []int32
