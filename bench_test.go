@@ -473,18 +473,6 @@ func BenchmarkLargeColonyBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/antRounds, "ns/ant-round")
 }
 
-// BenchmarkEngineRoundConcurrent measures the goroutine-per-ant mode's round
-// latency (including the two barrier crossings).
-func BenchmarkEngineRoundConcurrent(b *testing.B) {
-	const n = 1024
-	engine := buildBenchColony(b, n, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := engine.RunConcurrent(engine.Round()+b.N, nil); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkFullEmigration measures a complete emigration (search to
 // unanimity) per iteration, the end-to-end number a library user feels.
 func BenchmarkFullEmigration(b *testing.B) {

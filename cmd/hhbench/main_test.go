@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,10 +169,13 @@ func TestRunEngineScalar(t *testing.T) {
 }
 
 // TestBatchBenchOutAndBaseline exercises the perf artifact round trip: a
-// shrunken benchmark writes its BENCH records via bb.out; a second run
-// compared against that fresh baseline must pass the gate (same machine,
-// moments apart), and a doctored baseline with impossibly fast batch cells
-// must fail it. A baseline sharing no cells errors too.
+// shrunken benchmark writes its BENCH records via bb.out, and a second run is
+// gated against baselines doctored from them. A baseline whose batch cells
+// ran 1000x slower must pass the gate, one whose batch cells ran 1000x faster
+// must fail it, and a baseline sharing no cells errors. The shrunken cells
+// run for milliseconds, so two timings of the same cell can differ severalfold
+// on a busy host; the 1000x margins keep every outcome independent of that
+// noise, and TestCompareBenchBaseline pins the gate's arithmetic exactly.
 func TestBatchBenchOutAndBaseline(t *testing.T) {
 	dir := t.TempDir()
 	artifact := filepath.Join(dir, "BENCH_test.json")
@@ -200,37 +204,42 @@ func TestBatchBenchOutAndBaseline(t *testing.T) {
 		t.Fatal("artifact holds no batch cells")
 	}
 
-	// Same-machine re-run against the fresh baseline passes with the default
-	// 30% tolerance relaxed to 3x: the shrunken cells run only milliseconds,
-	// so scheduler noise dominates them in a way the real 1s cells avoid.
+	// scaled writes a copy of the artifact with every batch cell's timing
+	// multiplied by factor.
+	scaled := func(name string, factor float64) string {
+		t.Helper()
+		doctored := append([]benchRecord(nil), records...)
+		for i := range doctored {
+			if doctored[i].Engine == "batch" {
+				doctored[i].MsPerSweep *= factor
+			}
+		}
+		path := filepath.Join(dir, name)
+		if err := writeBenchRecords(path, doctored); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	check := bb
 	check.out = ""
-	check.baseline = artifact
-	check.tolerance = 2.0
+	check.tolerance = 0.30
+
+	// A baseline claiming the batch cells once ran 1000x slower passes.
+	check.baseline = scaled("BENCH_slow.json", 1000)
 	out.Reset()
 	if err := runBatchBench(&out, check); err != nil {
-		t.Fatalf("fresh baseline comparison failed: %v\n%s", err, out.String())
+		t.Fatalf("slower baseline comparison failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "baseline check passed") {
 		t.Fatalf("comparison output missing pass line:\n%s", out.String())
 	}
 
-	// A doctored baseline claiming the batch cells once ran 1000x faster
-	// must trip the gate.
-	doctored := filepath.Join(dir, "BENCH_doctored.json")
-	for i := range records {
-		if records[i].Engine == "batch" {
-			records[i].MsPerSweep /= 1000
-		}
-	}
-	if err := writeBenchRecords(doctored, records); err != nil {
-		t.Fatal(err)
-	}
-	check.baseline = doctored
-	check.tolerance = 0.30
+	// A baseline claiming the batch cells once ran 1000x faster must trip
+	// the gate.
+	check.baseline = scaled("BENCH_fast.json", 1.0/1000)
 	out.Reset()
 	if err := runBatchBench(&out, check); err == nil {
-		t.Fatalf("doctored baseline accepted:\n%s", out.String())
+		t.Fatalf("faster baseline accepted:\n%s", out.String())
 	} else if !strings.Contains(err.Error(), "regressed") {
 		t.Fatalf("unexpected gate error: %v", err)
 	}
@@ -243,6 +252,46 @@ func TestBatchBenchOutAndBaseline(t *testing.T) {
 	check.baseline = foreign
 	if err := runBatchBench(&out, check); err == nil {
 		t.Fatal("disjoint baseline accepted")
+	}
+}
+
+// TestCompareBenchBaseline pins the gate on synthetic records: a batch cell
+// may run slower than its baseline by exactly the tolerance but not beyond,
+// scalar cells never gate, and a baseline sharing no batch cell is an error.
+// The timings are binary fractions, so every ratio is exact.
+func TestCompareBenchBaseline(t *testing.T) {
+	cell := func(engine string, ms float64) benchRecord {
+		return benchRecord{Type: "BENCH", Engine: engine, Algorithm: "simple", N: 64, K: 4, Reps: 4, MsPerSweep: ms}
+	}
+	other := cell("batch", 4)
+	other.Algorithm = "optimal"
+	cases := []struct {
+		name    string
+		base    []benchRecord
+		fresh   []benchRecord
+		wantErr string // empty: the gate passes
+	}{
+		{"at tolerance", []benchRecord{cell("batch", 4)}, []benchRecord{cell("batch", 5)}, ""},
+		{"above tolerance", []benchRecord{cell("batch", 4)}, []benchRecord{cell("batch", 5.0001)}, "regressed"},
+		{"faster", []benchRecord{cell("batch", 4)}, []benchRecord{cell("batch", 1)}, ""},
+		{"scalar ignored", []benchRecord{cell("scalar", 1), cell("batch", 4)}, []benchRecord{cell("scalar", 100), cell("batch", 4)}, ""},
+		{"scalar only", []benchRecord{cell("scalar", 4)}, []benchRecord{cell("scalar", 4)}, "shares no batch cells"},
+		{"no overlap", []benchRecord{other}, []benchRecord{cell("batch", 4)}, "shares no batch cells"},
+	}
+	dir := t.TempDir()
+	for i, tc := range cases {
+		path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", i))
+		if err := writeBenchRecords(path, tc.base); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := compareBenchBaseline(&out, batchBenchConfig{baseline: path, tolerance: 0.25}, tc.fresh)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: gate failed: %v\n%s", tc.name, err, out.String())
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

@@ -44,11 +44,10 @@ func run(args []string, out io.Writer) error {
 		k          = fs.Int("k", 4, "number of candidate nests (ignored when -nests is set)")
 		good       = fs.Int("good", 1, "number of good nests (ignored when -nests is set)")
 		nests      = fs.String("nests", "", "comma-separated nest qualities in [0,1], e.g. 0.2,0.5,0.9")
-		algoName   = fs.String("algo", "simple", "algorithm: optimal, optimal-literal, simple, simple-pfsm, adaptive, quality, quorum, approxn, spreader")
+		algoName   = fs.String("algo", "simple", "algorithm: optimal, optimal-literal, simple, adaptive, quality, quorum, approxn, spreader")
 		seed       = fs.Uint64("seed", 1, "random seed")
 		maxRounds  = fs.Int("rounds", 0, "round budget (0 = automatic)")
 		plot       = fs.Bool("plot", false, "render an ASCII plot of commitment dynamics")
-		concurrent = fs.Bool("concurrent", false, "run each ant as a goroutine")
 		countNoise = fs.Float64("count-noise", 0, "unbiased relative count noise sigma (forces simple)")
 		flipP      = fs.Float64("flip", 0, "assessment flip probability (forces simple)")
 		crash      = fs.Float64("crash", 0, "fraction of ants that crash")
@@ -90,9 +89,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *plot {
 		opts = append(opts, househunt.WithTracing())
-	}
-	if *concurrent {
-		opts = append(opts, househunt.WithConcurrentAnts())
 	}
 	if *countNoise > 0 {
 		opts = append(opts, househunt.WithCountNoise(*countNoise))

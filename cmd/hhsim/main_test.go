@@ -23,8 +23,8 @@ func TestRunBasic(t *testing.T) {
 }
 
 // TestRunPrintsEngine pins the engine provenance line: batch-eligible runs
-// (plotted or not) report the batch engine, and the scalar-only options
-// report the scalar engine with core.CompileForBatch's decline reason.
+// (plotted or not) report the batch engine, and the scalar-only -jitter
+// option reports the scalar engine with core.CompileForBatch's decline reason.
 func TestRunPrintsEngine(t *testing.T) {
 	base := []string{"-n", "64", "-k", "2", "-good", "1", "-seed", "4"}
 	cases := []struct {
@@ -34,7 +34,6 @@ func TestRunPrintsEngine(t *testing.T) {
 		{nil, "engine: batch\n"},
 		{[]string{"-plot", "-crash", "0.1"}, "engine: batch\n"},
 		{[]string{"-jitter", "0.1"}, "engine: scalar (" + core.ReasonWrapperScalarOnly + ")\n"},
-		{[]string{"-concurrent"}, "engine: scalar (" + core.ReasonConcurrentScalarOnly + ")\n"},
 	}
 	for _, tc := range cases {
 		var out bytes.Buffer

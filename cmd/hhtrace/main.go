@@ -106,8 +106,6 @@ func liveAlgorithm(name string) (core.Algorithm, error) {
 	switch name {
 	case "simple":
 		return algo.Simple{}, nil
-	case "simple-pfsm":
-		return algo.SimplePFSM{}, nil
 	case "optimal":
 		return algo.Optimal{}, nil
 	case "optimal-literal":
@@ -123,7 +121,7 @@ func liveAlgorithm(name string) (core.Algorithm, error) {
 	case "spreader":
 		return algo.Spreader{}, nil
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (want optimal, optimal-literal, simple, simple-pfsm, adaptive, quality, quorum, approxn or spreader)", name)
+	return nil, fmt.Errorf("unknown algorithm %q (want optimal, optimal-literal, simple, adaptive, quality, quorum, approxn or spreader)", name)
 }
 
 // liveSink writes each drained record as one CSV row and folds the

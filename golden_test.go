@@ -33,7 +33,6 @@ func TestGoldenExecutions(t *testing.T) {
 		{AlgorithmAdaptive, 256, 8, 8, 7, 52, 6},
 		{AlgorithmQualityAware, 128, 4, 4, 42, 24, 3},
 		{AlgorithmQuorum, 256, 4, 2, 7, 23, 2},
-		{AlgorithmSimplePFSM, 128, 4, 2, 42, 52, 1}, // must equal AlgorithmSimple
 	}
 	for _, tc := range cases {
 		tc := tc

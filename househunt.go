@@ -24,10 +24,9 @@
 //
 // A colony runs on the compiled batch engine whenever core.CompileForBatch
 // accepts its configuration (traced or not, with or without fault options)
-// and falls back to the scalar agent engine for the scalar-only features:
-// WithJitter and WithConcurrentAnts. Both engines are bit-identical for a
-// given seed; Result.Engine and Result.EngineReason report which one ran and
-// why.
+// and falls back to the scalar agent engine for the one scalar-only option,
+// WithJitter. Both engines are bit-identical for a given seed; Result.Engine
+// and Result.EngineReason report which one ran and why.
 package househunt
 
 import (
@@ -60,10 +59,6 @@ const (
 	// AlgorithmSimple is the paper's Algorithm 3: recruit with probability
 	// count/n; O(k log n) rounds.
 	AlgorithmSimple Algorithm = "simple"
-	// AlgorithmSimplePFSM is Algorithm 3 expressed in the probabilistic
-	// finite-state-machine framework; behaviourally identical to
-	// AlgorithmSimple.
-	AlgorithmSimplePFSM Algorithm = "simple-pfsm"
 	// AlgorithmAdaptive is the §6 boosted-rate extension.
 	AlgorithmAdaptive Algorithm = "adaptive"
 	// AlgorithmQualityAware is the §6 non-binary-quality extension
@@ -84,14 +79,13 @@ const (
 // Config collects a colony configuration. Construct with options via New or
 // Run; the zero value is not runnable.
 type Config struct {
-	n          int
-	qualities  []float64
-	algorithm  Algorithm
-	seed       uint64
-	maxRounds  int
-	stability  int
-	concurrent bool
-	traced     bool
+	n         int
+	qualities []float64
+	algorithm Algorithm
+	seed      uint64
+	maxRounds int
+	stability int
+	traced    bool
 
 	countNoise    float64
 	flipP         float64
@@ -191,16 +185,6 @@ func WithStabilityWindow(rounds int) Option {
 			return fmt.Errorf("househunt: negative stability window %d", rounds)
 		}
 		c.stability = rounds
-		return nil
-	}
-}
-
-// WithConcurrentAnts runs every ant as its own goroutine (same semantics and
-// randomness as the default sequential engine, validated against it). The
-// mode is scalar-only, so such colonies never run on the batch engine.
-func WithConcurrentAnts() Option {
-	return func(c *Config) error {
-		c.concurrent = true
 		return nil
 	}
 }
@@ -428,8 +412,6 @@ func buildAlgorithm(cfg Config) (core.Algorithm, error) {
 		return algo.Optimal{Literal: true}, nil
 	case AlgorithmSimple:
 		return algo.Simple{}, nil
-	case AlgorithmSimplePFSM:
-		return algo.SimplePFSM{}, nil
 	case AlgorithmAdaptive:
 		return algo.Adaptive{Tau: cfg.adaptiveTau, FloorDiv: cfg.adaptiveFloorDiv}, nil
 	case AlgorithmQualityAware:
@@ -511,11 +493,9 @@ func (c *Colony) lower() (core.Algorithm, core.RunConfig, error) {
 		Seed:            c.cfg.seed,
 		MaxRounds:       c.cfg.maxRounds,
 		StabilityWindow: c.cfg.stability,
-		Concurrent:      c.cfg.concurrent,
 	}
 
-	// The fault knobs lower to a declarative faults.Spec (draw-identical to
-	// the legacy faults.Plan wrapper at the same salt); a spec that is the
+	// The fault knobs lower to a declarative faults.Spec; a spec that is the
 	// sole wrapper rides on cfg.Wrap directly, keeping the config eligible
 	// for the batch engine's fault lanes. Asynchrony remains scalar-only.
 	var spec faults.Spec

@@ -87,9 +87,8 @@ func TestOptionValidation(t *testing.T) {
 func TestAllAlgorithmsRun(t *testing.T) {
 	t.Parallel()
 	algos := []Algorithm{
-		AlgorithmOptimal, AlgorithmSimple, AlgorithmSimplePFSM,
-		AlgorithmAdaptive, AlgorithmQualityAware, AlgorithmQuorum,
-		AlgorithmApproxN,
+		AlgorithmOptimal, AlgorithmSimple, AlgorithmAdaptive,
+		AlgorithmQualityAware, AlgorithmQuorum, AlgorithmApproxN,
 	}
 	for _, a := range algos {
 		a := a
@@ -286,25 +285,6 @@ func TestFaultsAndJitterViaFacade(t *testing.T) {
 	}
 }
 
-func TestConcurrentFacade(t *testing.T) {
-	t.Parallel()
-	seq, err := Run(
-		WithColonySize(64), WithBinaryNests(2, 2), WithSeed(21),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	con, err := Run(
-		WithColonySize(64), WithBinaryNests(2, 2), WithSeed(21), WithConcurrentAnts(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Rounds != con.Rounds || seq.Winner != con.Winner {
-		t.Fatalf("concurrent facade diverged: %+v vs %+v", seq, con)
-	}
-}
-
 func TestQualityLadderViaFacade(t *testing.T) {
 	t.Parallel()
 	res, err := Run(
@@ -407,8 +387,8 @@ func TestRunBatchMatchesScalarReference(t *testing.T) {
 	t.Parallel()
 	algos := []Algorithm{
 		AlgorithmOptimal, AlgorithmOptimalLiteral, AlgorithmSimple,
-		AlgorithmSimplePFSM, AlgorithmAdaptive, AlgorithmQualityAware,
-		AlgorithmSpreader, AlgorithmQuorum, AlgorithmApproxN,
+		AlgorithmAdaptive, AlgorithmQualityAware, AlgorithmSpreader,
+		AlgorithmQuorum, AlgorithmApproxN,
 	}
 	variants := []struct {
 		name string
@@ -461,9 +441,9 @@ func TestRunBatchMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestRunScalarOnlyOptions pins the fallback: jittered and goroutine-per-ant
-// colonies report the scalar engine with CompileForBatch's named reason and
-// still match the scalar reference, traced or not.
+// TestRunScalarOnlyOptions pins the fallback: jittered colonies report the
+// scalar engine with CompileForBatch's named reason and still match the
+// scalar reference, traced or not.
 func TestRunScalarOnlyOptions(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -473,7 +453,6 @@ func TestRunScalarOnlyOptions(t *testing.T) {
 	}{
 		{"jitter", []Option{WithJitter(0.1, 2)}, core.ReasonWrapperScalarOnly},
 		{"jitter+crash", []Option{WithJitter(0.1, 2), WithCrashFaults(0.1, 30)}, core.ReasonWrapperScalarOnly},
-		{"concurrent", []Option{WithConcurrentAnts()}, core.ReasonConcurrentScalarOnly},
 	}
 	for _, tc := range cases {
 		for _, traced := range []bool{false, true} {

@@ -16,8 +16,8 @@ import (
 
 // This file is the cross-engine differential harness: one shared set of
 // generators and layer assertions through which every compiled algorithm —
-// Simple/SimplePFSM (Algorithm 3), both Optimal variants (Algorithm 2), the
-// §6 extensions (Adaptive, QualityAware, ApproxN, Quorum, Noisy) and the §3
+// Simple (Algorithm 3), both Optimal variants (Algorithm 2), the §6
+// extensions (Adaptive, QualityAware, ApproxN, Quorum, Noisy) and the §3
 // lower-bound Spreader process — is pinned round-for-round bit-identical
 // between the scalar agent engine and the batch struct-of-arrays engine,
 // with and without an adversary (the faults.Spec axis: scalar fault wrappers
@@ -146,7 +146,6 @@ type roundRec struct {
 func compiledInventory() []core.Algorithm {
 	return []core.Algorithm{
 		Simple{},
-		SimplePFSM{},
 		Optimal{},
 		Optimal{Literal: true},
 		Adaptive{},
@@ -224,25 +223,35 @@ func scalarTrace(t *testing.T, c diffCase) [][]roundRec {
 	return recs
 }
 
+// recorder is the recording sim.BatchObserver batchTrace runs under: it
+// keeps every replicate's rounds in order. Lanes run replicates
+// concurrently, so it locks.
+type recorder struct {
+	mu   sync.Mutex
+	recs [][]roundRec
+}
+
+func (r *recorder) LaneObserver(int) sim.LaneObserver { return r }
+
+func (r *recorder) ObserveRound(rep, _ int, counts, committed []int) {
+	rec := roundRec{counts: append([]int(nil), counts...), commit: append([]int(nil), committed...)}
+	r.mu.Lock()
+	r.recs[rep] = append(r.recs[rep], rec)
+	r.mu.Unlock()
+}
+
+func (r *recorder) ReplicateDone(int, *sim.BatchResult) {}
+
 // batchTrace runs the compiled program on the batch engine with a recording
-// probe; the window exceeding the budget keeps every replicate running all
-// maxRounds rounds so traces line up with scalarTrace.
+// observer; the window exceeding the budget keeps every replicate running
+// all maxRounds rounds so traces line up with scalarTrace.
 func batchTrace(t *testing.T, c diffCase, prog sim.Program) [][]roundRec {
 	t.Helper()
 	if fs, on := c.spec().BatchFaults(); on {
 		prog.Params.Faults = fs
 	}
-	var mu sync.Mutex
-	recs := make([][]roundRec, len(c.seeds))
-	opts := []sim.BatchOption{sim.WithBatchProbe(func(rep, round int, counts, committed []int) {
-		rec := roundRec{
-			counts: append([]int(nil), counts...),
-			commit: append([]int(nil), committed...),
-		}
-		mu.Lock()
-		recs[rep] = append(recs[rep], rec)
-		mu.Unlock()
-	})}
+	rec := &recorder{recs: make([][]roundRec, len(c.seeds))}
+	opts := []sim.BatchOption{sim.WithBatchObserver(rec)}
 	if c.matcher != "" {
 		name := c.matcher
 		opts = append(opts, sim.WithBatchMatcher(func() sim.Matcher { return stockMatcher(name) }))
@@ -257,7 +266,7 @@ func batchTrace(t *testing.T, c diffCase, prog sim.Program) [][]roundRec {
 	if _, err := b.Run(c.seeds, c.maxRounds, c.maxRounds+1); err != nil {
 		t.Fatalf("%s: batch run: %v", c.name, err)
 	}
-	return recs
+	return rec.recs
 }
 
 // compareTraces asserts two per-seed round traces are bit-identical.
@@ -355,7 +364,7 @@ func randomDiffCases(metaSeed uint64, count int) []diffCase {
 		case 0:
 			a = Simple{}
 		case 1:
-			a = SimplePFSM{}
+			a = Simple{} // repeats case 0 so existing metaseeds sample unchanged
 		case 2:
 			a = Optimal{}
 		case 3:
@@ -529,7 +538,7 @@ func pinnedDiffCases() []diffCase {
 	}
 
 	// Algorithm 3: the original lockstep golden cell.
-	add(SimplePFSM{}, 128, envBinary, 400)
+	add(Simple{}, 128, envBinary, 400)
 	add(Simple{}, 64, envSparse, 200)
 	// Algorithm 2: the original general-path grid. The literal variant's
 	// cells include deadlocking executions, which must reproduce too.
@@ -633,7 +642,7 @@ func pinnedDiffCases() []diffCase {
 			faults:    spec,
 		})
 	}
-	for _, a := range []core.Algorithm{Simple{}, SimplePFSM{}, Optimal{}, Optimal{Literal: true},
+	for _, a := range []core.Algorithm{Simple{}, Optimal{}, Optimal{Literal: true},
 		Adaptive{}, QualityAware{}, ApproxN{Delta: 0.3}, Quorum{}, Noisy{Counter: nest.RelativeNoiseCounter{Sigma: 0.2}}} {
 		addF(a, "crash", crash, 64, envBinary, 200)
 		addF(a, "byz", byz, 64, envBinary, 200)
@@ -707,7 +716,7 @@ func pinnedDiffCases() []diffCase {
 	churn := func() faults.Schedule { return faults.Churn{CrashProb: 0.02, MeanDowntime: 6} }
 	stress := func() faults.Schedule { return stressSchedule{} }
 	byzOnly := faults.Spec{ByzantineFraction: 0.1, Salt: 15}
-	for _, a := range []core.Algorithm{Simple{}, SimplePFSM{}, Optimal{}, Adaptive{},
+	for _, a := range []core.Algorithm{Simple{}, Optimal{}, Adaptive{},
 		QualityAware{}, ApproxN{Delta: 0.3}, Quorum{}, Noisy{Counter: nest.RelativeNoiseCounter{Sigma: 0.2}}} {
 		addA(a, "targeted", faults.Spec{Salt: 15}, targeted, 0, 64, envBinary, 200)
 		addA(a, "churn", faults.Spec{Salt: 15}, churn, 0, 64, envBinary, 200)
@@ -929,11 +938,6 @@ func TestRunBatchFallsBackForScalarOnlyConfigs(t *testing.T) {
 			c.NewMatcher = func() sim.Matcher { return &sim.SimultaneousMatcher{} }
 			return c
 		}(), "quorum,carry 3,CarryMatcher"},
-		{"concurrent", Simple{}, func() core.RunConfig {
-			c := base
-			c.Concurrent = true
-			return c
-		}(), core.ReasonConcurrentScalarOnly},
 		{"not compilable", scalarOnlyAlgorithm{}, base, "does not implement core.BatchCompilable"},
 		{"declined", ApproxN{Delta: 1.5}, base, "declined to compile"},
 		{"declined quorum", Quorum{Multiplier: 0.5}, base, "declined to compile"},

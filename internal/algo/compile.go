@@ -21,17 +21,16 @@ import (
 // cmd/hhlint enforces statically over internal/sim and this package.
 //
 // Batch-coverage matrix (algorithm × configuration → engine). Any scalar-only
-// cfg feature (Trace, Metrics, a non-stock NewMatcher, Concurrent, an agent
-// wrapper other than a fault spec) forces the scalar path regardless of the
-// algorithm; core.CompileForBatch reports which field blocked compilation via
-// the core.Reason* constants. Every algorithm in the package now has a
+// cfg feature (Trace, Metrics, a non-stock NewMatcher, an agent wrapper other
+// than a fault spec) forces the scalar path regardless of the algorithm;
+// core.CompileForBatch reports which field blocked compilation via the
+// core.Reason* constants. Every algorithm in the package now has a
 // compiled form — only scalar-only cfg features fall back. (Traced colonies
 // of the househunt facade leave cfg.Trace unset and record through
 // sim.TraceObserver instead, so they stay on the batch path.)
 //
 //	algorithm      plain cfg   batch path          notes
 //	Simple         batch       lockstep            Algorithm 3
-//	SimplePFSM     batch       lockstep            same program as Simple
 //	Optimal        batch       general (per-ant)   both Case-3 variants
 //	Adaptive       batch       lockstep            §6 boosted rate; per-ant phase-clock column
 //	QualityAware   batch       lockstep            §6 non-binary qualities; quality·count/n draw
@@ -99,41 +98,25 @@ import (
 // bit for bit (pinned at n = 2^16 ± ε and beyond by the ceiling-boundary
 // and shard-invariance cells in batch_equiv_test.go).
 
-// simpleBatchProgram is Algorithm 3's three-state table: search, then the
-// recruit/assess loop. It is the opcode form of newSimpleSpec — the states
-// correspond one-to-one and the randomness (a single Bernoulli(count/n) per
-// recruit phase, gated on positive quality) is drawn identically, so batch
-// executions are bit-identical to both SimplePFSM and the hand-written
-// SimpleAnt (which pfsm_test.go proves equivalent to each other).
-func simpleBatchProgram(name string) sim.Program {
+// CompileBatch implements core.BatchCompilable: Algorithm 3's three-state
+// table — search, then the recruit/assess loop. The states correspond
+// one-to-one to SimpleAnt's phases and the randomness (a single
+// Bernoulli(count/n) per recruit phase, gated on positive quality, which is
+// SimpleAnt's active flag) is drawn identically, so batch executions are
+// bit-identical to the hand-written SimpleAnt.
+func (a Simple) CompileBatch(n int, env sim.Environment) (sim.Program, bool) {
+	if n <= 0 || env.K() == 0 {
+		return sim.Program{}, false
+	}
 	return sim.Program{
-		Algorithm: name,
+		Algorithm: a.Name(),
 		Init:      0,
 		States: []sim.ProgramState{
 			{Emit: sim.EmitSearch, Observe: sim.ObserveDiscovery, Next: 1},
 			{Emit: sim.EmitRecruitPop, Observe: sim.ObserveAdopt, Next: 2},
 			{Emit: sim.EmitGotoNest, Observe: sim.ObserveCount, Next: 1},
 		},
-	}
-}
-
-// CompileBatch implements core.BatchCompilable: SimplePFSM's declarative
-// state table lowered to opcodes.
-func (a SimplePFSM) CompileBatch(n int, env sim.Environment) (sim.Program, bool) {
-	if n <= 0 || env.K() == 0 {
-		return sim.Program{}, false
-	}
-	return simpleBatchProgram(a.Name()), true
-}
-
-// CompileBatch implements core.BatchCompilable. The hand-written SimpleAnt
-// and the PFSM formulation execute identically for equal seeds (the active
-// flag coincides with quality > 0), so Simple compiles to the same program.
-func (a Simple) CompileBatch(n int, env sim.Environment) (sim.Program, bool) {
-	if n <= 0 || env.K() == 0 {
-		return sim.Program{}, false
-	}
-	return simpleBatchProgram(a.Name()), true
+	}, true
 }
 
 // State indices of the compiled Algorithm 2 table. The layout mirrors the

@@ -284,35 +284,3 @@ func TestNoisyBuilderValidation(t *testing.T) {
 		t.Fatal("empty name")
 	}
 }
-
-func TestPFSMEquivalentToSimple(t *testing.T) {
-	t.Parallel()
-	// The declarative PFSM encoding and the hand-written SimpleAnt must
-	// produce identical executions for equal seeds.
-	env := sim.MustEnvironment([]float64{1, 0, 1, 0})
-	const n = 128
-	for seed := uint64(1); seed <= 3; seed++ {
-		hand, err := core.Run(Simple{}, core.RunConfig{N: n, Env: env, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pfsm, err := core.Run(SimplePFSM{}, core.RunConfig{N: n, Env: env, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hand.Rounds != pfsm.Rounds || hand.Winner != pfsm.Winner {
-			t.Fatalf("seed %d: PFSM diverged: hand %+v, pfsm %+v", seed, hand, pfsm)
-		}
-	}
-}
-
-func TestPFSMBuilderValidation(t *testing.T) {
-	t.Parallel()
-	env := sim.MustEnvironment([]float64{1})
-	if _, err := (SimplePFSM{}).Build(0, env, testSrc(1)); err == nil {
-		t.Fatal("zero colony accepted")
-	}
-	if _, err := (SimplePFSM{}).Build(2, sim.Environment{}, testSrc(1)); err == nil {
-		t.Fatal("empty environment accepted")
-	}
-}

@@ -18,7 +18,7 @@ import (
 // cell, so the trace also proves that only replicate 0 is recorded.
 func TestTraceObserverMatchesRunTraced(t *testing.T) {
 	cells := map[string]bool{
-		"simple-pfsm/n128/k4":       true, // lockstep
+		"simple/n128/k4":            true, // lockstep
 		"optimal/n96/k4":            true, // general
 		"optimal+mixed/n96/k5":      true, // crash + Byzantine + sleep lanes
 		"simple+sched-churn/n64/k4": true, // adaptive schedule with restarts

@@ -43,8 +43,6 @@ const (
 	ReasonTraceScalarOnly = "cfg.Trace is set (per-round traces are scalar-only)"
 	// ReasonMetricsScalarOnly: engine instrumentation requires the scalar engine.
 	ReasonMetricsScalarOnly = "cfg.Metrics is set (engine instrumentation is scalar-only)"
-	// ReasonConcurrentScalarOnly: the goroutine-per-ant mode is scalar by definition.
-	ReasonConcurrentScalarOnly = "cfg.Concurrent is set (the goroutine-per-ant mode is scalar-only)"
 )
 
 // batchMatcherFactory resolves cfg.NewMatcher for the batch engine. The
@@ -81,11 +79,11 @@ func batchMatcherFactory(cfg RunConfig) (factory func() sim.Matcher, probe sim.M
 // CompileForBatch reports whether algo + cfg can run on the batch engine and
 // returns the compiled program if so. Eligibility requires a compilable
 // algorithm and a configuration with none of the scalar-only features:
-// traces, metrics, non-stock matchers and the goroutine-per-ant mode all hold
-// per-agent or per-engine state the batch lanes do not model. Agent wrappers
-// are scalar-only too, with one exception: a cfg.Wrap implementing
-// BatchFaultWrapper (faults.Spec) lowers to the batch engine's native fault
-// lanes and compiles, its sim.FaultSpec attached to the program's parameters.
+// traces, metrics and non-stock matchers all hold per-agent or per-engine
+// state the batch lanes do not model. Agent wrappers are scalar-only too,
+// with one exception: a cfg.Wrap implementing BatchFaultWrapper (faults.Spec)
+// lowers to the batch engine's native fault lanes and compiles, its
+// sim.FaultSpec attached to the program's parameters.
 // Configurations selecting a stock matcher model (Algorithm 1 or the
 // simultaneous/rendezvous ablations) compile: the batch engine runs those
 // models with exactly their scalar draw sequences.
@@ -113,8 +111,6 @@ func compileForBatch(algo Algorithm, cfg RunConfig) (prog sim.Program, matcher f
 		return sim.Program{}, nil, false, ReasonTraceScalarOnly
 	case cfg.Metrics != nil:
 		return sim.Program{}, nil, false, ReasonMetricsScalarOnly
-	case cfg.Concurrent:
-		return sim.Program{}, nil, false, ReasonConcurrentScalarOnly
 	}
 	var faultSpec sim.FaultSpec
 	if cfg.Wrap != nil {

@@ -76,11 +76,6 @@ func TestCompileForBatchReasons(t *testing.T) {
 			c.NewMatcher = func() sim.Matcher { return nil }
 			return c
 		}(), "cfg.NewMatcher returned nil"},
-		{"concurrent", compilableOracle{}, func() RunConfig {
-			c := base
-			c.Concurrent = true
-			return c
-		}(), "cfg.Concurrent"},
 		{"not compilable", stubAlgorithm{}, base, "does not implement core.BatchCompilable"},
 		{"declined", compilableOracle{decline: true}, base, "declined to compile"},
 	}

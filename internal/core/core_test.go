@@ -253,22 +253,6 @@ func TestRunDeterministicAcrossSeeds(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentMode(t *testing.T) {
-	t.Parallel()
-	env := sim.MustEnvironment([]float64{0, 1})
-	seq, err := Run(oracleAlgorithm{}, RunConfig{N: 25, Env: env, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	con, err := Run(oracleAlgorithm{}, RunConfig{N: 25, Env: env, Seed: 5, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Rounds != con.Rounds || seq.Winner != con.Winner {
-		t.Fatalf("modes diverged: seq %+v, con %+v", seq, con)
-	}
-}
-
 func TestRunWithFaultyExclusion(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1})

@@ -37,8 +37,6 @@ type RunConfig struct {
 	Trace *trace.Trace
 	// Metrics, when non-nil, receives engine instrumentation.
 	Metrics *metrics.Registry
-	// Concurrent selects the goroutine-per-ant execution mode.
-	Concurrent bool
 	// Strict toggles §2 protocol validation (default on).
 	Strict *bool
 	// Wrap post-processes the built agents (fault injection, asynchrony);
@@ -69,8 +67,7 @@ type AgentWrapper interface {
 }
 
 // WrapFunc adapts a bare wrapper function (one that owns its randomness, like
-// the faults.Plan and async.Plan builders) to the AgentWrapper interface,
-// ignoring the seed.
+// the async.Plan builder) to the AgentWrapper interface, ignoring the seed.
 type WrapFunc func([]sim.Agent) ([]sim.Agent, error)
 
 // WrapAgents implements AgentWrapper.
@@ -204,12 +201,7 @@ func Run(algo Algorithm, cfg RunConfig) (Result, error) {
 		return streak >= window
 	}
 
-	var rounds int
-	if cfg.Concurrent {
-		rounds, err = engine.RunConcurrent(maxRounds, until)
-	} else {
-		rounds, err = engine.Run(maxRounds, until)
-	}
+	rounds, err := engine.Run(maxRounds, until)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: running %s: %w", algo.Name(), err)
 	}

@@ -34,7 +34,6 @@ func TestMeasureConvergenceBatchMatchesScalar(t *testing.T) {
 		env  sim.Environment
 	}{
 		{algo.Simple{}, binary},
-		{algo.SimplePFSM{}, binary},
 		{algo.Optimal{}, binary},
 		{algo.Optimal{Literal: true}, binary},
 		{algo.Adaptive{}, binary},
@@ -148,7 +147,7 @@ func TestMeasureConvergenceFaultedBatchMatchesScalar(t *testing.T) {
 		// optimal+byzantine equivalence is still pinned per-round by the
 		// algo-level differential grid.
 		{"simple+crash", algo.Simple{}, env, faults.Spec{CrashFraction: 0.1, CrashWindow: 30, Salt: 11}},
-		{"simplepfsm+byzantine", algo.SimplePFSM{}, env, faults.Spec{ByzantineFraction: 0.03, Salt: 12}},
+		{"simple+byzantine", algo.Simple{}, env, faults.Spec{ByzantineFraction: 0.03, Salt: 12}},
 		{"optimal+sleep", algo.Optimal{}, env, faults.Spec{SleepFraction: 0.15, SleepWindow: 30, Salt: 16}},
 		{"adaptive+sleep", algo.Adaptive{}, env, faults.Spec{SleepFraction: 0.2, SleepWindow: 40, Salt: 13}},
 		{"quorum+mixed", algo.Quorum{}, env, faults.Spec{CrashFraction: 0.08, CrashWindow: 24, ByzantineFraction: 0.04, SleepFraction: 0.08, SleepWindow: 24, Salt: 14}},

@@ -565,10 +565,9 @@ func measureFaultCell(n int, env sim.Environment, crash, byz float64, reps int) 
 	var fracSum float64
 	for rep := 0; rep < reps; rep++ {
 		seed := workload.SeedFor("E13", int(crash*100)*1000+int(byz*100), n, rep+1)
-		plan := faults.Plan{CrashFraction: crash, ByzantineFraction: byz, CrashWindow: 50}
 		res, err := core.Run(algo.Simple{}, core.RunConfig{
 			N: n, Env: env, Seed: seed, MaxRounds: 4000,
-			Wrap: core.WrapFunc(plan.Apply(rng.New(seed).Split(3001))),
+			Wrap: faults.Spec{CrashFraction: crash, ByzantineFraction: byz, CrashWindow: 50, Salt: 3001},
 		})
 		if err != nil {
 			return 0, 0, err

@@ -90,31 +90,17 @@ func TestByzantineAntHuntsBadNestThenLures(t *testing.T) {
 	}
 }
 
-func TestPlanValidate(t *testing.T) {
-	t.Parallel()
-	if err := (Plan{CrashFraction: -0.1}).Validate(); err == nil {
-		t.Fatal("negative fraction accepted")
-	}
-	if err := (Plan{CrashFraction: 0.6, ByzantineFraction: 0.6}).Validate(); err == nil {
-		t.Fatal("over-unity fractions accepted")
-	}
-	if err := (Plan{CrashFraction: 0.1, ByzantineFraction: 0.1}).Validate(); err != nil {
-		t.Fatalf("valid plan rejected: %v", err)
-	}
-}
-
 func TestSimpleSurvivesCrashFaults(t *testing.T) {
 	t.Parallel()
 	// §6 claim: a small crash fraction must not stop the correct ants from
 	// converging on a good nest.
 	env := sim.MustEnvironment([]float64{1, 0, 1, 0})
-	plan := Plan{CrashFraction: 0.1, CrashWindow: 40}
+	spec := Spec{CrashFraction: 0.1, CrashWindow: 40, Salt: 77}
 	solved := 0
 	const reps = 6
 	for seed := uint64(1); seed <= reps; seed++ {
 		res, err := core.Run(algo.Simple{}, core.RunConfig{
-			N: 200, Env: env, Seed: seed,
-			Wrap: core.WrapFunc(plan.Apply(rng.New(seed).Split(77))),
+			N: 200, Env: env, Seed: seed, Wrap: spec,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -138,11 +124,10 @@ func TestSimpleSurvivesFewByzantine(t *testing.T) {
 	const n = 300
 	okRuns := 0
 	const reps = 6
+	spec := Spec{ByzantineFraction: 0.05, Salt: 78}
 	for seed := uint64(1); seed <= reps; seed++ {
-		plan := Plan{ByzantineFraction: 0.05}
 		res, err := core.Run(algo.Simple{}, core.RunConfig{
-			N: n, Env: env, Seed: seed, MaxRounds: 1200,
-			Wrap: core.WrapFunc(plan.Apply(rng.New(seed).Split(78))),
+			N: n, Env: env, Seed: seed, MaxRounds: 1200, Wrap: spec,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -160,43 +145,5 @@ func TestSimpleSurvivesFewByzantine(t *testing.T) {
 	}
 	if okRuns < reps-1 {
 		t.Fatalf("good-nest supermajority reached in only %d/%d byzantine runs", okRuns, reps)
-	}
-}
-
-func TestPlanApplyCountsVictims(t *testing.T) {
-	t.Parallel()
-	env := sim.MustEnvironment([]float64{1})
-	agents, err := (algo.Simple{}).Build(100, env, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := Plan{CrashFraction: 0.2, ByzantineFraction: 0.1, CrashWindow: 10}
-	wrapped, err := plan.Apply(rng.New(9))(agents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashes, byz := 0, 0
-	for _, a := range wrapped {
-		switch a.(type) {
-		case *CrashAnt:
-			crashes++
-		case *ByzantineAnt:
-			byz++
-		}
-	}
-	if crashes != 20 || byz != 10 {
-		t.Fatalf("victims: %d crash, %d byzantine; want 20, 10", crashes, byz)
-	}
-}
-
-func TestPlanApplyRejectsInvalid(t *testing.T) {
-	t.Parallel()
-	env := sim.MustEnvironment([]float64{1})
-	agents, err := (algo.Simple{}).Build(10, env, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (Plan{CrashFraction: 2}).Apply(rng.New(1))(agents); err == nil {
-		t.Fatal("invalid plan applied")
 	}
 }

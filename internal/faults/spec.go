@@ -96,10 +96,6 @@ func wrapSleep(inner sim.Agent, wakeRound int) (sim.Agent, error) {
 // sim.FaultSpec.Assign, which is what pins the two paths bit-identical: the
 // same ants crash at the same rounds, turn Byzantine, or sleep until the same
 // wake rounds under either engine.
-//
-// Spec supersedes Plan: a Plan{...}.Apply(rng.New(seed).Split(salt)) wrapper
-// draws exactly like Spec{..., Salt: salt} with SleepFraction 0, but only
-// Spec-wrapped configs are batch-eligible.
 type Spec struct {
 	// CrashFraction of the colony crashes at a uniformly random round in
 	// [1, CrashWindow] (§6 crash faults).
@@ -204,9 +200,8 @@ func (s Spec) WrapAgents(seed uint64, agents []sim.Agent) ([]sim.Agent, error) {
 		case crashRound[i] > 0:
 			agents[i], err = wrapCrash(agents[i], int(crashRound[i]))
 		case byz[i] != 0:
-			// The per-victim stream mirrors Plan.Apply's split; the adversary
-			// never draws from it (see ByzantineAnt), so the batch lane needs
-			// no counterpart.
+			// The adversary never draws from its per-victim stream (see
+			// ByzantineAnt), so the batch lane needs no counterpart.
 			agents[i] = NewByzantineAnt(src.Split(uint64(i)))
 		case wakeRound[i] > 0:
 			agents[i], err = wrapSleep(agents[i], int(wakeRound[i]))

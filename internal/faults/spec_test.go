@@ -283,51 +283,3 @@ func TestSpecWrapAgents(t *testing.T) {
 		t.Fatal("invalid spec applied")
 	}
 }
-
-// TestSpecMatchesLegacyPlanStream pins the compatibility claim in Spec's doc
-// comment: with SleepFraction 0, Spec{..., Salt: s}.WrapAgents(seed, ...)
-// consumes the fault stream exactly like the legacy
-// Plan{...}.Apply(rng.New(seed).Split(s)) — same victims, same crash rounds.
-func TestSpecMatchesLegacyPlanStream(t *testing.T) {
-	t.Parallel()
-	env := sim.MustEnvironment([]float64{1, 0})
-	const n, seed, salt = 120, uint64(13), uint64(21)
-	build := func() []sim.Agent {
-		agents, err := (algo.Simple{}).Build(n, env, rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return agents
-	}
-	spec := Spec{CrashFraction: 0.25, CrashWindow: 18, ByzantineFraction: 0.1, Salt: salt}
-	specWrapped, err := spec.WrapAgents(seed, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := Plan{CrashFraction: 0.25, CrashWindow: 18, ByzantineFraction: 0.1}
-	planWrapped, err := plan.Apply(rng.New(seed).Split(salt))(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashRoundOf := func(a sim.Agent) (int, bool) {
-		switch c := a.(type) {
-		case *CrashAnt:
-			return c.crashRound, true
-		case crashDecider:
-			return c.crashRound, true
-		}
-		return 0, false
-	}
-	for i := 0; i < n; i++ {
-		sr, sc := crashRoundOf(specWrapped[i])
-		pr, pc := crashRoundOf(planWrapped[i])
-		if sc != pc || sr != pr {
-			t.Fatalf("ant %d: spec crash (%d, %v) != plan crash (%d, %v)", i, sr, sc, pr, pc)
-		}
-		_, sb := specWrapped[i].(*ByzantineAnt)
-		_, pb := planWrapped[i].(*ByzantineAnt)
-		if sb != pb {
-			t.Fatalf("ant %d: spec byzantine %v != plan byzantine %v", i, sb, pb)
-		}
-	}
-}

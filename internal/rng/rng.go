@@ -5,9 +5,8 @@
 // expanded with splitmix64 into independent xoshiro256** streams: one for the
 // environment (search destinations), one for the recruitment matcher, and one
 // per ant. Because streams are split deterministically by index rather than
-// drawn on demand, the sequential and concurrent execution modes of the
-// engine observe identical random choices, which makes whole executions
-// reproducible byte-for-byte.
+// drawn on demand, the scalar and batch engines observe identical random
+// choices, which makes whole executions reproducible byte-for-byte.
 //
 // The package is self-contained (stdlib only) and allocation-free on the hot
 // paths. It is not cryptographically secure and must never be used for

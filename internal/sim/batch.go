@@ -82,7 +82,6 @@ type Batch struct {
 	n          int
 	workers    int
 	shards     int
-	probe      func(rep, round int, counts, committed []int)
 	obs        BatchObserver
 	newMatcher func() Matcher
 
@@ -168,15 +167,6 @@ func WithBatchWorkers(w int) BatchOption {
 // topology.
 func WithBatchShards(s int) BatchOption {
 	return func(b *Batch) { b.shards = s }
-}
-
-// WithBatchProbe installs a per-round observer, called after each replicate
-// round with that round's end-of-round populations (index 0 = home) and
-// commitment census (index 0 = uncommitted). The slices are worker-owned
-// scratch, valid only during the call; the probe may be invoked concurrently
-// for different replicates. Probes exist for the golden equivalence tests.
-func WithBatchProbe(probe func(rep, round int, counts, committed []int)) BatchOption {
-	return func(b *Batch) { b.probe = probe }
 }
 
 // WithBatchMatcher replaces the recruitment pairing model (default: the
@@ -347,7 +337,7 @@ func (b *Batch) Run(seeds []uint64, maxRounds, window int) ([]BatchResult, error
 				if rep >= len(seeds) || firstErr.Load() != nil {
 					return
 				}
-				res, err := ln.runReplicate(rep, seeds[rep], maxRounds, window, b.probe, obs)
+				res, err := ln.runReplicate(rep, seeds[rep], maxRounds, window, obs)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, fmt.Errorf("sim: batch replicate %d (seed %d): %w", rep, seeds[rep], err))
 					return
@@ -848,11 +838,11 @@ func (ln *lane) resetShard(sh int) {
 	}
 }
 
-// runReplicate executes one colony to convergence or the round budget. probe
-// and obs are both draw-free observation taps on the resolved round; neither
-// touches an RNG stream, so their presence cannot perturb the replicate (the
-// differential tests pin this).
-func (ln *lane) runReplicate(rep int, seed uint64, maxRounds, window int, probe func(rep, round int, counts, committed []int), obs LaneObserver) (BatchResult, error) {
+// runReplicate executes one colony to convergence or the round budget. obs
+// is a draw-free observation tap on the resolved round; it touches no RNG
+// stream, so its presence cannot perturb the replicate (the differential
+// tests pin this).
+func (ln *lane) runReplicate(rep int, seed uint64, maxRounds, window int, obs LaneObserver) (BatchResult, error) {
 	ln.reset(seed)
 	res := BatchResult{Seed: seed, Decided: -1}
 	streak := 0
@@ -877,9 +867,6 @@ func (ln *lane) runReplicate(rep int, seed uint64, maxRounds, window int, probe 
 			return BatchResult{}, fmt.Errorf("round %d: %w", round, err)
 		}
 		w, ok := ln.census()
-		if probe != nil {
-			probe(rep, round, ln.counts, ln.commit)
-		}
 		if obs != nil {
 			obs.ObserveRound(rep, round, ln.counts, ln.commit)
 		}

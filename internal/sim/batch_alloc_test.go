@@ -10,11 +10,11 @@ import (
 // This file pins the zero-allocation contract of the batch hot path: once a
 // lane exists, stepping rounds must never touch the heap — for any compiled
 // program shape and any stock matcher. The program tables below mirror the
-// nine compiled algorithm forms of internal/algo (sim cannot import algo, so
-// the tables are restated; the shapes matter, not the exact parameters).
+// compiled algorithm forms of internal/algo (sim cannot import algo, so the
+// tables are restated; the shapes matter, not the exact parameters).
 
 // allocTestPrograms returns program tables covering every opcode family the
-// compiled inventory emits: the Algorithm 3 cycle (simple & PFSM), both
+// compiled inventory emits: the Algorithm 3 cycle (simple), both
 // Algorithm 2 variants, the three recruit-draw extensions, the
 // quorum-transport strategy and the noisy-perception model.
 func allocTestPrograms() map[string]Program {
@@ -109,7 +109,6 @@ func allocTestPrograms() map[string]Program {
 	}
 	return map[string]Program{
 		"simple":          simple,
-		"simplePFSM":      simple, // the PFSM form compiles to the identical table
 		"optimal":         optimal(false),
 		"optimal-literal": optimal(true),
 		"adaptive":        adaptive,
@@ -151,7 +150,7 @@ func TestBatchStepAllocationFree(t *testing.T) {
 					}
 					ln := newLane(b, shards)
 					defer ln.close()
-					if _, err := ln.runReplicate(0, 7, 300, 1, nil, nil); err != nil {
+					if _, err := ln.runReplicate(0, 7, 300, 1, nil); err != nil {
 						t.Fatalf("warm-up replicate: %v", err)
 					}
 					ln.reset(11)
@@ -203,7 +202,7 @@ func TestBatchStepAllocationFreeStockMatchers(t *testing.T) {
 					t.Fatal(err)
 				}
 				ln := newLane(b, 1)
-				if _, err := ln.runReplicate(0, 7, 300, 1, nil, nil); err != nil {
+				if _, err := ln.runReplicate(0, 7, 300, 1, nil); err != nil {
 					t.Fatalf("warm-up replicate: %v", err)
 				}
 				ln.reset(11)

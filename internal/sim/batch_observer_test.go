@@ -10,9 +10,9 @@ import (
 
 // This file is the telemetry differential harness: an observed batch run
 // must be bit-identical to an unobserved one (observation consumes zero
-// draws), the streamed records must agree exactly with the in-process probe,
-// and the per-round path must stay at zero allocations with an observer
-// attached.
+// draws), the streamed records must agree exactly with an in-process
+// recorder, and the per-round path must stay at zero allocations with an
+// observer attached.
 
 func observerTestSeeds() []uint64 {
 	return []uint64{3, 17, 101, 4242, 99991, 7}
@@ -51,26 +51,34 @@ func (s *streamSink) Record(lane int, rep, round int32, row []int32) {
 	rs.commits = append(rs.commits, append([]int32(nil), row[base:2*base]...))
 }
 
-// probeLog records WithBatchProbe callbacks; probes run concurrently across
-// replicates, so it locks.
-type probeLog struct {
-	mu      sync.Mutex
-	rounds  map[int][]int
-	counts  map[int][][]int
-	commits map[int][][]int
+// roundRec is one observed round: its number, the end-of-round populations
+// (index 0 = home) and the commitment census (index 0 = uncommitted).
+type roundRec struct {
+	round  int
+	counts []int
+	commit []int
 }
 
-func newProbeLog() *probeLog {
-	return &probeLog{rounds: map[int][]int{}, counts: map[int][][]int{}, commits: map[int][][]int{}}
+// recorder is the recording BatchObserver of the batch tests: it keeps every
+// replicate's rounds in order. Lanes run replicates concurrently, so it
+// locks.
+type recorder struct {
+	mu   sync.Mutex
+	reps map[int][]roundRec
 }
 
-func (p *probeLog) probe(rep, round int, counts, committed []int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rounds[rep] = append(p.rounds[rep], round)
-	p.counts[rep] = append(p.counts[rep], append([]int(nil), counts...))
-	p.commits[rep] = append(p.commits[rep], append([]int(nil), committed...))
+func newRecorder() *recorder { return &recorder{reps: map[int][]roundRec{}} }
+
+func (r *recorder) LaneObserver(int) LaneObserver { return r }
+
+func (r *recorder) ObserveRound(rep, round int, counts, committed []int) {
+	rec := roundRec{round: round, counts: append([]int(nil), counts...), commit: append([]int(nil), committed...)}
+	r.mu.Lock()
+	r.reps[rep] = append(r.reps[rep], rec)
+	r.mu.Unlock()
 }
+
+func (r *recorder) ReplicateDone(int, *BatchResult) {}
 
 // observerPrograms picks representative shapes: the lockstep path, the
 // general path (optimal), and the general path with fault lanes.
@@ -87,10 +95,10 @@ func observerPrograms() map[string]Program {
 	}
 }
 
-// TestBatchObserverBitIdentical pins the draw-free guarantee: attaching a
-// StreamObserver changes nothing about the run — every BatchResult is
-// deep-equal to the unobserved run's, and the streamed rounds are exactly the
-// probe's rounds.
+// TestBatchObserverBitIdentical pins the draw-free guarantee: attaching an
+// observer changes nothing about the run — with a StreamObserver or a
+// recorder attached every BatchResult is deep-equal to the unobserved run's,
+// and the streamed rounds are exactly the recorder's rounds.
 func TestBatchObserverBitIdentical(t *testing.T) {
 	env := MustEnvironment([]float64{1, 0, 0.6, 0})
 	const (
@@ -102,14 +110,22 @@ func TestBatchObserverBitIdentical(t *testing.T) {
 	for name, prog := range observerPrograms() {
 		name, prog := name, prog
 		t.Run(name, func(t *testing.T) {
-			baseLog := newProbeLog()
-			bBase, err := NewBatch(env, prog, n, WithBatchProbe(baseLog.probe))
-			if err != nil {
-				t.Fatal(err)
+			run := func(opts ...BatchOption) []BatchResult {
+				t.Helper()
+				b, err := NewBatch(env, prog, n, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := b.Run(seeds, maxRounds, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			base, err := bBase.Run(seeds, maxRounds, window)
-			if err != nil {
-				t.Fatal(err)
+			base := run()
+			rec := newRecorder()
+			if recorded := run(WithBatchObserver(rec)); !reflect.DeepEqual(base, recorded) {
+				t.Fatalf("recorded run diverged from unobserved run:\nbase:     %+v\nrecorded: %+v", base, recorded)
 			}
 
 			sink := &streamSink{k: env.K(), reps: map[int32]*repStream{}}
@@ -121,43 +137,36 @@ func TestBatchObserverBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bObs, err := NewBatch(env, prog, n, WithBatchObserver(obs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			observed, err := bObs.Run(seeds, maxRounds, window)
-			if err != nil {
-				t.Fatal(err)
-			}
+			observed := run(WithBatchObserver(obs))
 			coll.Close()
 
 			if !reflect.DeepEqual(base, observed) {
 				t.Fatalf("observed run diverged from unobserved run:\nbase:     %+v\nobserved: %+v", base, observed)
 			}
 
-			// The streamed records must reproduce the probe stream of the
-			// unobserved run record-for-record.
+			// The streamed records must reproduce the recorder's rows
+			// record-for-record.
 			for rep := range seeds {
 				rs := sink.reps[int32(rep)]
 				if rs == nil {
 					t.Fatalf("rep %d: no streamed records", rep)
 				}
-				wantRounds := baseLog.rounds[rep]
-				if len(rs.rounds) != len(wantRounds) {
-					t.Fatalf("rep %d: streamed %d rounds, probe saw %d", rep, len(rs.rounds), len(wantRounds))
+				want := rec.reps[rep]
+				if len(rs.rounds) != len(want) {
+					t.Fatalf("rep %d: streamed %d rounds, recorder saw %d", rep, len(rs.rounds), len(want))
 				}
 				for i, round := range rs.rounds {
-					if int(round) != wantRounds[i] {
-						t.Fatalf("rep %d record %d: round %d, want %d", rep, i, round, wantRounds[i])
+					if int(round) != want[i].round {
+						t.Fatalf("rep %d record %d: round %d, want %d", rep, i, round, want[i].round)
 					}
 					for j := range rs.counts[i] {
-						if int(rs.counts[i][j]) != baseLog.counts[rep][i][j] {
+						if int(rs.counts[i][j]) != want[i].counts[j] {
 							t.Fatalf("rep %d round %d: populations diverge at nest %d: %d vs %d",
-								rep, round, j, rs.counts[i][j], baseLog.counts[rep][i][j])
+								rep, round, j, rs.counts[i][j], want[i].counts[j])
 						}
-						if int(rs.commits[i][j]) != baseLog.commits[rep][i][j] {
+						if int(rs.commits[i][j]) != want[i].commit[j] {
 							t.Fatalf("rep %d round %d: commitments diverge at nest %d: %d vs %d",
-								rep, round, j, rs.commits[i][j], baseLog.commits[rep][i][j])
+								rep, round, j, rs.commits[i][j], want[i].commit[j])
 						}
 					}
 				}
@@ -209,7 +218,7 @@ func TestBatchObservedStepAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			ln := newLane(b, 1)
-			if _, err := ln.runReplicate(0, 7, 300, 1, nil, lobs); err != nil {
+			if _, err := ln.runReplicate(0, 7, 300, 1, lobs); err != nil {
 				t.Fatalf("warm-up replicate: %v", err)
 			}
 			ln.reset(11)

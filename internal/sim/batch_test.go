@@ -4,14 +4,13 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/gmrl/househunt/internal/rng"
 )
 
 // simpleProgram is the Algorithm 3 state table used by the batch tests: the
-// same three-state machine algo.SimplePFSM declares, lowered to opcodes.
+// same three-state program algo.Simple compiles to.
 func simpleProgram() Program {
 	return Program{
 		Algorithm: "batch-test-simple",
@@ -308,10 +307,6 @@ func TestBatchMatchesScalarRoundForRound(t *testing.T) {
 	env := MustEnvironment([]float64{1, 0, 1, 0, 0})
 	seeds := []uint64{1, 7, 42, 2015, 0xdeadbeef}
 
-	type roundRec struct {
-		counts []int
-		commit []int
-	}
 	// Scalar reference: step an Engine manually, recording per-round state.
 	scalar := make([][]roundRec, len(seeds))
 	for si, seed := range seeds {
@@ -332,18 +327,8 @@ func TestBatchMatchesScalarRoundForRound(t *testing.T) {
 		}
 	}
 
-	var mu sync.Mutex
-	batchRecs := make([][]roundRec, len(seeds))
-	probe := func(rep, round int, counts, committed []int) {
-		rec := roundRec{
-			counts: append([]int(nil), counts...),
-			commit: append([]int(nil), committed...),
-		}
-		mu.Lock()
-		batchRecs[rep] = append(batchRecs[rep], rec)
-		mu.Unlock()
-	}
-	b, err := NewBatch(env, simpleProgram(), n, WithBatchProbe(probe))
+	rec := newRecorder()
+	b, err := NewBatch(env, simpleProgram(), n, WithBatchObserver(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,6 +338,7 @@ func TestBatchMatchesScalarRoundForRound(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	batchRecs := rec.reps
 	for si, seed := range seeds {
 		if got, want := len(batchRecs[si]), len(scalar[si]); got != want {
 			t.Fatalf("seed %d: batch ran %d rounds, scalar %d", seed, got, want)

@@ -15,8 +15,7 @@ import (
 //
 // An Engine is single-use: construct, Step/Run to completion, inspect. After
 // any error the engine is poisoned and further Steps return the same error.
-// Engines are not safe for concurrent use; the concurrent execution mode in
-// RunConcurrent drives one engine from a single resolver goroutine.
+// Engines are not safe for concurrent use.
 type Engine struct {
 	env     Environment
 	agents  []Agent
@@ -261,8 +260,7 @@ func (e *Engine) Step() error {
 	return nil
 }
 
-// resolve applies the already-collected actions for round e.round. It is
-// shared by Step and the concurrent runner.
+// resolve applies the already-collected actions for round e.round.
 func (e *Engine) resolve() error {
 	r := e.round
 	k := e.env.K()

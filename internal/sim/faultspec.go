@@ -65,7 +65,7 @@ type FaultSpec struct {
 }
 
 // DefaultFaultWindow is the crash/sleep scheduling window used when the spec
-// leaves the window at 0, matching the scalar faults.Plan default.
+// leaves the window at 0.
 const DefaultFaultWindow = 64
 
 // batchSyntheticStates is the number of engine-owned states a faulted lane
@@ -136,9 +136,7 @@ func (f FaultSpec) sleepWindow() int {
 // order, then (draw-free) the Byzantine victims, then one wake-round draw per
 // sleeping victim. The scalar faults.Spec wrapper builder delegates here, so
 // the batch lane's columns and the scalar wrappers can never disagree on who
-// fails when — and with SleepFraction = 0 the sequence is exactly the legacy
-// faults.Plan.Apply stream (rng.Source.PermInto32 is draw-identical to Perm,
-// a pinned property).
+// fails when.
 func (f FaultSpec) Assign(n int, src *rng.Source, crashRound, wakeRound []int32, byz []uint8, perm []int32) {
 	crashRound = crashRound[:n]
 	wakeRound = wakeRound[:n]

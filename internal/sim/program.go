@@ -7,9 +7,9 @@ import (
 )
 
 // Program is a compiled probabilistic finite state machine: the agent logic of
-// internal/agent and internal/algo lowered to a dense opcode form that the
-// batch engine (see Batch) can execute over flat state arrays with no
-// interface dispatch, no map lookups and no per-ant heap objects.
+// internal/algo lowered to a dense opcode form that the batch engine (see
+// Batch) can execute over flat state arrays with no interface dispatch, no
+// map lookups and no per-ant heap objects.
 //
 // A Program state pairs one emit opcode (which environment call to make) with
 // one observe opcode (how to fold the call's outcome into the register file)
@@ -166,7 +166,7 @@ const (
 	// Bernoulli(count/n) when the quality register is positive and b = 0
 	// otherwise — Algorithm 3's population-proportional recruitment. The
 	// Bernoulli draw consumes ant randomness exactly as the scalar
-	// SimpleAnt/SimplePFSM do (no draw when quality <= 0), which is what
+	// SimpleAnt does (no draw when quality <= 0), which is what
 	// keeps batch and scalar executions bit-identical.
 	//hh:draws one Bernoulli(count/n) word when quality > 0 and the rate is inside (0, 1), none otherwise scalar=SimpleAnt.Act
 	EmitRecruitPop

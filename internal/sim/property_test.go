@@ -138,45 +138,3 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestEngineChaosSequentialEqualsConcurrent cross-checks the two execution
-// modes on random chaos colonies.
-func TestEngineChaosSequentialEqualsConcurrent(t *testing.T) {
-	t.Parallel()
-	build := func(seed uint64, n, k int) *Engine {
-		env, err := Uniform(k, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents := make([]Agent, n)
-		root := rng.New(seed + 7)
-		for i := range agents {
-			agents[i] = &chaosAgent{src: root.Split(uint64(i))}
-		}
-		e, err := New(env, agents, WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	for seed := uint64(1); seed <= 5; seed++ {
-		n := 16 + int(seed)*7
-		k := 1 + int(seed%4)
-		seq := build(seed, n, k)
-		con := build(seed, n, k)
-		for r := 0; r < 15; r++ {
-			if err := seq.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := con.RunConcurrent(15, nil); err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range seq.Counts() {
-			if con.Count(NestID(i)) != c {
-				t.Fatalf("seed %d: modes diverged at nest %d: %d vs %d",
-					seed, i, c, con.Count(NestID(i)))
-			}
-		}
-	}
-}

@@ -17,11 +17,6 @@
 // applying all moves and the recruitment matching, then computing counts, and
 // only then delivering return values. This matches the paper's definition
 // c(i,r) = |{a : ℓ(a,r) = i}|.
-//
-// The engine offers two execution modes with identical semantics and
-// identical (seed-determined) randomness: a fast sequential mode and a
-// goroutine-per-ant concurrent mode used to validate the model under real
-// concurrency.
 package sim
 
 import (
