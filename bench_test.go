@@ -1,8 +1,8 @@
 package househunt
 
-// This file is the benchmark harness mandated by DESIGN.md §5: one benchmark
-// per experiment (E1-E24), each regenerating its EXPERIMENTS.md table at
-// small scale and failing if the paper's claimed shape does not hold, plus
+// This file is the benchmark harness: one benchmark per experiment
+// (E1-E24), each regenerating at small scale the table that
+// `go run ./cmd/hhbench -exp <id>` prints and failing if the paper's claimed shape does not hold, plus
 // engine micro-benchmarks (round latency and allocation behaviour at several
 // colony sizes).
 //
@@ -24,7 +24,8 @@ import (
 
 // benchExperiment runs one suite experiment per iteration and reports its
 // headline rounds metric when available. A violated shape fails the bench:
-// these benchmarks double as executable regression tests for EXPERIMENTS.md.
+// these benchmarks double as executable regression tests for the experiment
+// tables.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {

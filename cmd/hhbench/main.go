@@ -1,5 +1,6 @@
-// Command hhbench regenerates the experiment tables of EXPERIMENTS.md: one
-// experiment per lemma/theorem/extension claim of the paper (E1-E27).
+// Command hhbench regenerates the experiment tables: one experiment per
+// lemma/theorem/extension claim of the paper (E1-E27), each printed by
+// `go run ./cmd/hhbench -exp <id>`.
 //
 // Examples:
 //

@@ -9,11 +9,22 @@ import (
 // seeds across every algorithm. These are regression canaries: the engine,
 // the matcher, the RNG streams and every algorithm are deterministic, so any
 // diff here means an unintended semantic change somewhere in the stack (or an
-// intended one that must be called out in the changelog and EXPERIMENTS.md
-// regenerated).
+// intended one that must be called out in the changelog, with the affected
+// experiment tables regenerated by `go run ./cmd/hhbench -exp <id>`).
 //
 // If a change legitimately alters executions (e.g. an extra RNG draw), update
 // the table below in the same commit and say why.
+//
+// The table was last regenerated when Algorithm 1's draws became keyed: the
+// matcher now takes one word per round from the matching stream as a key,
+// shuffles only the active slots from a key-seeded stream, and derives each
+// candidate's targets from the key, where it used to shuffle all slots and
+// draw targets from the matching stream itself. The process is the same in
+// distribution (the exact oracle in internal/sim and
+// TestKeyedMatcherMatchesSequentialReference check it), but every execution
+// with a recruit round takes a different path. Optimal at n=128, seed 42
+// takes a different path too but happens to end at the same round with the
+// same winner.
 func TestGoldenExecutions(t *testing.T) {
 	t.Parallel()
 	type golden struct {
@@ -26,13 +37,13 @@ func TestGoldenExecutions(t *testing.T) {
 		winner int
 	}
 	cases := []golden{
-		{AlgorithmSimple, 128, 4, 2, 42, 52, 1},
-		{AlgorithmSimple, 256, 8, 4, 7, 40, 1},
+		{AlgorithmSimple, 128, 4, 2, 42, 46, 2},
+		{AlgorithmSimple, 256, 8, 4, 7, 50, 1},
 		{AlgorithmOptimal, 128, 4, 2, 42, 49, 2},
-		{AlgorithmOptimal, 256, 8, 4, 7, 69, 2},
-		{AlgorithmAdaptive, 256, 8, 8, 7, 52, 6},
-		{AlgorithmQualityAware, 128, 4, 4, 42, 24, 3},
-		{AlgorithmQuorum, 256, 4, 2, 7, 23, 2},
+		{AlgorithmOptimal, 256, 8, 4, 7, 65, 2},
+		{AlgorithmAdaptive, 256, 8, 8, 7, 74, 6},
+		{AlgorithmQualityAware, 128, 4, 4, 42, 38, 3},
+		{AlgorithmQuorum, 256, 4, 2, 7, 17, 2},
 	}
 	for _, tc := range cases {
 		tc := tc

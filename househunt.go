@@ -267,8 +267,9 @@ func WithByzantineAnts(fraction float64) Option {
 
 // WithIdleAnts starts the given fraction of the colony as a sleeping reserve
 // that joins the emigration at uniformly random rounds within the window (the
-// idle-pool scenario; see EXPERIMENTS.md E24). Sleeping ants are counted by
-// the census, so the colony cannot converge before the reserve wakes.
+// idle-pool scenario; `go run ./cmd/hhbench -exp E24` measures it). Sleeping
+// ants are counted by the census, so the colony cannot converge before the
+// reserve wakes.
 func WithIdleAnts(fraction float64, window int) Option {
 	return func(c *Config) error {
 		if fraction < 0 || fraction > 1 {

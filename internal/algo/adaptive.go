@@ -47,8 +47,8 @@ var _ sim.Agent = (*AdaptiveAnt)(nil)
 
 // NewAdaptiveAnt builds one adaptive ant. tau is the boost-doubling period in
 // recruit phases (default 2 if <= 0); floorDiv caps the boost at A = n/floorDiv
-// (default 4 if <= 0). The defaults were tuned empirically (see EXPERIMENTS.md
-// E10): they make convergence time nearly flat in k at the cost of a ramp-up
+// (default 4 if <= 0). The defaults were tuned empirically (see
+// `go run ./cmd/hhbench -exp E10`): they make convergence time nearly flat in k at the cost of a ramp-up
 // penalty for small k, with the crossover against Algorithm 3 near k ≈ 16.
 func NewAdaptiveAnt(n int, src *rng.Source, tau int, floorDiv float64) *AdaptiveAnt {
 	if tau <= 0 {

@@ -16,7 +16,7 @@ import (
 // it too shy. Because the errors are independent across ants, the colony's
 // aggregate recruitment rate per nest stays proportional to its population —
 // the property the paper's §5 analysis actually uses — so convergence should
-// survive sizable δ. EXPERIMENTS.md E19 quantifies the cost.
+// survive sizable δ. `go run ./cmd/hhbench -exp E19` quantifies the cost.
 type ApproxNAnt struct {
 	nEst   float64
 	src    *rng.Source

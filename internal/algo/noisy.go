@@ -16,8 +16,8 @@ import (
 // noisy assessment thresholded at Threshold.
 //
 // The paper conjectures Algorithm 3 tolerates unbiased noise at some runtime
-// cost; EXPERIMENTS.md E12 measures success rate and slowdown against the
-// noise level.
+// cost; `go run ./cmd/hhbench -exp E12` measures success rate and slowdown
+// against the noise level.
 type NoisyAnt struct {
 	n      int
 	src    *rng.Source

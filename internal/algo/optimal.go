@@ -63,7 +63,7 @@ func (s optState) String() string {
 // consistent with the analysis: a Case 3 ant re-baselines count to the count
 // it measured at the new nest (count := count_n). The literal reading is kept
 // behind Literal for the E17 ablation, which quantifies how often it
-// deadlocks (see EXPERIMENTS.md).
+// deadlocks (`go run ./cmd/hhbench -exp E17`).
 type OptimalAnt struct {
 	src *rng.Source
 

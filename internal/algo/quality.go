@@ -11,8 +11,9 @@ import (
 // qualities lie in (0,1] and the recruitment probability becomes
 // quality·count/n, folding site assessment into the positive-feedback loop.
 // Higher-quality nests recruit proportionally faster, so the colony's urn
-// race is biased toward the best site; EXPERIMENTS.md E11 measures how often
-// the top-quality nest wins and the quality regret when it does not.
+// race is biased toward the best site; `go run ./cmd/hhbench -exp E11`
+// measures how often the top-quality nest wins and the quality regret when it
+// does not.
 //
 // Ants re-assess quality on every visit (the engine reports the nest's
 // quality on go outcomes — the ant is physically present), so an ant

@@ -30,8 +30,8 @@ import (
 // Quality is judged through an Assessor, so a noisy assessor turns the quorum
 // multiplier into the biologists' speed-accuracy dial (Pratt & Sumpter [24]):
 // a low quorum commits fast but amplifies individual misjudgments; a high
-// quorum filters them at the cost of time. EXPERIMENTS.md E18 measures the
-// trade-off.
+// quorum filters them at the cost of time. `go run ./cmd/hhbench -exp E18`
+// measures the trade-off.
 type QuorumAnt struct {
 	n      int
 	src    *rng.Source

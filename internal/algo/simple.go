@@ -12,7 +12,7 @@
 //
 // Every implementation follows the paper's pseudocode line by line; deviations
 // required to make the pseudocode executable are called out in the comments
-// and measured in EXPERIMENTS.md.
+// and measured by the experiment suite (`go run ./cmd/hhbench -exp <id>`).
 package algo
 
 import (

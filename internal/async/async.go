@@ -13,7 +13,7 @@
 // does not observe the round at all. The paper conjectures Algorithm 3
 // tolerates this ("as long as the distribution of ants in candidate nests
 // stays close to the synchronous distribution") while Algorithm 2 "relies
-// heavily on synchrony"; EXPERIMENTS.md E14 measures both.
+// heavily on synchrony"; `go run ./cmd/hhbench -exp E14` measures both.
 package async
 
 import (

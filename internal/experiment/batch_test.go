@@ -140,30 +140,39 @@ func TestMeasureConvergenceFaultedBatchMatchesScalar(t *testing.T) {
 		algo core.Algorithm
 		env  sim.Environment
 		spec faults.Spec
+		reps int // 0 = reps
 	}{
 		// Byzantine lures make full unanimity flicker for count-keyed
 		// algorithms (Optimal's decision gate can starve forever), so the
 		// Byzantine cell rides on the unanimity-by-commitment Simple family;
 		// optimal+byzantine equivalence is still pinned per-round by the
 		// algo-level differential grid.
-		{"simple+crash", algo.Simple{}, env, faults.Spec{CrashFraction: 0.1, CrashWindow: 30, Salt: 11}},
-		{"simple+byzantine", algo.Simple{}, env, faults.Spec{ByzantineFraction: 0.03, Salt: 12}},
-		{"optimal+sleep", algo.Optimal{}, env, faults.Spec{SleepFraction: 0.15, SleepWindow: 30, Salt: 16}},
-		{"adaptive+sleep", algo.Adaptive{}, env, faults.Spec{SleepFraction: 0.2, SleepWindow: 40, Salt: 13}},
-		{"quorum+mixed", algo.Quorum{}, env, faults.Spec{CrashFraction: 0.08, CrashWindow: 24, ByzantineFraction: 0.04, SleepFraction: 0.08, SleepWindow: 24, Salt: 14}},
-		{"spreader+crash", algo.Spreader{Seeds: 4}, single, faults.Spec{CrashFraction: 0.1, CrashWindow: 20, Salt: 15}},
+		{"simple+crash", algo.Simple{}, env, faults.Spec{CrashFraction: 0.1, CrashWindow: 30, Salt: 11}, 0},
+		{"simple+byzantine", algo.Simple{}, env, faults.Spec{ByzantineFraction: 0.03, Salt: 12}, 0},
+		// optimal+sleep solves 1004 of 4000 replicates (Wilson 95% lower
+		// bound 23.8%), so the vacuity guard below needs 51 replicates to
+		// trip with probability (1-0.238)^51 < 1e-6; at 16 it tripped for
+		// about 1.3% of streams.
+		{"optimal+sleep", algo.Optimal{}, env, faults.Spec{SleepFraction: 0.15, SleepWindow: 30, Salt: 16}, 51},
+		{"adaptive+sleep", algo.Adaptive{}, env, faults.Spec{SleepFraction: 0.2, SleepWindow: 40, Salt: 13}, 0},
+		{"quorum+mixed", algo.Quorum{}, env, faults.Spec{CrashFraction: 0.08, CrashWindow: 24, ByzantineFraction: 0.04, SleepFraction: 0.08, SleepWindow: 24, Salt: 14}, 0},
+		{"spreader+crash", algo.Spreader{Seeds: 4}, single, faults.Spec{CrashFraction: 0.1, CrashWindow: 20, Salt: 15}, 0},
 	} {
 		cfg := core.RunConfig{N: 96, Env: tc.env, MaxRounds: 4000, Wrap: tc.spec}
 		if _, ok, reason := core.CompileForBatch(tc.algo, cfg); !ok {
 			t.Fatalf("%s: expected batch eligibility under a fault spec, got fallback: %s", tc.name, reason)
 		}
+		cellReps := reps
+		if tc.reps > 0 {
+			cellReps = tc.reps
+		}
 		SetBatchEngine(true)
-		batched, err := MeasureConvergence(tc.algo, cfg, reps, "fault-equiv")
+		batched, err := MeasureConvergence(tc.algo, cfg, cellReps, "fault-equiv")
 		if err != nil {
 			t.Fatal(err)
 		}
 		SetBatchEngine(false)
-		scalar, err := MeasureConvergence(tc.algo, cfg, reps, "fault-equiv")
+		scalar, err := MeasureConvergence(tc.algo, cfg, cellReps, "fault-equiv")
 		SetBatchEngine(true)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,9 @@
-// Package experiment is the measurement harness behind EXPERIMENTS.md: it
-// executes repeated house-hunting runs in parallel, aggregates them with the
-// stats substrate, and provides the specialized probes for the paper's
-// lemma-level claims (recruitment success probability, ignorant persistence,
-// population-delta symmetry, initial gaps, small-nest extinction).
+// Package experiment is the measurement harness behind the experiment tables
+// (`go run ./cmd/hhbench -exp <id>`): it executes repeated house-hunting runs
+// in parallel, aggregates them with the stats substrate, and provides the
+// specialized probes for the paper's lemma-level claims (recruitment success
+// probability, ignorant persistence, population-delta symmetry, initial
+// gaps, small-nest extinction).
 //
 // Every probe is deterministic given its seed; the benchmark suite and the
 // hhbench CLI both call into this package, so tables regenerate identically

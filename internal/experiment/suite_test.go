@@ -39,7 +39,8 @@ func TestRunExperimentCaseInsensitive(t *testing.T) {
 
 // TestSuiteShapesHold is the headline integration test: every experiment in
 // the suite must run at small scale and report that the paper's claimed
-// shape holds. This is the executable form of EXPERIMENTS.md.
+// shape holds. This is the executable form of the tables
+// `go run ./cmd/hhbench -exp <id>` prints.
 func TestSuiteShapesHold(t *testing.T) {
 	t.Parallel()
 	for _, id := range IDs() {

@@ -2,7 +2,7 @@
 // colonies, implementing the paper's §6 "Fault tolerance" extension: "a small
 // number of ants suffering from crash-faults or even malicious faults should
 // not affect the overall populations of recruiting ants and the algorithm's
-// performance". EXPERIMENTS.md E13 quantifies that claim.
+// performance". `go run ./cmd/hhbench -exp E13` quantifies that claim.
 //
 // Faulty ants still occupy the model (every ant must make exactly one call
 // per round), so:

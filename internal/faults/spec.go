@@ -13,7 +13,8 @@ import (
 // and from the wake round on it is fully transparent. Sleeping ants are NOT
 // faulty: the census counts them, so a colony with an idle pool cannot
 // converge before the reserve wakes and joins the emigration — the scenario
-// of Afek–Gordon–Sulamy's "Idle Ants Have a Role" (see EXPERIMENTS.md E24).
+// of Afek–Gordon–Sulamy's "Idle Ants Have a Role" (see
+// `go run ./cmd/hhbench -exp E24`).
 type SleepAnt struct {
 	inner     sim.Agent
 	wakeRound int

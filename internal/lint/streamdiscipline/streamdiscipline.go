@@ -30,6 +30,14 @@
 //	SD4 — a //hh:hotpath function that performs draws must carry a
 //	      //hh:draws <spec> doc contract summarizing its draw order.
 //
+// Keyed draws (rng.KeyedUint64n, rng.KeyedDraws32) are outside all four
+// rules: each value is a pure function of (key, stream, draw index) and
+// consumes no stream, so a keyed draw may be guarded, reordered, sharded or
+// made ahead of need without moving any other draw. The Algorithm 1 matcher
+// relies on this: it takes one key word per call from the matching stream,
+// shuffles its candidates on a local stream seeded by the key, and keys
+// every target. What remains policed there is the one key draw.
+//
 // The rng package itself is exempt: discipline governs consumers.
 package streamdiscipline
 
@@ -57,11 +65,12 @@ var Sentinels = map[string]bool{
 
 // drawMethods are the rng.Source methods that advance the stream.
 // Split/SplitInto/Reseed derive or seed streams without consuming the
-// parent's draw sequence and are deliberately absent.
+// parent's draw sequence and are deliberately absent, as are the keyed
+// draws, which are package functions and consume no stream.
 var drawMethods = map[string]bool{
 	"Uint64": true, "Uint64n": true, "Int63": true, "Intn": true,
 	"Float64": true, "Bernoulli": true, "Perm": true, "PermInto": true,
-	"PermInto32": true, "PermAdvance": true, "Shuffle": true,
+	"PermInto32": true, "Shuffle": true, "Shuffle32": true,
 	"Binomial": true, "Geometric": true, "NormFloat64": true, "Pick": true,
 }
 

@@ -11,6 +11,10 @@ func (s *Source) Intn(n int) int           { return int(s.Uint64n(uint64(n))) }
 func (s *Source) Bernoulli(p float64) bool { return p > 0 && s.Uint64() < 1<<52 }
 func (s *Source) Split() Source            { return Source{s: s.s} }
 
+// KeyedUint64n stands in for the keyed draw: a package function of its
+// arguments, consuming no stream.
+func KeyedUint64n(key, i, j, n uint64) uint64 { return (key ^ i ^ j) % n }
+
 type Threshold uint64
 
 const ThresholdNever Threshold = 0

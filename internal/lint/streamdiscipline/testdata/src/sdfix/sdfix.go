@@ -41,6 +41,17 @@ func guardedBad(src *rng.Source, ready bool) uint64 {
 	return 0
 }
 
+// guardedKeyed makes a keyed draw under an undocumented condition: a keyed
+// draw consumes no stream, so the guard cannot desync anything.
+//
+//hh:hotpath
+func guardedKeyed(key uint64, ready bool) uint64 {
+	if ready {
+		return rng.KeyedUint64n(key, 1, 0, 8)
+	}
+	return 0
+}
+
 // guardedSentinel gates its draw on a documented sentinel identifier.
 //
 //hh:hotpath

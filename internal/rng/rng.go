@@ -6,7 +6,9 @@
 // environment (search destinations), one for the recruitment matcher, and one
 // per ant. Because streams are split deterministically by index rather than
 // drawn on demand, the scalar and batch engines observe identical random
-// choices, which makes whole executions reproducible byte-for-byte.
+// choices, which makes whole executions reproducible byte-for-byte. Keyed
+// draws (KeyedUint64n, KeyedDraws32) go further: each value is a pure
+// function of a key and a counter, so it has no place in any stream at all.
 //
 // The package is self-contained (stdlib only) and allocation-free on the hot
 // paths. It is not cryptographically secure and must never be used for
@@ -27,17 +29,16 @@ type Source struct {
 	s0, s1, s2, s3 uint64
 }
 
-// splitmix64 advances x by the splitmix64 increment and returns the mixed
-// output. It is used only for seeding: it guarantees a well-distributed,
+// splitmixGamma is splitmix64's increment, the odd integer nearest 2^64/φ.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// splitmix64 advances x by splitmixGamma and returns the mixed output. It is used only for seeding: it guarantees a well-distributed,
 // never-all-zero xoshiro state from any 64-bit seed.
 //
 //hh:hotpath
 func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	*x += splitmixGamma
+	return mix64(*x)
 }
 
 // New returns a Source seeded from the given 64-bit seed. Two sources built
@@ -230,23 +231,6 @@ func (s *Source) PermInto(dst []int) []int {
 	return dst
 }
 
-// PermAdvance consumes exactly the stream words PermInto would consume for a
-// permutation of size n without materializing it. The batch engine's matcher
-// uses it on rounds whose permutation values are provably unread (no active
-// recruiter): the words drawn — including the data-dependent rejection
-// redraws — must still leave the stream at the identical position.
-//
-//hh:hotpath
-func (s *Source) PermAdvance(n int) {
-	for i := 1; i < n; i++ {
-		bound := uint64(i + 1)
-		hi, lo := bits.Mul64(s.Uint64(), bound)
-		if lo < bound {
-			s.uint64nReject(hi, lo, bound)
-		}
-	}
-}
-
 // PermInto32 is PermInto for an int32 destination: it fills dst with a
 // uniformly random permutation of [0, len(dst)) drawn with exactly the same
 // stream consumption as PermInto over a slice of the same length (the draws
@@ -271,6 +255,23 @@ func (s *Source) PermInto32(dst []int32) []int32 {
 		dst[j] = int32(i)
 	}
 	return dst
+}
+
+// Shuffle32 permutes dst uniformly at random in place: the Fisher–Yates
+// shuffle from the back, one bounded draw Intn(i+1) per position i from
+// len(dst)-1 down to 1, with PermInto32's fused Lemire fast path. The
+// Algorithm 1 matcher shuffles its recruiting candidates with it.
+//
+//hh:hotpath
+func (s *Source) Shuffle32(dst []int32) {
+	for i := len(dst) - 1; i > 0; i-- {
+		bound := uint64(i + 1)
+		hi, lo := bits.Mul64(s.Uint64(), bound)
+		if lo < bound {
+			hi = s.uint64nReject(hi, lo, bound)
+		}
+		dst[i], dst[hi] = dst[hi], dst[i]
+	}
 }
 
 // Shuffle permutes the first n elements using the provided swap function,

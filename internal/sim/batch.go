@@ -45,14 +45,16 @@ import (
 // observe folds, register init — can additionally be sharded across worker
 // goroutines (see Run's worker budget and WithBatchShards). Sharding never
 // moves a draw between streams or reorders draws within a stream: the shared
-// envSrc and matchSrc streams are consumed only in sequential ant-order
-// passes, parallel loops draw exclusively from per-ant streams (which are
-// stream-disjoint, so shard order is immaterial), the lockstep capture fold
-// splits the matcher's capture list into disjoint per-shard chunks, and
-// cross-ant reductions (population tallies, commitment deltas, the
-// recruiting-slot prefix) are deterministic sums — so results are
-// bit-identical for every shard count, a property the differential harness
-// pins.
+// envSrc stream is consumed only in sequential ant-order passes, the matcher
+// takes its draws from matchSrc in the one sequential call per round (the
+// Algorithm 1 matcher takes exactly one word there, the round key, and keys
+// its shuffle and targets on it), parallel loops draw exclusively from
+// per-ant streams (which are stream-disjoint, so shard order is
+// immaterial), the lockstep capture fold splits the matcher's capture list
+// into disjoint per-shard chunks, and cross-ant reductions (population
+// tallies, commitment deltas, the recruiting-slot prefix) are deterministic
+// sums — so results are bit-identical for every shard count, a property the
+// differential harness pins.
 //
 // The recruitment pairing defaults to the paper's Algorithm 1 and can be
 // swapped for any capture-listing Matcher via WithBatchMatcher: the engine

@@ -56,11 +56,11 @@ type CaptureLister interface {
 }
 
 // Per-slot scratch bits of AlgorithmOneMatcher's packed status column. One
-// byte per slot keeps the three flags the inner loops test on the same cache
-// line, where the separate bool/int columns they summarize span ten times the
-// footprint: the permutation scan and the target-blocking check are the
-// matching hot path, and both resolve with a single byte load here.
-// slotActive must stay at bit 0: the candidate-compaction pass advances its
+// byte per slot holds every flag the scan reads and writes: the candidate's
+// captured-test and the target's blocking check are the matching hot path,
+// and each resolves with a single byte load here. capturedBy and succeeded
+// are written from the column and the capture list after the scan.
+// slotActive must stay at bit 0: the candidate-collection pass advances its
 // write cursor by `status & slotActive` to stay branch-free.
 const (
 	slotActive    uint8 = 1 << iota // slot called recruit(1, ·)
@@ -84,13 +84,22 @@ const (
 // ant learns its own nest, matching the paper's remark that a lone ant "is
 // forced to recruit itself".
 //
+// The random inputs are keyed (see MatchCarry): only the active slots are
+// shuffled, and each candidate's targets are a pure function of the round's
+// key and the candidate's slot. Both are the paper's process in distribution
+// — the relative order of the active slots under a uniform permutation of R
+// is a uniform permutation of S, and a candidate's target is a fresh uniform
+// draw whether or not the scan ever reads it — which the exact oracle in
+// matcher_oracle_test.go checks outcome by outcome for small pools.
+//
 // The zero value is ready to use; the matcher grows internal scratch buffers
 // as needed and is not safe for concurrent use.
 type AlgorithmOneMatcher struct {
-	perm     []int32
-	cand     []int32
+	cand     []int32 // the round's candidates (active slots), shuffled
+	target   []int32 // target[i] is cand[i]'s first target
 	status   []uint8
-	captures []int32
+	captures []int32 // captured slots, in capture order
+	captors  []int32 // captors[i] captured captures[i]
 }
 
 var (
@@ -108,11 +117,12 @@ func (m *AlgorithmOneMatcher) Captures() []int32 { return m.captures }
 //
 //hh:coldpath grows only to a new maximum pool size; steady-state calls are no-ops
 func (m *AlgorithmOneMatcher) Reserve(n int) {
-	if cap(m.perm) < n {
-		m.perm = make([]int32, n)
+	if cap(m.cand) < n {
 		m.cand = make([]int32, n)
+		m.target = make([]int32, n)
 		m.status = make([]uint8, n)
 		m.captures = make([]int32, 0, n)
+		m.captors = make([]int32, 0, n)
 	}
 }
 
@@ -130,11 +140,34 @@ func (m *AlgorithmOneMatcher) Match(n int, active []bool, src *rng.Source, captu
 // MatchCarry implements CarryMatcher: the paper's process generalized so slot
 // a draws up to carry[a] targets (each draw independent and lost if blocked,
 // exactly like the single draw of Algorithm 1). With carry nil or all-ones
-// the process — including its random draw sequence — is exactly Algorithm 1.
+// the process — including its one draw from src — is exactly Algorithm 1.
+//
+// Every call draws exactly one word from src, the round key, and nothing
+// else, so the caller's stream advances by one word whatever the round
+// holds. From the key:
+//
+//   - the active slots, collected in slot order, are Fisher–Yates-shuffled
+//     (rng.Source.Shuffle32) on a local stream seeded by the key, so the
+//     shuffle costs one draw per candidate instead of one per slot;
+//   - candidate a's d-th target is rng.KeyedUint64n(key, a, d, n), drawn
+//     whether or not the scan reaches a free: no draw's value depends on
+//     another draw's outcome, so the targets are computed in one pass ahead
+//     of the scan.
+//
+// The greedy scan then applies the acceptance rule unchanged. After it,
+// capturedBy is filled from the capture list and succeeded from the status
+// column.
+//
+// The shuffle stays one sequential pass. A bucketed permutation (Sanders,
+// "Random permutations on distributed, external and hierarchical memory",
+// IPL 1998) could split it across cores, but for 2^20 slots on a 2-core
+// Xeon it measured 17.0–24.8 ns/slot on one shard and 10.6–13.3 on two,
+// against 8.1–12.5 for a plain Fisher–Yates pass.
 //
 //hh:hotpath
-//hh:draws PermInto32(n) then one Uint64n(n) per unblocked candidate draw; all-passive rounds PermAdvance(n) only
+//hh:draws one Uint64 from src per call (the round key); the shuffle draws from a key-seeded local stream and the targets are keyed draws, consuming no stream
 func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src *rng.Source, capturedBy []int32, succeeded []bool) {
+	key := src.Uint64()
 	m.captures = m.captures[:0]
 	if n == 0 {
 		return
@@ -145,101 +178,121 @@ func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src 
 	for t := range capturedBy {
 		capturedBy[t] = -1
 	}
-	for t := range succeeded {
-		succeeded[t] = false
-	}
 	m.Reserve(n)
-	anyActive := false
-	for _, a := range active {
-		if a {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
-		// Only active slots draw targets, so an all-passive round consumes
-		// nothing beyond the permutation and assigns nobody: advancing the
-		// stream by the permutation's draws — values unread — is
-		// draw-for-draw identical. (Algorithm 2 colonies recruit
-		// all-passively in three of their four block rounds until finals
-		// appear, so this is a common case on that path.)
-		src.PermAdvance(n)
-		return
-	}
-	perm := m.perm[:n]
+
+	// Collect the candidates in slot order. The activity pattern is
+	// data-dependent noise, so the pass is branch-free: every slot is
+	// written and the cursor advances by the active bit.
 	status := m.status[:n]
+	cand := m.cand[:n]
+	w := 0
 	for t, a := range active {
 		s := uint8(0)
 		if a {
 			s = slotActive
 		}
 		status[t] = s
+		cand[w] = int32(t)
+		w += int(s)
 	}
-	src.PermInto32(perm)
+	//hh:draws only the local key-seeded shuffle stream, which nothing else reads; src gave its one word above
+	if w > 0 {
+		cand = cand[:w]
+		var shuffle rng.Source
+		shuffle.Reseed(key)
+		shuffle.Shuffle32(cand)
+		target := m.target[:w]
+		rng.KeyedDraws32(target, key, cand, 0, uint64(n))
+		if carry == nil {
+			m.scan(cand, target, status)
+		} else {
+			m.scanCarry(cand, target, carry, key, status)
+		}
+		for i, t32 := range m.captures {
+			capturedBy[t32] = m.captors[i]
+		}
+	}
+	// The scan marked every captor in status; reading the flags back in slot
+	// order beats scattering writes over the capture list.
+	for s, st := range status {
+		succeeded[s] = st&slotSucceeded != 0
+	}
+}
 
-	// Compact the active slots out of the permutation before scanning. The
-	// activity pattern is data-dependent noise, so testing it inside the
-	// scan mispredicts constantly; the compaction pass is branch-free (the
-	// cursor advances by the active bit) and the scan then visits only
-	// candidates, whose captured-test is rarely taken. Activity is fixed
-	// for the round, so compacting up front is order-identical to testing
-	// lazily.
-	cand := m.cand[:n]
-	w := 0
-	for _, a32 := range perm {
-		cand[w] = a32
-		w += int(status[a32] & slotActive)
+// scan is MatchCarry's capacity-1 greedy pass: each candidate, in shuffled
+// order, captures its target unless it was itself captured earlier or the
+// target already recruited or was captured. Whether a candidate is blocked
+// is data-dependent noise, so the pass is branch-free: every candidate
+// writes a capture entry and the cursor advances only on success.
+//
+//hh:hotpath
+func (m *AlgorithmOneMatcher) scan(cand, target []int32, status []uint8) {
+	caps := m.captures[:len(cand)] // within Reserve(n) capacity: one capture per candidate at most
+	captors := m.captors[:len(cand)]
+	nc := 0
+	for i, a32 := range cand {
+		t32 := target[i]
+		sa, st := status[a32], status[t32]
+		blocked := uint32(sa&slotCaptured) | uint32(st&(slotCaptured|slotSucceeded))
+		ok := uint8((blocked - 1) >> 31) // 1 iff blocked == 0
+		// Write the target before re-reading the candidate: a self-pair
+		// (t32 == a32) must end up with both flags.
+		status[t32] = st | ok*slotCaptured
+		status[a32] |= ok * slotSucceeded
+		caps[nc] = t32
+		captors[nc] = a32
+		nc += int(ok)
 	}
+	m.captures = caps[:nc]
+	m.captors = captors[:nc]
+}
 
-	// The target draw is Intn(n) spelled as the one-level Uint64n call: the
-	// two-level Intn → Uint64n tree costs a second dynamic call per draw on
-	// the hottest loop of the engine, and n is already validated positive.
-	un := uint64(n)
-	if carry == nil {
-		// Capacity-1 fast path: the capacity lookup is loop-invariant.
-		for _, a32 := range cand[:w] {
-			a := int(a32)
-			if status[a]&slotCaptured != 0 {
-				continue
+// scanCarry is the greedy pass for the transport extension: candidate a
+// draws up to carry[a] targets, the first precomputed in target and draw d
+// keyed as rng.KeyedUint64n(key, a, d, n). Like scan it resolves each draw
+// without branching on its outcome; the loop ends after the candidate's
+// last draw, or once it was found captured or paired with itself. scan stays
+// separate because running capacity-1 rounds through this loop made the
+// matcher about a quarter slower at 2^20 slots.
+//
+//hh:hotpath
+func (m *AlgorithmOneMatcher) scanCarry(cand, target []int32, carry []int, key uint64, status []uint8) {
+	// Every draw writes the entry at nc, so nc must stay below n while a
+	// draw remains. It does: a recruiter that captured another is never
+	// captured itself, so all n slots end up captured only once every slot
+	// has paired with itself, at its own turn, which ends the scan.
+	caps := m.captures[:cap(m.captures)]
+	captors := m.captors[:cap(m.captors)]
+	nc := 0
+	un := uint64(len(status))
+	for i, a32 := range cand {
+		// done is 1 once the candidate draws no more: captured before its
+		// turn (bit 1 of its status), or paired with itself.
+		done := uint32(status[a32]&slotCaptured) >> 1
+		t32 := target[i]
+		for d := 1; ; d++ {
+			st := status[t32]
+			blocked := done | uint32(st&(slotCaptured|slotSucceeded))
+			ok := uint8((blocked - 1) >> 31) // 1 iff blocked == 0
+			status[t32] = st | ok*slotCaptured
+			status[a32] |= ok * slotSucceeded
+			caps[nc] = t32
+			captors[nc] = a32
+			nc += int(ok)
+			// A self-pair consumes the recruiter itself: it cannot keep
+			// carrying others, matching the lone-ant semantics of §3. A
+			// blocked self-draw is merely lost.
+			if t32 == a32 {
+				done |= uint32(ok)
 			}
-			target := int(src.Uint64n(un))
-			if status[target]&(slotCaptured|slotSucceeded) != 0 {
-				continue
-			}
-			status[target] |= slotCaptured
-			capturedBy[target] = int32(a)
-			m.captures = append(m.captures, int32(target)) //hh:allocok within Reserve(n) capacity; at most n captures
-			status[a] |= slotSucceeded
-			succeeded[a] = true
-		}
-		return
-	}
-	for _, a32 := range cand[:w] {
-		a := int(a32)
-		if status[a]&slotCaptured != 0 {
-			continue
-		}
-		draws := 1
-		if carry[a] > 1 {
-			draws = carry[a]
-		}
-		for d := 0; d < draws; d++ {
-			target := int(src.Uint64n(un))
-			if status[target]&(slotCaptured|slotSucceeded) != 0 {
-				continue
-			}
-			status[target] |= slotCaptured
-			capturedBy[target] = int32(a)
-			m.captures = append(m.captures, int32(target)) //hh:allocok within Reserve(n) capacity; at most n captures
-			status[a] |= slotSucceeded
-			succeeded[a] = true
-			if target == a {
-				// A self-pair consumes the recruiter itself; it cannot keep
-				// carrying others, matching the lone-ant semantics of §3.
+			if d >= carry[a32] || done != 0 {
 				break
 			}
+			t32 = int32(rng.KeyedUint64n(key, uint64(a32), uint64(d), un))
 		}
 	}
+	m.captures = caps[:nc]
+	m.captors = captors[:nc]
 }
 
 // SimultaneousMatcher is an ablation model ("other natural models" per the
@@ -247,6 +300,11 @@ func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src 
 // ant drawn by one or more recruiters is captured by one of them chosen
 // uniformly at random. Unlike Algorithm 1, a recruiter can simultaneously be
 // captured and succeed, and no permutation priority exists.
+//
+// Its draws stay sequential on the caller's stream rather than keyed like
+// Algorithm 1's: it is an ablation (E16's) that no default configuration
+// and no benchmark workload runs, so keying it would change its E16 rows
+// without speeding up anything measured.
 type SimultaneousMatcher struct {
 	picks    []int32
 	seen     []int32
@@ -344,6 +402,10 @@ func (m *SimultaneousMatcher) Match(n int, active []bool, src *rng.Source, captu
 // This "speed dating" process has no random target draw at all, only the
 // permutation, and produces near-perfect matchings — an upper bound on how
 // efficient pairing could plausibly be.
+//
+// It keeps its full-colony PermInto32 on the caller's stream for the same
+// reason SimultaneousMatcher keeps its sequential draws: it is one of E16's
+// ablations, off every default and benchmark path.
 type RendezvousMatcher struct {
 	perm     []int32
 	blocked  []bool // blocked[t] = captured or succeeded, the scan's skip test

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -244,7 +245,7 @@ func TestMatcherNamesUnique(t *testing.T) {
 // of a recruiter in a fully active pool, which Lemma 2.1 lower-bounds at 1/16
 // and which concentrates near a constant for large pools. A drastic change
 // here means the matcher's distribution changed, which would invalidate the
-// experiment calibration in EXPERIMENTS.md.
+// experiments' calibration (`go run ./cmd/hhbench -exp <id>`).
 func TestAlgorithmOneSuccessRateStable(t *testing.T) {
 	t.Parallel()
 	src := rng.New(29)
@@ -271,20 +272,31 @@ func TestAlgorithmOneSuccessRateStable(t *testing.T) {
 	}
 }
 
+// BenchmarkAlgorithmOneMatch1024 times one Match call over n slots with a
+// given share of them active, at a small pool and a million-ant one, and
+// reports ns per slot. The active share is where keyed draws pay: only the
+// active slots are shuffled and drawn for.
 func BenchmarkAlgorithmOneMatch1024(b *testing.B) {
-	src := rng.New(1)
-	m := &AlgorithmOneMatcher{}
-	const n = 1024
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = i%2 == 0
-	}
-	capturedBy := make([]int32, n)
-	succeeded := make([]bool, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Match(n, active, src, capturedBy, succeeded)
+	for _, n := range []int{1024, 1 << 20} {
+		for _, share := range []float64{0.02, 0.5, 1} {
+			b.Run(fmt.Sprintf("n=%d/active=%g%%", n, share*100), func(b *testing.B) {
+				src := rng.New(1)
+				m := &AlgorithmOneMatcher{}
+				active := make([]bool, n)
+				for i := range active {
+					active[i] = src.Bernoulli(share)
+				}
+				capturedBy := make([]int32, n)
+				succeeded := make([]bool, n)
+				m.Match(n, active, src, capturedBy, succeeded) // warm-up sizes scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Match(n, active, src, capturedBy, succeeded)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/slot")
+			})
+		}
 	}
 }
 

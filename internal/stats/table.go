@@ -36,7 +36,7 @@ func (t *Table) AddRowf(format string, args ...any) {
 func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with a title line, a header rule, and aligned
-// columns, in the style used throughout EXPERIMENTS.md.
+// columns, in the style of the experiment tables hhbench prints.
 func (t *Table) String() string {
 	cols := len(t.header)
 	for _, r := range t.rows {

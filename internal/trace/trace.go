@@ -1,8 +1,8 @@
 // Package trace records per-round execution histories of house-hunting runs:
 // nest populations, commitment censuses, state censuses, and discrete events
 // (recruitments, drop-outs, finalizations). Traces power the population-
-// dynamics figures in EXPERIMENTS.md, the ASCII plots in the CLI tools, and
-// several integration-test oracles.
+// dynamics experiments (`go run ./cmd/hhbench -exp <id>`), the ASCII plots in
+// the CLI tools, and several integration-test oracles.
 //
 // The package is pure data: it does not know about the engine or the agents.
 // The engine and runners push observations in; exporters (CSV, JSON, ASCII)
