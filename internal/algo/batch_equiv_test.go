@@ -1170,6 +1170,38 @@ func TestBatchWorkerInvariance(t *testing.T) {
 			t.Errorf("sched workers=%d shards=%d diverged:\ngot  %+v\nwant %+v", wc.workers, wc.shards, got, wantSched)
 		}
 	}
+	// The default sharded path, which the cells above never reach: they
+	// force their shard counts on colonies far below the engine's shard
+	// grain of 2^15 ants (sim's batchShardGrain). One colony of twice the
+	// grain with BatchShards unset runs on one lane of two shards at
+	// workers=2 — colony-1m's topology — and must match workers=1. noisy
+	// runs the lockstep capture fold beside its per-ant perception hooks;
+	// quorum runs the carry matcher on the general path.
+	for _, c := range []struct {
+		name string
+		alg  core.Algorithm
+	}{
+		{"simple", Simple{}},
+		{"noisy", Noisy{Counter: nest.RelativeNoiseCounter{Sigma: 0.1}}},
+		{"quorum", Quorum{}},
+	} {
+		runGrain := func(workers int) []core.Result {
+			t.Helper()
+			cfg := core.RunConfig{N: 1 << 16, Env: env, MaxRounds: 2000, StabilityWindow: 2, BatchWorkers: workers}
+			res, ok, err := core.RunBatch(c.alg, cfg, []uint64{42})
+			if err != nil || !ok {
+				t.Fatalf("RunBatch(%s, n=2^16, workers=%d): ok=%v err=%v", c.name, workers, ok, err)
+			}
+			return res
+		}
+		want := runGrain(1)
+		if !want[0].Solved {
+			t.Errorf("%s n=2^16: unsolved after %d rounds; the cell should reach its decision", c.name, want[0].Rounds)
+		}
+		if got := runGrain(2); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s n=2^16 workers=2 diverged from workers=1:\ngot  %+v\nwant %+v", c.name, got, want)
+		}
+	}
 }
 
 // TestQuorumThresholdOverflowDecline is the regression guard for the one

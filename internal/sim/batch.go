@@ -117,11 +117,15 @@ const batchTableMaxN = 1 << 16
 // batchShardGrain is the smallest per-shard colony slice worth a worker: Run
 // stops splitting a replicate once shards would drop below this many ants
 // each (explicit WithBatchShards values bypass the grain). Single-seed runs
-// at k=8 on a 2-core host, shards=1 vs 2: n=2048 1.39 vs 1.93 ms, n=4096
-// 3.91 vs 5.04 ms (simple) and 9.46 vs 9.90 ms (optimal), within noise from
-// n=8192 up — below ~4096 ants per shard the per-phase fan-out costs more
-// than it parallelizes.
-const batchShardGrain = 1 << 12
+// at k=8 on a 2-core Xeon shared with other tenants, median of the paired
+// shards=2/shards=1 time over 40 seeds: 1.24 at n=2048, 1.16 at 4096, 1.05
+// (simple) and 1.16 (optimal) at 8192, 1.04 at 16384, 0.96 and 1.07 at
+// 32768, 0.93 and 1.05 at 65536, 0.90 and 0.96 at 131072. Every phase
+// dispatch wakes a parked goroutine, so two shards start to pay at about
+// 2^14 ants each on the lockstep path (simple) and 2^16 on the general path
+// (optimal), which dispatches more phases per round; the grain sits between
+// the two. README.md has the full table.
+const batchShardGrain = 1 << 15
 
 // BatchResult reports one replicate of a Batch run, mirroring the fields the
 // scalar runner derives for core.Result.
@@ -402,9 +406,7 @@ type lane struct {
 	slotOf     []int32  // ant index -> recruiter slot this round (-1 otherwise)
 	active     []bool   // recruit(1, ·) per slot (per ant on the lockstep path)
 	carries    []int    // carry capacity per slot; nil unless the program transports
-	capturedBy []int32
-	succeeded  []bool
-	finals     int // ants currently in Final states (deciding programs)
+	finals     int      // ants currently in Final states (deciding programs)
 
 	// State-bucket scratch of the general path (nil on the lockstep path):
 	// each round the colony is regrouped by PFSM state so the emit and
@@ -431,15 +433,15 @@ type lane struct {
 
 	// Sharding scaffolding (see Batch's doc comment for the draw-placement
 	// rules). shards is at least 1; pool is nil when the lane runs
-	// single-sharded, and par dispatches a phase either inline or across the
-	// pool. shardLo holds the shards+1 ant-range bounds. The sh* slabs are
-	// per-shard reduction scratch, one (k+1)- or numExec-sized block per
-	// shard: population tallies and commitment deltas (summed sequentially
-	// after the parallel phase — integer sums, so the reduction order never
-	// shows), recruiter counts (prefix-summed into per-shard slot bases),
-	// histogram banks and scatter cursors, transport flags, and the
-	// first-error record each shard may park (reduced by (state, ant) order
-	// so the reported error is exactly the sequential scan's first).
+	// single-sharded, and pool.run dispatches a phase either inline or
+	// across the pool. shardLo holds the shards+1 ant-range bounds. The sh*
+	// slabs are per-shard reduction scratch, one (k+1)- or numExec-sized
+	// block per shard: population tallies and commitment deltas (summed
+	// sequentially after the parallel phase — integer sums, so the reduction
+	// order never shows), recruiter counts (prefix-summed into per-shard
+	// slot bases), histogram banks and scatter cursors, transport flags, and
+	// the first-error record each shard may park (reduced by (state, ant)
+	// order so the reported error is exactly the sequential scan's first).
 	//
 	// The ph* fields carry one phase's parameters from the sequential
 	// dispatch point into the shard function — the functions themselves
@@ -577,8 +579,6 @@ func newLane(b *Batch, shards int) *lane {
 		recruiters: make([]int32, 0, n),
 		slotOf:     make([]int32, n),
 		active:     make([]bool, n),
-		capturedBy: make([]int32, n),
-		succeeded:  make([]bool, n),
 		shards:     shards,
 		popT:       b.popT,
 		rcp:        b.rcp,
@@ -665,8 +665,9 @@ func newLane(b *Batch, shards int) *lane {
 	// dispatch allocates nothing) and — only when the lane actually splits —
 	// the helper pool.
 	ln.shardLo = make([]int32, shards+1)
-	for s := 0; s <= shards; s++ {
-		ln.shardLo[s] = int32(int64(s) * int64(n) / int64(shards))
+	for sh := 0; sh <= shards; sh++ {
+		lo, _ := shardSpan(n, sh, shards)
+		ln.shardLo[sh] = int32(lo)
 	}
 	ln.shCommit = make([]int, shards*(k+1))
 	ln.fnDraw = ln.drawActiveShard
@@ -705,19 +706,6 @@ func (ln *lane) close() {
 	}
 }
 
-// par runs one phase function across the lane's shards: inline for a
-// single-sharded lane, through the pool otherwise. fn must be one of the
-// lane's prebound fn* fields so the dispatch performs no allocation.
-//
-//hh:hotpath
-func (ln *lane) par(fn func(int)) {
-	if ln.pool == nil {
-		fn(0)
-		return
-	}
-	ln.pool.run(fn)
-}
-
 // reset re-seeds the lane for a fresh replicate, deriving the same streams
 // the scalar stack does: the engine splits {0: environment, 1: matcher} and
 // the algorithm builder splits {2} then per-ant substreams. Per-ant streams
@@ -737,7 +725,7 @@ func (ln *lane) reset(seed uint64) {
 	// Per-ant seeding and register init shard cleanly: SplitInto never
 	// advances the parent stream, the ñ draws come from each ant's own
 	// already-seeded stream, and every other write is a per-ant constant.
-	ln.par(ln.fnReset)
+	ln.pool.run(ln.fnReset)
 	ln.countAllN = false
 	ln.countUni = -1
 	split := ln.prog.InitSplit
@@ -969,7 +957,7 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 			ln.phDecay = adaptiveDecay(n, int(ln.paramI[0]), ln.prog.Params.Tau, ln.prog.Params.FloorDiv)
 		}
 		ln.phOp = st.Emit
-		ln.par(ln.fnDraw)
+		ln.pool.run(ln.fnDraw)
 		for i := range counts {
 			counts[i] = 0
 		}
@@ -979,8 +967,9 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 		// no recruiter indirection exists; one dynamic call per round costs
 		// nothing against the per-ant loops. The default matcher is the
 		// paper's Algorithm 1 via the same implementation (and thus the
-		// same draw sequence) as the scalar engine.
-		ln.matcher.Match(n, ln.active, &ln.matchSrc, ln.capturedBy, ln.succeeded)
+		// same draw sequence) as the scalar engine. The folds read the
+		// pairs from the capture lists, so no tables are filled.
+		ln.matcher.Match(n, ln.active, &ln.matchSrc, nil, nil)
 	}
 
 	// Observe: fold outcomes into the registers. The fold shards across the
@@ -1019,7 +1008,7 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 		ln.phPhase = phase
 		ln.phRecruited = recruited
 		ln.phAct = act
-		ln.par(ln.fnLockFold)
+		ln.pool.run(ln.fnLockFold)
 		ln.foldCommitDeltas()
 	}
 	return st.Next, nil
@@ -1050,9 +1039,7 @@ func (ln *lane) lockFoldShard(sh int) {
 	act := ln.phAct
 	n := ln.n
 	nest := ln.nest
-	actNest := ln.actNest
 	counts := ln.counts
-	capturedBy := ln.capturedBy
 	switch st.Observe {
 	case ObserveDiscovery:
 		count := ln.count
@@ -1140,17 +1127,15 @@ func (ln *lane) lockFoldShard(sh int) {
 		quality := ln.quality
 		countHook, assessHook := ln.prog.Params.Count, ln.prog.Params.Assess
 		threshold := ln.prog.Params.Threshold
+		if recruited {
+			// Captures move nests only, like ObserveDiscovery's; the hooks
+			// below then perceive the uniform recruit outcome.
+			ln.foldCaptureAdopts(sh, commit, adoptPlain)
+		}
 		for i := lo; i < hi; i++ {
 			var c int
 			var q float64
 			if recruited {
-				if cb := int(capturedBy[i]); cb >= 0 && cb != i {
-					if outNest := actNest[cb]; outNest != nest[i] {
-						commit[nest[i]]--
-						commit[outNest]++
-						nest[i] = outNest
-					}
-				}
 				c, q = n, 0
 			} else {
 				outNest := act[i]
@@ -1441,7 +1426,7 @@ func (ln *lane) drawActiveRange(op EmitOp, lo, hi int) {
 // consumption data-dependent, so those draws can never shard); per-ant stream
 // draws are stream-disjoint across ants and each ant is visited by exactly
 // one shard; recruiting ants enter the slot table in ant order via the
-// assembly pass; and the matcher runs sequentially on matchSrc, only when the
+// assembly pass; and the matcher draws from matchSrc in one call, only when the
 // recruiting set is non-empty. Observe folds touch only the observing ant's
 // registers, its own stream, and the order-free commitment deltas, so
 // bucket-order sharded folding is bit-identical too.
@@ -1511,7 +1496,7 @@ func (ln *lane) stepGeneral() error {
 	// concatenation of its per-shard segments (each a subset of that shard's
 	// own ant range, ascending), then detects a sole occupied state and
 	// whether any occupied state searches.
-	ln.par(ln.fnHist)
+	ln.pool.run(ln.fnHist)
 	segOff := ln.segOff
 	searches := &ln.searches
 	running := int32(0)
@@ -1553,7 +1538,7 @@ func (ln *lane) stepGeneral() error {
 			}
 		}
 	} else {
-		ln.par(ln.fnScatter)
+		ln.pool.run(ln.fnScatter)
 		// Environment draws stay sequential and in ant order — the scalar
 		// engine's order; envSrc cannot shard (see the function comment). The
 		// pass is skipped entirely when no occupied state searches.
@@ -1574,7 +1559,7 @@ func (ln *lane) stepGeneral() error {
 	// belongs to exactly one segment, so every isRecr entry is rewritten each
 	// round.
 	ln.phBkt = bkt
-	ln.par(ln.fnEmit)
+	ln.pool.run(ln.fnEmit)
 
 	// Reduce the emit phase: population tallies and recruiter counts are
 	// order-free sums, the recruiter counts prefix-sum into the slot bases the
@@ -1641,7 +1626,7 @@ func (ln *lane) stepGeneral() error {
 	default:
 		ln.phMode = asmCarry
 	}
-	ln.par(ln.fnAssemble)
+	ln.pool.run(ln.fnAssemble)
 	nR := nRecr
 	counts[Home] = nR
 
@@ -1659,9 +1644,9 @@ func (ln *lane) stepGeneral() error {
 			if ln.carryM == nil {
 				return fmt.Errorf("transport (carry > 1) unsupported by matcher %q", ln.matcher.Name())
 			}
-			ln.carryM.MatchCarry(nR, active, carries, &ln.matchSrc, ln.capturedBy, ln.succeeded)
+			ln.carryM.MatchCarry(nR, active, carries, &ln.matchSrc, nil, nil)
 		} else {
-			ln.matcher.Match(nR, active, &ln.matchSrc, ln.capturedBy, ln.succeeded)
+			ln.matcher.Match(nR, active, &ln.matchSrc, nil, nil)
 		}
 	}
 
@@ -1676,11 +1661,10 @@ func (ln *lane) stepGeneral() error {
 	// walk.
 	slotNest := ln.slotNest
 	if nR > 0 {
-		capt := ln.capturedBy
-		for _, t32 := range ln.matcher.Captures() {
-			t := int(t32)
-			if cb := int(capt[t]); cb != t {
-				slotNest[t] = actNest[rec[cb]]
+		captors := ln.matcher.Captors()
+		for j, t32 := range ln.matcher.Captures() {
+			if cb := captors[j]; cb != t32 {
+				slotNest[t32] = actNest[rec[cb]]
 			}
 		}
 	}
@@ -1696,7 +1680,7 @@ func (ln *lane) stepGeneral() error {
 	countHome := int32(nR)
 	ln.phCountHome = countHome
 	ln.phCountSkip = sole >= 0 && ln.countUni == countHome
-	ln.par(ln.fnObserve)
+	ln.pool.run(ln.fnObserve)
 	finals := 0
 	for sh := 0; sh < shards; sh++ {
 		finals += int(ln.shFinals[sh])
@@ -1727,14 +1711,13 @@ func (ln *lane) stepGeneral() error {
 	isFinal := &ln.final
 	preState := ln.preState
 	if nR > 0 {
-		capt := ln.capturedBy
-		for _, t32 := range ln.matcher.Captures() {
-			t := int(t32)
-			cb := int(capt[t])
-			if cb == t {
+		captors := ln.matcher.Captors()
+		for j, t32 := range ln.matcher.Captures() {
+			cb := captors[j]
+			if cb == t32 {
 				continue // self-pairs adopt nothing
 			}
-			i := int(rec[t])
+			i := int(rec[t32])
 			outNest := actNest[rec[cb]]
 			st := &states[preState[i]]
 			switch st.Observe {
@@ -2785,24 +2768,23 @@ const (
 
 // foldCaptureAdopts applies shard sh's contiguous chunk of the matcher's
 // capture list — the common core of the lockstep recruit-round adoption
-// folds: one adoption per captured ant whose capturer advertises a nest
+// folds: one adoption per captured ant whose captor advertises a nest
 // different from the ant's own, with the commitment changes going to the
 // delta slab commit. Chunks never share an ant, because listed captures are
 // distinct (pinned by TestCaptureListMatchesCaptureTable), and reading the
-// capturer's nest from the actNest snapshot keeps the fold order-independent
-// even for matchers whose capturers can themselves be captured.
+// captor's nest from the actNest snapshot keeps the fold order-independent
+// even for matchers whose captors can themselves be captured.
 //
 //hh:hotpath
 func (ln *lane) foldCaptureAdopts(sh int, commit []int, mode uint8) {
 	caps := ln.matcher.Captures()
-	nc, shards := int64(len(caps)), int64(ln.shards)
-	lo, hi := nc*int64(sh)/shards, nc*int64(sh+1)/shards
+	lo, hi := shardSpan(len(caps), sh, ln.shards)
+	captors := ln.matcher.Captors()[lo:hi]
 	nest := ln.nest
 	actNest := ln.actNest
-	capturedBy := ln.capturedBy
-	for _, t32 := range caps[lo:hi] {
+	for j, t32 := range caps[lo:hi] {
 		i := int(t32) // slot t is ant t on the lockstep path
-		if cb := int(capturedBy[i]); cb != i {
+		if cb := captors[j]; cb != t32 {
 			if outNest := actNest[cb]; outNest != nest[i] {
 				ln.adoptCapture(commit, i, outNest, mode)
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -20,15 +21,17 @@ func newFoldLane() *lane {
 	}
 }
 
-// listedCaptures is a CaptureLister replaying a fixed capture list, so the
-// fold tests can pose captures without running a matcher.
-type listedCaptures []int32
+// listedCaptures is a CaptureLister replaying fixed capture and captor
+// lists, so the fold tests can pose captures without running a matcher.
+type listedCaptures struct{ captures, captors []int32 }
 
 func (listedCaptures) Name() string { return "listed" }
 
 func (listedCaptures) Match(int, []bool, *rng.Source, []int32, []bool) {}
 
-func (l listedCaptures) Captures() []int32 { return l }
+func (l listedCaptures) Captures() []int32 { return l.captures }
+
+func (l listedCaptures) Captors() []int32 { return l.captors }
 
 // TestAdoptCaptureModes pins the mode-dispatched adoption fold that replaced
 // the per-call-site closures: every mode moves the ant and maintains the
@@ -86,10 +89,9 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	t.Parallel()
 	ln := newFoldLane()
 	// Ant 0: captured by ant 2, which advertises nest 2 != nest[0]=1 → folds.
-	// Ant 1: self-pair (capturedBy[1] = 1) → no fold.
+	// Ant 1: self-pair (captor 1) → no fold.
 	// Ant 2: uncaptured (and so not listed) → no fold.
-	ln.capturedBy = []int32{2, 1, -1}
-	ln.matcher = listedCaptures{0, 1}
+	ln.matcher = listedCaptures{captures: []int32{0, 1}, captors: []int32{2, 1}}
 	ln.foldCaptureAdopts(0, ln.commit, adoptQualOne)
 	if ln.nest[0] != 2 || ln.quality[0] != 1 {
 		t.Fatalf("ant 0 should adopt nest 2 with quality 1; got nest=%d q=%v", ln.nest[0], ln.quality[0])
@@ -107,8 +109,8 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	// A capturer advertising the ant's own nest is a no-op adoption.
 	ln2 := newFoldLane()
 	ln2.actNest = []NestID{2, 2, 2}
-	ln2.capturedBy = []int32{-1, 2, -1} // ant 1 captured by ant 2: actNest 2 == nest[1]
-	ln2.matcher = listedCaptures{1}
+	// Ant 1 captured by ant 2: actNest 2 == nest[1].
+	ln2.matcher = listedCaptures{captures: []int32{1}, captors: []int32{2}}
 	ln2.foldCaptureAdopts(0, ln2.commit, adoptQualZero)
 	if ln2.nest[1] != 2 || ln2.quality[1] != 0.5 {
 		t.Fatalf("same-nest capture must not fold: nest=%d q=%v", ln2.nest[1], ln2.quality[1])
@@ -119,8 +121,7 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	// census changes land in its own slab.
 	ln3 := newFoldLane()
 	ln3.shards = 2
-	ln3.capturedBy = []int32{2, -1, 1}
-	ln3.matcher = listedCaptures{0, 2}
+	ln3.matcher = listedCaptures{captures: []int32{0, 2}, captors: []int32{2, 1}}
 	slab0, slab1 := make([]int, 3), make([]int, 3)
 	ln3.foldCaptureAdopts(0, slab0, adoptPlain)
 	if ln3.nest[0] != 2 || ln3.nest[2] != 2 {
@@ -132,5 +133,78 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	}
 	if want0, want1 := []int{0, -1, 1}, []int{0, 1, -1}; !slices.Equal(slab0, want0) || !slices.Equal(slab1, want1) {
 		t.Fatalf("slabs = %v, %v; want %v, %v", slab0, slab1, want0, want1)
+	}
+}
+
+// TestNoisyRecruitFoldMatchesGeneralPath covers ObserveDiscoverNoisy on a
+// recruit round, an arm no compiled algorithm reaches: the lockstep path
+// folds its captures through foldCaptureAdopts and then runs the perception
+// hooks per ant, and must leave every register and the census exactly where
+// the general path's per-ant outcome fold does, sharded or not.
+func TestNoisyRecruitFoldMatchesGeneralPath(t *testing.T) {
+	t.Parallel()
+	prog := Program{
+		Algorithm: "noisy-recruit-discover",
+		States: []ProgramState{
+			{Emit: EmitSearch, Observe: ObserveDiscoverNoisy, Next: 1},
+			{Emit: EmitRecruitPop, Observe: ObserveDiscoverNoisy, Next: 2},
+			{Emit: EmitGotoNest, Observe: ObserveCountNoisy, Next: 1},
+		},
+		Params: ProgramParams{
+			Threshold: 0.5,
+			Count: func(c, n int, src *rng.Source) int {
+				return c + int(src.Uint64n(3)) - 1
+			},
+			Assess: func(q float64, src *rng.Source) float64 {
+				if src.Uint64n(4) == 0 {
+					return 1 - q
+				}
+				return q
+			},
+		},
+	}
+	env := MustEnvironment([]float64{1, 0, 0.6, 0})
+	const n, rounds = 300, 40
+	type snapshot struct {
+		nest    []NestID
+		count   []int32
+		quality []float64
+		commit  []int
+	}
+	run := func(lockstep bool, shards int) []snapshot {
+		b, err := NewBatch(env, prog, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !b.lockstep {
+			t.Fatal("the program should take the lockstep path")
+		}
+		b.lockstep = lockstep
+		ln := newLane(b, shards)
+		defer ln.close()
+		ln.reset(5)
+		phase := prog.Init
+		out := make([]snapshot, rounds)
+		for r := range out {
+			if lockstep {
+				phase, err = ln.stepLockstep(phase)
+			} else {
+				err = ln.stepGeneral()
+			}
+			if err != nil {
+				t.Fatalf("lockstep=%v shards=%d round %d: %v", lockstep, shards, r, err)
+			}
+			out[r] = snapshot{slices.Clone(ln.nest), slices.Clone(ln.count), slices.Clone(ln.quality), slices.Clone(ln.commit)}
+		}
+		return out
+	}
+	want := run(false, 1)
+	for _, shards := range []int{1, 3} {
+		got := run(true, shards)
+		for r := range want {
+			if !reflect.DeepEqual(got[r], want[r]) {
+				t.Fatalf("lockstep shards=%d round %d: registers differ from the general path", shards, r+1)
+			}
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // slot space: slot t ∈ [0, n) is the t-th recruiting ant in engine order; the
 // engine maps slots back to ant indices.
 //
-// Match must fill:
+// Match fills two tables:
 //
 //   - capturedBy[t] = slot of the recruiter that captured slot t, or -1 if t
 //     was not captured. A self-pair is capturedBy[t] == t.
@@ -17,7 +17,10 @@ import (
 //
 // active[t] reports whether slot t called recruit(1, ·). Implementations may
 // use scratch space owned by the matcher; the engine never calls Match
-// concurrently on one matcher instance.
+// concurrently on one matcher instance. A matcher that also implements
+// CaptureLister must accept nil tables and then skip filling them: the batch
+// engine reads a round's pairs from the capture lists alone. The scalar
+// engine always passes both tables.
 type Matcher interface {
 	Match(n int, active []bool, src *rng.Source, capturedBy []int32, succeeded []bool)
 	// Name identifies the matcher in benchmarks and ablation tables.
@@ -27,7 +30,8 @@ type Matcher interface {
 // CarryMatcher is implemented by matchers that support the §6 transport
 // extension: an active slot t may capture up to carry[t] ants in one round.
 // carry may be nil, meaning capacity 1 everywhere, in which case the process
-// must be identical to Match (including its randomness).
+// must be identical to Match (including its randomness). The tables follow
+// Match's contract, nil included.
 type CarryMatcher interface {
 	Matcher
 	MatchCarry(n int, active []bool, carry []int, src *rng.Source, capturedBy []int32, succeeded []bool)
@@ -42,24 +46,28 @@ type sizedMatcher interface {
 }
 
 // CaptureLister is implemented by matchers that additionally record which
-// slots were captured. Captures returns the slots captured by the most
-// recent Match/MatchCarry call (self-pairs included), in capture order; the
-// slice is matcher-owned scratch, valid until the next call. Captures are
-// sparse — a consumer folding only captured slots touches a fraction of the
-// colony instead of scanning the whole capture table — and distinct, so a
-// consumer may split the list into chunks folded concurrently. The batch
-// engine reads captures only through this interface; NewBatch rejects
-// matchers without it.
+// slots were captured, and by whom. Captures returns the slots captured by
+// the most recent Match/MatchCarry call (self-pairs included), in capture
+// order, and Captors their captors: Captors()[i] captured Captures()[i],
+// which is capturedBy[Captures()[i]] when the call filled the table. Both
+// slices are matcher-owned scratch, valid until the next call, and both are
+// filled whether or not the call passed tables. Captures are sparse — a
+// consumer folding only captured slots touches a fraction of the colony
+// instead of scanning the whole capture table — and distinct, so a consumer
+// may split the lists into chunks folded concurrently. The batch engine
+// reads captures only through this interface, calling Match/MatchCarry with
+// nil tables; NewBatch rejects matchers without it.
 type CaptureLister interface {
 	Matcher
 	Captures() []int32
+	Captors() []int32
 }
 
 // Per-slot scratch bits of AlgorithmOneMatcher's packed status column. One
 // byte per slot holds every flag the scan reads and writes: the candidate's
 // captured-test and the target's blocking check are the matching hot path,
-// and each resolves with a single byte load here. capturedBy and succeeded
-// are written from the column and the capture list after the scan.
+// and each resolves with a single byte load here. The tables, when the call
+// passes them, are written from the capture lists after the scan.
 // slotActive must stay at bit 0: the candidate-collection pass advances its
 // write cursor by `status & slotActive` to stay branch-free.
 const (
@@ -113,6 +121,11 @@ var (
 //hh:hotpath
 func (m *AlgorithmOneMatcher) Captures() []int32 { return m.captures }
 
+// Captors implements CaptureLister.
+//
+//hh:hotpath
+func (m *AlgorithmOneMatcher) Captors() []int32 { return m.captors }
+
 // Reserve pre-sizes the scratch for pools of up to n slots.
 //
 //hh:coldpath grows only to a new maximum pool size; steady-state calls are no-ops
@@ -154,29 +167,27 @@ func (m *AlgorithmOneMatcher) Match(n int, active []bool, src *rng.Source, captu
 //     another draw's outcome, so the targets are computed in one pass ahead
 //     of the scan.
 //
-// The greedy scan then applies the acceptance rule unchanged. After it,
-// capturedBy is filled from the capture list and succeeded from the status
-// column.
+// The greedy scan then applies the acceptance rule unchanged. Captures and
+// Captors hold the round's pairs; the tables, if the call passed them, are
+// filled from those lists after the scan.
 //
-// The shuffle stays one sequential pass. A bucketed permutation (Sanders,
-// "Random permutations on distributed, external and hierarchical memory",
-// IPL 1998) could split it across cores, but for 2^20 slots on a 2-core
-// Xeon it measured 17.0–24.8 ns/slot on one shard and 10.6–13.3 on two,
-// against 8.1–12.5 for a plain Fisher–Yates pass.
+// Every pass runs on the calling goroutine. The shuffle stays one
+// sequential pass: a bucketed permutation (Sanders, "Random permutations on
+// distributed, external and hierarchical memory", IPL 1998) could split it
+// across cores, but for 2^20 slots on a 2-core Xeon it measured 17.0–24.8
+// ns/slot on one shard and 10.6–13.3 on two, against 8.1–12.5 for a plain
+// Fisher–Yates pass. Fanning the order-free passes (collection, target
+// draws, table fills) out on the lane's shard pool was measured too and
+// did not pay; see ROADMAP.md item 6.
 //
 //hh:hotpath
 //hh:draws one Uint64 from src per call (the round key); the shuffle draws from a key-seeded local stream and the targets are keyed draws, consuming no stream
 func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src *rng.Source, capturedBy []int32, succeeded []bool) {
 	key := src.Uint64()
 	m.captures = m.captures[:0]
+	m.captors = m.captors[:0]
 	if n == 0 {
 		return
-	}
-	capturedBy = capturedBy[:n]
-	succeeded = succeeded[:n]
-	active = active[:n]
-	for t := range capturedBy {
-		capturedBy[t] = -1
 	}
 	m.Reserve(n)
 
@@ -186,7 +197,7 @@ func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src 
 	status := m.status[:n]
 	cand := m.cand[:n]
 	w := 0
-	for t, a := range active {
+	for t, a := range active[:n] {
 		s := uint8(0)
 		if a {
 			s = slotActive
@@ -208,15 +219,8 @@ func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src 
 		} else {
 			m.scanCarry(cand, target, carry, key, status)
 		}
-		for i, t32 := range m.captures {
-			capturedBy[t32] = m.captors[i]
-		}
 	}
-	// The scan marked every captor in status; reading the flags back in slot
-	// order beats scattering writes over the capture list.
-	for s, st := range status {
-		succeeded[s] = st&slotSucceeded != 0
-	}
+	fillTables(n, m.captures, m.captors, capturedBy, succeeded)
 }
 
 // scan is MatchCarry's capacity-1 greedy pass: each candidate, in shuffled
@@ -308,7 +312,9 @@ func (m *AlgorithmOneMatcher) scanCarry(cand, target []int32, carry []int, key u
 type SimultaneousMatcher struct {
 	picks    []int32
 	seen     []int32
+	pos      []int32 // pos[t] is slot t's index in captures, once seen[t] > 0
 	captures []int32
+	captors  []int32
 }
 
 var (
@@ -321,6 +327,12 @@ var (
 //hh:hotpath
 func (m *SimultaneousMatcher) Captures() []int32 { return m.captures }
 
+// Captors implements CaptureLister. A captor is final only after the whole
+// reservoir pass, so the list is complete only when Match returns.
+//
+//hh:hotpath
+func (m *SimultaneousMatcher) Captors() []int32 { return m.captors }
+
 // Reserve pre-sizes the scratch for pools of up to n slots.
 //
 //hh:coldpath grows only to a new maximum pool size; steady-state calls are no-ops
@@ -328,7 +340,9 @@ func (m *SimultaneousMatcher) Reserve(n int) {
 	if cap(m.picks) < n {
 		m.picks = make([]int32, n)
 		m.seen = make([]int32, n)
+		m.pos = make([]int32, n)
 		m.captures = make([]int32, 0, n)
+		m.captors = make([]int32, 0, n)
 	}
 }
 
@@ -341,19 +355,12 @@ func (m *SimultaneousMatcher) Name() string { return "simultaneous" }
 //hh:draws one Uint64n(n) per active slot in slot order, then one reservoir word per extra contender in scan order
 func (m *SimultaneousMatcher) Match(n int, active []bool, src *rng.Source, capturedBy []int32, succeeded []bool) {
 	m.captures = m.captures[:0]
+	m.captors = m.captors[:0]
 	if n == 0 {
 		return
 	}
-	capturedBy = capturedBy[:n]
-	succeeded = succeeded[:n]
-	active = active[:n]
-	for t := range capturedBy {
-		capturedBy[t] = -1
-	}
-	for t := range succeeded {
-		succeeded[t] = false
-	}
 	m.Reserve(n)
+	active = active[:n]
 	picks := m.picks[:n]
 	un := uint64(n)
 	anyActive := false
@@ -365,7 +372,8 @@ func (m *SimultaneousMatcher) Match(n int, active []bool, src *rng.Source, captu
 		}
 	}
 	if !anyActive {
-		return // nobody picked: no reservoir draws, no captures
+		fillTables(n, nil, nil, capturedBy, succeeded) // nobody picked: no reservoir draws, no captures
+		return
 	}
 	// Reservoir-sample one capturer per target among its pickers, so each
 	// contender wins with equal probability. seen[target] counts the pickers
@@ -375,25 +383,28 @@ func (m *SimultaneousMatcher) Match(n int, active []bool, src *rng.Source, captu
 	for t := range seen {
 		seen[t] = 0
 	}
-	for s := 0; s < n; s++ {
-		target := picks[s]
+	pos := m.pos[:n]
+	caps := m.captures[:n] // within Reserve(n) capacity: at most n captures
+	captors := m.captors[:n]
+	nc := 0
+	for s, target := range picks {
 		if target < 0 {
 			continue
 		}
 		seen[target]++
 		//hh:draws reservoir tie-break: one word per contender beyond the first; both engines share this exact code
 		if seen[target] == 1 {
-			m.captures = append(m.captures, target) //hh:allocok within Reserve(n) capacity; at most n captures
-			capturedBy[target] = int32(s)
+			pos[target] = int32(nc)
+			caps[nc] = target
+			captors[nc] = int32(s)
+			nc++
 		} else if src.Uint64n(uint64(seen[target])) == 0 {
-			capturedBy[target] = int32(s)
+			captors[pos[target]] = int32(s)
 		}
 	}
-	for t := 0; t < n; t++ {
-		if capturedBy[t] >= 0 {
-			succeeded[capturedBy[t]] = true
-		}
-	}
+	m.captures = caps[:nc]
+	m.captors = captors[:nc]
+	fillTables(n, m.captures, m.captors, capturedBy, succeeded)
 }
 
 // RendezvousMatcher is a second ablation model: the recruiting set is
@@ -410,6 +421,7 @@ type RendezvousMatcher struct {
 	perm     []int32
 	blocked  []bool // blocked[t] = captured or succeeded, the scan's skip test
 	captures []int32
+	captors  []int32
 }
 
 var (
@@ -422,6 +434,11 @@ var (
 //hh:hotpath
 func (m *RendezvousMatcher) Captures() []int32 { return m.captures }
 
+// Captors implements CaptureLister.
+//
+//hh:hotpath
+func (m *RendezvousMatcher) Captors() []int32 { return m.captors }
+
 // Reserve pre-sizes the scratch for pools of up to n slots.
 //
 //hh:coldpath grows only to a new maximum pool size; steady-state calls are no-ops
@@ -430,6 +447,7 @@ func (m *RendezvousMatcher) Reserve(n int) {
 		m.perm = make([]int32, n)
 		m.blocked = make([]bool, n)
 		m.captures = make([]int32, 0, n)
+		m.captors = make([]int32, 0, n)
 	}
 }
 
@@ -442,36 +460,19 @@ func (m *RendezvousMatcher) Name() string { return "rendezvous" }
 //hh:draws PermInto32(n) only; the rendezvous scan is draw-free
 func (m *RendezvousMatcher) Match(n int, active []bool, src *rng.Source, capturedBy []int32, succeeded []bool) {
 	m.captures = m.captures[:0]
+	m.captors = m.captors[:0]
 	if n == 0 {
 		return
 	}
-	capturedBy = capturedBy[:n]
-	succeeded = succeeded[:n]
-	active = active[:n]
-	for t := range capturedBy {
-		capturedBy[t] = -1
-	}
-	for t := range succeeded {
-		succeeded[t] = false
-	}
 	m.Reserve(n)
+	active = active[:n]
 	perm := m.perm[:n]
 	src.PermInto32(perm)
-	anyActive := false
-	for t := 0; t < n; t++ {
-		if active[t] {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
-		return // the scan draws nothing, so skipping it changes nothing
-	}
 	blocked := m.blocked[:n]
 	for t := range blocked {
 		blocked[t] = false
 	}
-
+	// With every slot passive the scan captures nothing and draws nothing.
 	for i := 0; i < n; i++ {
 		a := int(perm[i])
 		if !active[a] || blocked[a] {
@@ -482,12 +483,35 @@ func (m *RendezvousMatcher) Match(n int, active []bool, src *rng.Source, capture
 			if blocked[b] {
 				continue
 			}
-			capturedBy[b] = int32(a)
 			m.captures = append(m.captures, int32(b)) //hh:allocok within Reserve(n) capacity; at most n captures
+			m.captors = append(m.captors, int32(a))   //hh:allocok within Reserve(n) capacity; one captor per capture
 			blocked[b] = true
-			succeeded[a] = true
 			blocked[a] = true
 			break
+		}
+	}
+	fillTables(n, m.captures, m.captors, capturedBy, succeeded)
+}
+
+// fillTables writes the tables of an n-slot Match call from its capture and
+// captor lists, skipping a nil table. Every stock matcher resolves its pairs
+// into the lists first and fills the tables here, once, after its scan.
+//
+//hh:hotpath
+func fillTables(n int, captures, captors, capturedBy []int32, succeeded []bool) {
+	if capturedBy != nil {
+		capturedBy = capturedBy[:n]
+		for t := range capturedBy {
+			capturedBy[t] = -1
+		}
+		for i, t := range captures {
+			capturedBy[t] = captors[i]
+		}
+	}
+	if succeeded != nil {
+		clear(succeeded[:n])
+		for _, s := range captors {
+			succeeded[s] = true
 		}
 	}
 }

@@ -16,10 +16,14 @@ type SequentialAlgorithmOneMatcher struct {
 	cand     []int32
 	status   []uint8
 	captures []int32
+	captors  []int32
 }
 
 // Captures implements CaptureLister.
 func (m *SequentialAlgorithmOneMatcher) Captures() []int32 { return m.captures }
+
+// Captors implements CaptureLister.
+func (m *SequentialAlgorithmOneMatcher) Captors() []int32 { return m.captors }
 
 // Reserve pre-sizes the scratch for pools of up to n slots.
 func (m *SequentialAlgorithmOneMatcher) Reserve(n int) {
@@ -28,6 +32,7 @@ func (m *SequentialAlgorithmOneMatcher) Reserve(n int) {
 		m.cand = make([]int32, n)
 		m.status = make([]uint8, n)
 		m.captures = make([]int32, 0, n)
+		m.captors = make([]int32, 0, n)
 	}
 }
 
@@ -40,17 +45,17 @@ func (m *SequentialAlgorithmOneMatcher) Match(n int, active []bool, src *rng.Sou
 }
 
 // MatchCarry implements CarryMatcher: PermInto32(n) on src, then one
-// Uint64n(n) on src per draw of each candidate still free at its turn.
+// Uint64n(n) on src per draw of each candidate still free at its turn. Nil
+// tables are skipped.
 func (m *SequentialAlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src *rng.Source, capturedBy []int32, succeeded []bool) {
 	m.captures = m.captures[:0]
+	m.captors = m.captors[:0]
 	if n == 0 {
 		return
 	}
 	m.Reserve(n)
 	status := m.status[:n]
 	for t := 0; t < n; t++ {
-		capturedBy[t] = -1
-		succeeded[t] = false
 		status[t] = 0
 		if active[t] {
 			status[t] = slotActive
@@ -79,13 +84,13 @@ func (m *SequentialAlgorithmOneMatcher) MatchCarry(n int, active []bool, carry [
 				continue
 			}
 			status[target] |= slotCaptured
-			capturedBy[target] = int32(a)
 			m.captures = append(m.captures, int32(target))
+			m.captors = append(m.captors, int32(a))
 			status[a] |= slotSucceeded
-			succeeded[a] = true
 			if target == a {
 				break
 			}
 		}
 	}
+	fillTables(n, m.captures, m.captors, capturedBy, succeeded)
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +206,24 @@ func TestSimultaneousMatcherCapturesAmongPickers(t *testing.T) {
 		capturedBy, succeeded := runMatch(m, n, active, src)
 		checkMatchingInvariants(t, "simultaneous", n, active, capturedBy, succeeded)
 	}
+	// The reservoir must pick each contender with equal probability, and the
+	// captor list must hold the final pick, not the first picker. With two
+	// active slots, a round with one capture is one where both picked the
+	// same target, and slot 1 must then win about half the time.
+	const trials = 4000
+	pair := []bool{true, true}
+	shared, wins := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		m.Match(2, pair, src, nil, nil)
+		if len(m.Captures()) == 1 {
+			shared++
+			wins += int(m.Captors()[0])
+		}
+	}
+	// Slot 1's wins are Binomial(shared, 1/2): allow six standard deviations.
+	if dev := math.Abs(float64(wins) - float64(shared)/2); dev > 3*math.Sqrt(float64(shared)) {
+		t.Fatalf("slot 1 won %d of %d shared targets, want about half", wins, shared)
+	}
 }
 
 func TestRendezvousNearPerfectMatching(t *testing.T) {
@@ -273,21 +293,33 @@ func TestAlgorithmOneSuccessRateStable(t *testing.T) {
 }
 
 // BenchmarkAlgorithmOneMatch1024 times one Match call over n slots with a
-// given share of them active, at a small pool and a million-ant one, and
-// reports ns per slot. The active share is where keyed draws pay: only the
-// active slots are shuffled and drawn for.
+// given share of them active, and reports ns per slot. The active share is
+// where keyed draws pay: only the active slots are shuffled and drawn for.
+// A 1024-slot pool runs with tables, as the scalar engine calls it; a
+// million-slot one runs with and without them, the latter as the batch
+// engine calls it.
 func BenchmarkAlgorithmOneMatch1024(b *testing.B) {
-	for _, n := range []int{1024, 1 << 20} {
+	type cell struct {
+		n      int
+		tables bool
+	}
+	for _, c := range []cell{{1024, true}, {1 << 20, true}, {1 << 20, false}} {
 		for _, share := range []float64{0.02, 0.5, 1} {
-			b.Run(fmt.Sprintf("n=%d/active=%g%%", n, share*100), func(b *testing.B) {
+			name := fmt.Sprintf("n=%d/active=%g%%/tables=%v", c.n, share*100, c.tables)
+			b.Run(name, func(b *testing.B) {
+				n := c.n
 				src := rng.New(1)
 				m := &AlgorithmOneMatcher{}
 				active := make([]bool, n)
 				for i := range active {
 					active[i] = src.Bernoulli(share)
 				}
-				capturedBy := make([]int32, n)
-				succeeded := make([]bool, n)
+				var capturedBy []int32
+				var succeeded []bool
+				if c.tables {
+					capturedBy = make([]int32, n)
+					succeeded = make([]bool, n)
+				}
 				m.Match(n, active, src, capturedBy, succeeded) // warm-up sizes scratch
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -412,22 +444,29 @@ func TestMatchersAllocationFree(t *testing.T) {
 			capturedBy := make([]int32, n)
 			succeeded := make([]bool, n)
 			m.Match(n, active, src, capturedBy, succeeded) // warm-up sizes scratch
-			allocs := testing.AllocsPerRun(100, func() {
-				m.Match(n, active, src, capturedBy, succeeded)
-			})
-			if allocs != 0 {
-				t.Errorf("%s: %v allocs per Match, want 0", m.Name(), allocs)
-			}
-			if cm, ok := m.(CarryMatcher); ok {
-				carries := make([]int, n)
-				for i := range carries {
-					carries[i] = 1 + i%3
+			// The batch engine passes no tables; the scalar engine passes both.
+			for _, tables := range []bool{true, false} {
+				cb, succ := capturedBy, succeeded
+				if !tables {
+					cb, succ = nil, nil
 				}
 				allocs := testing.AllocsPerRun(100, func() {
-					cm.MatchCarry(n, active, carries, src, capturedBy, succeeded)
+					m.Match(n, active, src, cb, succ)
 				})
 				if allocs != 0 {
-					t.Errorf("%s: %v allocs per MatchCarry, want 0", m.Name(), allocs)
+					t.Errorf("%s tables=%v: %v allocs per Match, want 0", m.Name(), tables, allocs)
+				}
+				if cm, ok := m.(CarryMatcher); ok {
+					carries := make([]int, n)
+					for i := range carries {
+						carries[i] = 1 + i%3
+					}
+					allocs := testing.AllocsPerRun(100, func() {
+						cm.MatchCarry(n, active, carries, src, cb, succ)
+					})
+					if allocs != 0 {
+						t.Errorf("%s tables=%v: %v allocs per MatchCarry, want 0", m.Name(), tables, allocs)
+					}
 				}
 			}
 		})
@@ -436,8 +475,11 @@ func TestMatchersAllocationFree(t *testing.T) {
 
 // TestCaptureListMatchesCaptureTable pins the CaptureLister contract on every
 // stock matcher: the returned slots are exactly those with capturedBy >= 0,
-// without duplicates, across activity patterns including all-passive (empty
-// list) and fully active rounds.
+// without duplicates, each listed captor is the table's, and a call without
+// tables lists the same pairs from the same stream state — across activity
+// patterns including all-passive (empty list) and fully active rounds. The
+// captor check matters most for SimultaneousMatcher, whose captor is final
+// only after its reservoir pass.
 func TestCaptureListMatchesCaptureTable(t *testing.T) {
 	t.Parallel()
 	const n = 64
@@ -456,10 +498,29 @@ func TestCaptureListMatchesCaptureTable(t *testing.T) {
 				}
 				capturedBy := make([]int32, n)
 				succeeded := make([]bool, n)
+				start := *src
 				m.Match(n, active, src, capturedBy, succeeded)
+				captures := slices.Clone(lister.Captures())
+				captors := lister.Captors()
+				if len(captors) != len(captures) {
+					t.Fatalf("trial %d: %d captors for %d captures", trial, len(captors), len(captures))
+				}
 				listed := map[int32]int{}
-				for _, t32 := range lister.Captures() {
+				for i, t32 := range captures {
 					listed[t32]++
+					if captors[i] != capturedBy[t32] {
+						t.Fatalf("trial %d: Captors()[%d] = %d, capturedBy[%d] = %d",
+							trial, i, captors[i], t32, capturedBy[t32])
+					}
+				}
+				captors = slices.Clone(captors)
+				bare := start
+				m.Match(n, active, &bare, nil, nil)
+				if !slices.Equal(lister.Captures(), captures) || !slices.Equal(lister.Captors(), captors) {
+					t.Fatalf("trial %d: a call without tables listed other pairs", trial)
+				}
+				if bare.State() != src.State() {
+					t.Fatalf("trial %d: a call without tables left the stream elsewhere", trial)
 				}
 				for slot := 0; slot < n; slot++ {
 					want := 0
