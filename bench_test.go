@@ -201,26 +201,26 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// benchReplicateSweep measures a full replicate sweep (n=1024, k=4, R=32
-// colonies to convergence) through experiment.MeasureConvergence on the
-// selected algorithm and engine. The scalar and batch variants execute
-// bit-identical replicates, so each pair is a before/after comparison of the
-// batch engine; the acceptance floors are a 3x throughput gain for Algorithm 3
-// (lockstep path) and 1.5x for Algorithm 2 (per-ant state column path).
-func benchReplicateSweep(b *testing.B, a core.Algorithm, batch bool) {
+// benchSweep measures a full replicate sweep (R=32 colonies of n=1024 ants
+// to convergence, good of the k=4 nests good) through
+// experiment.MeasureConvergence on the batch engine and reports ant-steps/s.
+// cfg carries the cell's adversary or matcher; the helper fills in the rest.
+// These are profiling handles (`-cpuprofile`); bench/ times the same cells
+// with repeated samples, and its traced runs report the scalar/batch ratio
+// as core.scalar_over_batch.
+func benchSweep(b *testing.B, a core.Algorithm, good int, cfg core.RunConfig) {
 	b.Helper()
 	const (
-		n    = 1024
-		k    = 4
-		reps = 32
+		n         = 1024
+		k         = 4
+		reps      = 32
+		maxRounds = 4000
 	)
-	env, err := sim.Uniform(k, 2)
+	env, err := sim.Uniform(k, good)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.RunConfig{N: n, Env: env, MaxRounds: 4000}
-	experiment.SetBatchEngine(batch)
-	defer experiment.SetBatchEngine(true)
+	cfg.N, cfg.Env, cfg.MaxRounds = n, env, maxRounds
 	b.ReportAllocs()
 	b.ResetTimer()
 	totalRounds := 0.0
@@ -232,213 +232,78 @@ func benchReplicateSweep(b *testing.B, a core.Algorithm, batch bool) {
 		if pt.Solved == 0 {
 			b.Fatal("sweep solved no replicates")
 		}
-		totalRounds += pt.Rounds.Mean*float64(pt.Solved) + float64(4000*(reps-pt.Solved))
+		totalRounds += pt.Rounds.Mean*float64(pt.Solved) + float64(maxRounds*(reps-pt.Solved))
 	}
 	b.ReportMetric(totalRounds*n/b.Elapsed().Seconds(), "ant-steps/s")
 }
 
-// BenchmarkReplicateSweepScalar is the Algorithm 3 scalar agent path baseline.
-func BenchmarkReplicateSweepScalar(b *testing.B) { benchReplicateSweep(b, algo.Simple{}, false) }
+// BenchmarkReplicateSweepBatch is Algorithm 3 on the lockstep path.
+func BenchmarkReplicateSweepBatch(b *testing.B) { benchSweep(b, algo.Simple{}, 2, core.RunConfig{}) }
 
-// BenchmarkReplicateSweepBatch is the Algorithm 3 batch engine path (lockstep
-// shared-phase kernels).
-func BenchmarkReplicateSweepBatch(b *testing.B) { benchReplicateSweep(b, algo.Simple{}, true) }
-
-// BenchmarkReplicateSweepScalarOptimal is the Algorithm 2 scalar baseline.
-func BenchmarkReplicateSweepScalarOptimal(b *testing.B) {
-	benchReplicateSweep(b, algo.Optimal{}, false)
-}
-
-// BenchmarkReplicateSweepBatchOptimal is the Algorithm 2 batch engine path
+// BenchmarkReplicateSweepBatchOptimal is Algorithm 2 on the general path
 // (per-ant state column with outcome-dependent transitions).
 func BenchmarkReplicateSweepBatchOptimal(b *testing.B) {
-	benchReplicateSweep(b, algo.Optimal{}, true)
+	benchSweep(b, algo.Optimal{}, 2, core.RunConfig{})
 }
 
-// BenchmarkReplicateSweepScalarAdaptive is the §6 boosted-rate scalar baseline.
-func BenchmarkReplicateSweepScalarAdaptive(b *testing.B) {
-	benchReplicateSweep(b, algo.Adaptive{}, false)
-}
-
-// BenchmarkReplicateSweepBatchAdaptive is the §6 boosted-rate batch path
+// BenchmarkReplicateSweepBatchAdaptive is the §6 boosted-rate variant
 // (lockstep with the per-ant phase-clock column).
 func BenchmarkReplicateSweepBatchAdaptive(b *testing.B) {
-	benchReplicateSweep(b, algo.Adaptive{}, true)
+	benchSweep(b, algo.Adaptive{}, 2, core.RunConfig{})
 }
 
-// BenchmarkReplicateSweepScalarQuality is the §6 non-binary-quality scalar
-// baseline.
-func BenchmarkReplicateSweepScalarQuality(b *testing.B) {
-	benchReplicateSweep(b, algo.QualityAware{}, false)
-}
-
-// BenchmarkReplicateSweepBatchQuality is the §6 non-binary-quality batch path
+// BenchmarkReplicateSweepBatchQuality is the §6 non-binary-quality variant
 // (lockstep with the quality-weighted draw).
 func BenchmarkReplicateSweepBatchQuality(b *testing.B) {
-	benchReplicateSweep(b, algo.QualityAware{}, true)
+	benchSweep(b, algo.QualityAware{}, 2, core.RunConfig{})
 }
 
-// BenchmarkReplicateSweepScalarApproxN is the §6 approximate-n scalar
-// baseline at δ = 0.2.
-func BenchmarkReplicateSweepScalarApproxN(b *testing.B) {
-	benchReplicateSweep(b, algo.ApproxN{Delta: 0.2}, false)
-}
-
-// BenchmarkReplicateSweepBatchApproxN is the §6 approximate-n batch path
+// BenchmarkReplicateSweepBatchApproxN is the §6 approximate-n variant
 // (lockstep with the per-ant ñ column) at δ = 0.2.
 func BenchmarkReplicateSweepBatchApproxN(b *testing.B) {
-	benchReplicateSweep(b, algo.ApproxN{Delta: 0.2}, true)
+	benchSweep(b, algo.ApproxN{Delta: 0.2}, 2, core.RunConfig{})
 }
 
-// BenchmarkReplicateSweepScalarQuorum is the §6 quorum-transport scalar
-// baseline (default multiplier 1.5, carry 3, docility 0.25).
-func BenchmarkReplicateSweepScalarQuorum(b *testing.B) {
-	benchReplicateSweep(b, algo.Quorum{}, false)
-}
-
-// BenchmarkReplicateSweepBatchQuorum is the §6 quorum-transport batch path
+// BenchmarkReplicateSweepBatchQuorum is the §6 quorum-transport variant
 // (general per-ant path with carry-aware recruitment matching and the
 // docility draw on capture).
 func BenchmarkReplicateSweepBatchQuorum(b *testing.B) {
-	benchReplicateSweep(b, algo.Quorum{}, true)
+	benchSweep(b, algo.Quorum{}, 2, core.RunConfig{})
 }
 
-// BenchmarkReplicateSweepScalarNoisy is the §6 noisy-perception scalar
-// baseline (relative count noise σ = 0.1).
-func BenchmarkReplicateSweepScalarNoisy(b *testing.B) {
-	benchReplicateSweep(b, algo.Noisy{Counter: nest.RelativeNoiseCounter{Sigma: 0.1}}, false)
-}
-
-// BenchmarkReplicateSweepBatchNoisy is the §6 noisy-perception batch path
+// BenchmarkReplicateSweepBatchNoisy is the §6 noisy-perception variant
 // (lockstep with per-ant estimator hooks) at σ = 0.1.
 func BenchmarkReplicateSweepBatchNoisy(b *testing.B) {
-	benchReplicateSweep(b, algo.Noisy{Counter: nest.RelativeNoiseCounter{Sigma: 0.1}}, true)
+	benchSweep(b, algo.Noisy{Counter: nest.RelativeNoiseCounter{Sigma: 0.1}}, 2, core.RunConfig{})
 }
 
-// benchFaultedSweep measures a replicate sweep under a declarative fault spec
-// (the adversary axis). On the batch engine the spec compiles to crash-round,
-// Byzantine and sleep lanes on the general path; the scalar variant wraps
-// agents in the same plan, so each pair is a before/after comparison of the
-// fault lowering on bit-identical replicates.
-func benchFaultedSweep(b *testing.B, a core.Algorithm, spec faults.Spec, good int, batch bool) {
-	b.Helper()
-	const (
-		n    = 1024
-		k    = 4
-		reps = 32
-	)
-	env, err := sim.Uniform(k, good)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.RunConfig{N: n, Env: env, MaxRounds: 4000, Wrap: spec}
-	experiment.SetBatchEngine(batch)
-	defer experiment.SetBatchEngine(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pt, err := experiment.MeasureConvergence(a, cfg, reps, "bench-faulted")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pt.Solved == 0 {
-			b.Fatal("faulted sweep solved no replicates")
-		}
-	}
-}
-
-// benchCrashSpec is the CI-gated faulted cell: 10% crash faults in a 64-round
-// window.
-var benchCrashSpec = faults.Spec{CrashFraction: 0.1, CrashWindow: 64, Salt: 6001}
-
-// benchMixedSpec exercises the crash and sleep lanes together. Byzantine
-// lurers are left out: they sustain a standing bad-nest population that
-// defeats MeasureConvergence's unanimity gate at this scale (the E23
-// saturation), and an unsolvable sweep measures nothing — the Byzantine
-// lane's per-round cost is identical in kind and its lowering is pinned by
-// the differential tests.
-var benchMixedSpec = faults.Spec{CrashFraction: 0.08, CrashWindow: 32, SleepFraction: 0.1, SleepWindow: 32, Salt: 6002}
-
-// BenchmarkFaultedSweepScalarCrash is the wrapped scalar baseline for the 10%
-// crash cell.
-func BenchmarkFaultedSweepScalarCrash(b *testing.B) {
-	benchFaultedSweep(b, algo.Simple{}, benchCrashSpec, 2, false)
-}
-
-// BenchmarkFaultedSweepBatchCrash is the 10% crash cell on the batch engine's
-// crash-round lanes.
+// BenchmarkFaultedSweepBatchCrash is 10% crash faults in a 64-round window
+// on the batch engine's crash-round lanes (bench/'s simple-crash10 cell).
 func BenchmarkFaultedSweepBatchCrash(b *testing.B) {
-	benchFaultedSweep(b, algo.Simple{}, benchCrashSpec, 2, true)
+	benchSweep(b, algo.Simple{}, 2, core.RunConfig{Wrap: faults.Spec{CrashFraction: 0.1, CrashWindow: 64, Salt: 6001}})
 }
 
-// The mixed cells run on a single good nest: late-waking sleepers can freeze
-// a split between two equally good sites (the E24 finding), and a stalled
-// sweep measures nothing.
-
-// BenchmarkFaultedSweepScalarMixed is the wrapped scalar baseline with crash
-// and sleep faults together.
-func BenchmarkFaultedSweepScalarMixed(b *testing.B) {
-	benchFaultedSweep(b, algo.Simple{}, benchMixedSpec, 1, false)
-}
-
-// BenchmarkFaultedSweepBatchMixed runs the crash and sleep lanes on the batch
-// engine at once.
+// BenchmarkFaultedSweepBatchMixed runs the crash and sleep lanes at once.
+// Byzantine lurers are left out: they sustain a standing bad-nest population
+// that defeats MeasureConvergence's unanimity gate at this scale (the E23
+// saturation), and an unsolvable sweep measures nothing. It runs on a single
+// good nest because late-waking sleepers can freeze a split between two
+// equally good sites (the E24 finding).
 func BenchmarkFaultedSweepBatchMixed(b *testing.B) {
-	benchFaultedSweep(b, algo.Simple{}, benchMixedSpec, 1, true)
+	spec := faults.Spec{CrashFraction: 0.08, CrashWindow: 32, SleepFraction: 0.1, SleepWindow: 32, Salt: 6002}
+	benchSweep(b, algo.Simple{}, 1, core.RunConfig{Wrap: spec})
 }
 
-// benchMatcherSweep measures a replicate sweep under a stock ablation matcher
-// (the E16 axis). Since the matcher lowering these run on the batch engine;
-// the scalar variant is the before picture.
-func benchMatcherSweep(b *testing.B, newMatcher func() sim.Matcher, batch bool) {
-	b.Helper()
-	const (
-		n    = 1024
-		k    = 4
-		reps = 32
-	)
-	env, err := sim.Uniform(k, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.RunConfig{N: n, Env: env, MaxRounds: 4000, NewMatcher: newMatcher}
-	experiment.SetBatchEngine(batch)
-	defer experiment.SetBatchEngine(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pt, err := experiment.MeasureConvergence(algo.Simple{}, cfg, reps, "bench-matcher")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pt.Solved == 0 {
-			b.Fatal("sweep solved no replicates")
-		}
-	}
-}
-
-// BenchmarkMatcherSweepScalarSimultaneous is the simultaneous-pairing
-// ablation on the scalar agent path.
-func BenchmarkMatcherSweepScalarSimultaneous(b *testing.B) {
-	benchMatcherSweep(b, func() sim.Matcher { return &sim.SimultaneousMatcher{} }, false)
-}
-
-// BenchmarkMatcherSweepBatchSimultaneous is the simultaneous-pairing ablation
-// compiled to the batch engine.
+// BenchmarkMatcherSweepBatchSimultaneous is the simultaneous-pairing
+// ablation (the E16 axis) compiled to the batch engine.
 func BenchmarkMatcherSweepBatchSimultaneous(b *testing.B) {
-	benchMatcherSweep(b, func() sim.Matcher { return &sim.SimultaneousMatcher{} }, true)
-}
-
-// BenchmarkMatcherSweepScalarRendezvous is the rendezvous-pairing ablation on
-// the scalar agent path.
-func BenchmarkMatcherSweepScalarRendezvous(b *testing.B) {
-	benchMatcherSweep(b, func() sim.Matcher { return &sim.RendezvousMatcher{} }, false)
+	benchSweep(b, algo.Simple{}, 2, core.RunConfig{NewMatcher: func() sim.Matcher { return &sim.SimultaneousMatcher{} }})
 }
 
 // BenchmarkMatcherSweepBatchRendezvous is the rendezvous-pairing ablation
 // compiled to the batch engine.
 func BenchmarkMatcherSweepBatchRendezvous(b *testing.B) {
-	benchMatcherSweep(b, func() sim.Matcher { return &sim.RendezvousMatcher{} }, true)
+	benchSweep(b, algo.Simple{}, 2, core.RunConfig{NewMatcher: func() sim.Matcher { return &sim.RendezvousMatcher{} }})
 }
 
 // BenchmarkLargeColonyBatch runs one million-ant Algorithm 3 colony (k=16, 2

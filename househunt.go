@@ -373,7 +373,26 @@ func New(opts ...Option) (*Colony, error) {
 	if _, err := buildAlgorithm(cfg); err != nil {
 		return nil, err
 	}
+	if err := cfg.faultSpec().Validate(); err != nil {
+		return nil, fmt.Errorf("househunt: %w", err)
+	}
 	return &Colony{cfg: cfg}, nil
+}
+
+// faultSpec lowers the fault options to the declarative faults.Spec both
+// engines read; without a fault fraction it is the zero, disabled Spec.
+func (cfg Config) faultSpec() faults.Spec {
+	if cfg.crashFrac == 0 && cfg.byzantineFrac == 0 && cfg.sleepFrac == 0 {
+		return faults.Spec{}
+	}
+	return faults.Spec{
+		CrashFraction:     cfg.crashFrac,
+		CrashWindow:       cfg.crashWindow,
+		ByzantineFraction: cfg.byzantineFrac,
+		SleepFraction:     cfg.sleepFrac,
+		SleepWindow:       cfg.sleepWindow,
+		Salt:              1001,
+	}
 }
 
 // buildAlgorithm maps the configuration to a core.Algorithm.
@@ -496,20 +515,10 @@ func (c *Colony) lower() (core.Algorithm, core.RunConfig, error) {
 		StabilityWindow: c.cfg.stability,
 	}
 
-	// The fault knobs lower to a declarative faults.Spec; a spec that is the
-	// sole wrapper rides on cfg.Wrap directly, keeping the config eligible
-	// for the batch engine's fault lanes. Asynchrony remains scalar-only.
-	var spec faults.Spec
-	if c.cfg.crashFrac > 0 || c.cfg.byzantineFrac > 0 || c.cfg.sleepFrac > 0 {
-		spec = faults.Spec{
-			CrashFraction:     c.cfg.crashFrac,
-			CrashWindow:       c.cfg.crashWindow,
-			ByzantineFraction: c.cfg.byzantineFrac,
-			SleepFraction:     c.cfg.sleepFrac,
-			SleepWindow:       c.cfg.sleepWindow,
-			Salt:              1001,
-		}
-	}
+	// A fault spec that is the sole wrapper rides on cfg.Wrap directly,
+	// keeping the config eligible for the batch engine's fault lanes.
+	// Asynchrony remains scalar-only.
+	spec := c.cfg.faultSpec()
 	var asyncWrap core.WrapFunc
 	if c.cfg.jitterP > 0 || c.cfg.maxDelay > 0 {
 		plan := async.Plan{HoldP: c.cfg.jitterP, MaxDelay: c.cfg.maxDelay}

@@ -84,6 +84,31 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsInvalidFaults pins that New validates the fault options
+// together, through the faults.Spec they lower to: each option is valid
+// alone, but the combination or window is not, and New must say so before
+// any engine runs.
+func TestNewRejectsInvalidFaults(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name string
+		opts []Option
+		want string
+	}{
+		{"fractions sum past 1", []Option{WithCrashFaults(0.7, 10), WithByzantineAnts(0.7)}, "fault fractions sum to 1.4 > 1"},
+		{"three fractions sum past 1", []Option{WithCrashFaults(0.4, 10), WithByzantineAnts(0.3), WithIdleAnts(0.4, 10)}, "> 1"},
+		{"negative crash window", []Option{WithCrashFaults(0.1, -5)}, "negative fault window (crash -5"},
+		{"negative idle window", []Option{WithIdleAnts(0.1, -5)}, "negative fault window (crash 0, sleep -5)"},
+	}
+	for _, tc := range cases {
+		opts := append([]Option{WithColonySize(100), WithBinaryNests(4, 2)}, tc.opts...)
+		_, err := New(opts...)
+		if err == nil || !strings.HasPrefix(err.Error(), "househunt: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New error %v, want a househunt error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestAllAlgorithmsRun(t *testing.T) {
 	t.Parallel()
 	algos := []Algorithm{

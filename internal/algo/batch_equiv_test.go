@@ -1228,3 +1228,21 @@ func TestQuorumThresholdOverflowDecline(t *testing.T) {
 		t.Errorf("decline reason %q does not name the compile refusal", reason)
 	}
 }
+
+// TestNilScheduleFailsOnBothEngines pins that a schedule factory returning
+// nil fails the run on both engines: the batch lane must not run the colony
+// with the adversary dropped while core.Run rejects it.
+func TestNilScheduleFailsOnBothEngines(t *testing.T) {
+	t.Parallel()
+	env := sim.MustEnvironment([]float64{1, 0, 1})
+	spec := faults.Spec{Salt: 17, NewSchedule: func() faults.Schedule { return nil }}
+	for _, a := range []core.Algorithm{Simple{}, Optimal{}} {
+		cfg := core.RunConfig{N: 64, Env: env, MaxRounds: 500, Seed: 3, Wrap: spec}
+		if _, err := core.Run(a, cfg); err == nil {
+			t.Errorf("%s: core.Run accepted a nil schedule", a.Name())
+		}
+		if _, ok, err := core.RunBatch(a, cfg, []uint64{3}); !ok || err == nil {
+			t.Errorf("%s: core.RunBatch ok=%v err=%v, want an error from an eligible config", a.Name(), ok, err)
+		}
+	}
+}

@@ -13,6 +13,7 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -25,8 +26,8 @@ import (
 // batch engine is bit-identical to the scalar path for eligible
 // (algorithm, config) pairs (see core.RunBatch), so it is on by default and
 // every eligible measurement uses it automatically; SetBatchEngine(false)
-// forces the scalar path, which the before/after benchmarks and the
-// equivalence tests use.
+// forces the scalar path, which `hhbench -engine scalar` and the equivalence
+// tests use.
 var batchDisabled atomic.Bool
 
 // SetBatchEngine toggles the batch-engine fast path (default enabled).
@@ -120,6 +121,13 @@ func runScalarReps(algo core.Algorithm, cfg core.RunConfig, seeds []uint64) ([]c
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			// A panicking agent, wrapper or schedule fails its replicate
+			// instead of ending the process.
+			defer func() {
+				if v := recover(); v != nil {
+					results[rep].err = fmt.Errorf("panicked: %v\n\n%s", v, debug.Stack())
+				}
+			}()
 			repCfg := cfg
 			repCfg.Seed = seeds[rep]
 			res, err := core.Run(algo, repCfg)
@@ -130,7 +138,7 @@ func runScalarReps(algo core.Algorithm, cfg core.RunConfig, seeds []uint64) ([]c
 	runs := make([]core.Result, len(seeds))
 	for rep, r := range results {
 		if r.err != nil {
-			return nil, fmt.Errorf("experiment: rep %d: %w", rep, r.err)
+			return nil, fmt.Errorf("experiment: rep %d (seed %d): %w", rep, seeds[rep], r.err)
 		}
 		runs[rep] = r.res
 	}

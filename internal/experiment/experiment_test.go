@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -52,6 +53,23 @@ func TestMeasureConvergenceValidation(t *testing.T) {
 	}
 	if _, err := MeasureConvergence(algo.Simple{}, core.RunConfig{N: 4, Env: env}, 0, "x"); err == nil {
 		t.Fatal("zero reps accepted")
+	}
+}
+
+// TestMeasureConvergenceScalarPanic pins that a panic in a scalar replicate
+// (here a custom wrapper, which keeps the sweep off the batch engine) fails
+// the measurement with an error naming the replicate and its seed, instead
+// of ending the process from a replicate goroutine.
+func TestMeasureConvergenceScalarPanic(t *testing.T) {
+	t.Parallel()
+	env := sim.MustEnvironment([]float64{1, 0})
+	cfg := core.RunConfig{N: 16, Env: env, Wrap: core.WrapFunc(func([]sim.Agent) ([]sim.Agent, error) {
+		panic("wrapper failed")
+	})}
+	_, err := MeasureConvergence(algo.Simple{}, cfg, 3, "panic")
+	want := fmt.Sprintf("experiment: rep 0 (seed %d): panicked: wrapper failed", workload.SeedFor("panic", cfg.N, env.K(), 1))
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %v, want one starting %q", err, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -190,6 +191,9 @@ func WithBatchMatcher(newMatcher func() Matcher) BatchOption {
 // read a round's captures only from the matcher's capture list.
 var ErrNoCaptureList = errors.New("sim: batch matcher implements no CaptureLister")
 
+// errNilSchedule reports a FaultSpec.NewSchedule that built no schedule.
+var errNilSchedule = errors.New("sim: fault NewSchedule returned nil")
+
 // NewBatch builds a batch engine for n-ant colonies of prog in env.
 func NewBatch(env Environment, prog Program, n int, opts ...BatchOption) (*Batch, error) {
 	if env.K() == 0 {
@@ -249,7 +253,8 @@ func NewBatch(env Environment, prog Program, n int, opts ...BatchOption) (*Batch
 // (k+1)×(n+1) table cost O(k·n) threshold entries — ~134 MB at the old
 // ceiling with 255 nests — for no exactness gain). The adaptive draw needs
 // no shared kernel: its divisor count+decay varies with the colony's phase
-// clock, so each draw call memoizes its own thresholds (thresholdMemo.ada).
+// clock, so each draw call memoizes its own thresholds in a thresholdMemo
+// keyed on the count.
 func (b *Batch) buildTables() {
 	var hasPop, hasQual, hasDoc bool
 	for _, st := range b.prog.States {
@@ -288,8 +293,11 @@ func (b *Batch) K() int { return b.env.K() }
 // Run executes one replicate per seed and returns the results in seed order.
 // maxRounds bounds each replicate; window is the stability window in rounds
 // (values < 1 mean 1), both matching the scalar runner's semantics. The first
-// replicate error (a compiled program emitting an invalid call) aborts the
-// run.
+// replicate error aborts the run: a compiled program emitting an invalid
+// call, a nil fault schedule, or a panic in user code the lanes call (a
+// fault schedule, a perception hook, an observer or a matcher), which comes
+// back as an error naming the replicate, its seed and the round instead of
+// ending the process.
 func (b *Batch) Run(seeds []uint64, maxRounds, window int) ([]BatchResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sim: batch run needs at least one seed")
@@ -326,12 +334,21 @@ func (b *Batch) Run(seeds []uint64, maxRounds, window int) ([]BatchResult, error
 
 	results := make([]BatchResult, len(seeds))
 	var next atomic.Int64
+	// firstErr holds only errors fmt.Errorf wraps with a single %w: an
+	// atomic.Value panics when its stores mix concrete types.
 	var firstErr atomic.Value
 	var wg sync.WaitGroup
 	for w := 0; w < lanes; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// runReplicate recovers a replicate's panics; this catches the
+			// lane set-up's (the matcher factory, LaneObserver).
+			defer func() {
+				if v := recover(); v != nil {
+					firstErr.CompareAndSwap(nil, fmt.Errorf("sim: batch lane %d: %w", w, newLanePanic("set-up", v)))
+				}
+			}()
 			ln := newLane(b, shards)
 			defer ln.close()
 			var obs LaneObserver
@@ -357,6 +374,37 @@ func (b *Batch) Run(seeds []uint64, maxRounds, window int) ([]BatchResult, error
 		return nil, err.(error)
 	}
 	return results, nil
+}
+
+// lanePanic is a panic recovered on a lane goroutine, returned as the run's
+// error. at names where the lane was: "round N" of a replicate (round 0
+// while the replicate resets), or "set-up" before any replicate. A panic on
+// a shard arrives as a *shardPanic, which names the shard and keeps its own
+// stack; Unwrap exposes it (or any other error value) to errors.As.
+type lanePanic struct {
+	at    string
+	value any
+	stack []byte // nil when value is a *shardPanic
+}
+
+func newLanePanic(at string, v any) *lanePanic {
+	e := &lanePanic{at: at, value: v}
+	if _, ok := v.(*shardPanic); !ok {
+		e.stack = debug.Stack()
+	}
+	return e
+}
+
+func (e *lanePanic) Error() string {
+	if e.stack == nil {
+		return fmt.Sprintf("%s: %v", e.at, e.value)
+	}
+	return fmt.Sprintf("%s: panicked: %v\n\n%s", e.at, e.value, e.stack)
+}
+
+func (e *lanePanic) Unwrap() error {
+	err, _ := e.value.(error)
+	return err
 }
 
 // lane is one worker's flat-array state: a full colony's registers plus the
@@ -678,12 +726,14 @@ func newLane(b *Batch, shards int) *lane {
 	ln.fnAssemble = ln.assembleShard
 	ln.fnObserve = ln.observeShard
 	ln.fnReset = ln.resetShard
-	ln.pool = newShardPool(shards)
 	ln.matcher = b.newMatcher().(CaptureLister) // NewBatch checked the factory
 	ln.carryM, _ = ln.matcher.(CarryMatcher)
 	if sized, ok := ln.matcher.(sizedMatcher); ok {
 		sized.Reserve(n) // recruiting sets reach colony size; never grow mid-run
 	}
+	// The pool comes after the user's matcher factory, so a factory that
+	// panics leaves no helper goroutines behind.
+	ln.pool = newShardPool(shards)
 	if b.antRNG {
 		ln.antSrc = make([]rng.Source, n)
 	}
@@ -714,8 +764,10 @@ func (ln *lane) close() {
 // be wasted work — and the scalar agents' unused sources draw nothing either).
 // The float parameter column is seeded here because the scalar ApproxN
 // builder draws each ant's ñ from the ant's own stream before any round runs;
-// doing the same keeps the subsequent Bernoulli sequences aligned.
-func (ln *lane) reset(seed uint64) {
+// doing the same keeps the subsequent Bernoulli sequences aligned. A fault
+// schedule factory that returns nil is an error, as it is on the scalar
+// engine.
+func (ln *lane) reset(seed uint64) error {
 	root := rng.New(seed)
 	root.SplitInto(0, &ln.envSrc)
 	root.SplitInto(1, &ln.matchSrc)
@@ -747,6 +799,9 @@ func (ln *lane) reset(seed uint64) {
 			// the dedicated adversary stream: the scalar controller builds
 			// both identically, so adaptive draws can never desync.
 			ln.sched = ns()
+			if ln.sched == nil {
+				return errNilSchedule
+			}
 			root.SplitInto(ln.prog.Params.Faults.EffectiveScheduleSalt(), &ln.schedSrc)
 		}
 		ln.crashAnts = ln.crashAnts[:0]
@@ -785,6 +840,7 @@ func (ln *lane) reset(seed uint64) {
 			}
 		}
 	}
+	return nil
 }
 
 // resetShard performs reset's per-ant work for one ant range: stream
@@ -832,14 +888,21 @@ func (ln *lane) resetShard(sh int) {
 // is a draw-free observation tap on the resolved round; it touches no RNG
 // stream, so its presence cannot perturb the replicate (the differential
 // tests pin this).
-func (ln *lane) runReplicate(rep int, seed uint64, maxRounds, window int, obs LaneObserver) (BatchResult, error) {
-	ln.reset(seed)
-	res := BatchResult{Seed: seed, Decided: -1}
+func (ln *lane) runReplicate(rep int, seed uint64, maxRounds, window int, obs LaneObserver) (res BatchResult, err error) {
+	round := 0 // the round a recovered panic is reported at
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = BatchResult{}, newLanePanic(fmt.Sprintf("round %d", round), v)
+		}
+	}()
+	if err = ln.reset(seed); err != nil {
+		return BatchResult{}, err
+	}
+	res = BatchResult{Seed: seed, Decided: -1}
 	streak := 0
 	var winner NestID
 	phase := ln.prog.Init
-	for round := 1; round <= maxRounds; round++ {
-		var err error
+	for round = 1; round <= maxRounds; round++ {
 		if ln.lockstep {
 			var next uint8
 			next, err = ln.stepLockstep(phase)
@@ -1017,9 +1080,9 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 // lockFoldShard applies one lockstep round's bulk observe fold to one ant
 // range and, on the adoption family's recruit rounds, the shard's chunk of
 // the capture list (see foldCaptureAdopts). On recruit rounds a captured
-// ant's outcome nest is its capturer's advertised nest, resolved on the fly
-// from the actNest snapshot (see drawActiveShard) instead of via a rewrite
-// pass over the capture table. Commitment changes go to the shard's delta
+// ant's outcome nest is its captor's advertised nest, read from the actNest
+// snapshot (see drawActiveShard) for each pair of the matcher's capture and
+// captor lists. Commitment changes go to the shard's delta
 // slab; every other write targets the folding ant's own registers (a
 // capture chunk writes only registers its opcode's recruited bulk arm
 // leaves alone: nest, plus quality in the two adopt modes), and the only
@@ -1083,7 +1146,7 @@ func (ln *lane) lockFoldShard(sh int) {
 		count := ln.count
 		if recruited {
 			// Recruit outcomes carry the home population n and no nest
-			// change; the capture table is irrelevant to the fold.
+			// change, so captures do not enter the fold.
 			for i := lo; i < hi; i++ {
 				count[i] = int32(n)
 			}

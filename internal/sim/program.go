@@ -398,10 +398,11 @@ func staticObserve(op ObserveOp) bool {
 }
 
 // lockstepObserve reports whether the lockstep fast path implements op. The
-// quorum observes are static but deliberately excluded: they read the capture
-// table, and the only program emitting them (the compiled quorum-transport
-// strategy) carries branching observes anyway, so implementing them twice
-// would be dead code — a program using them runs the general path.
+// quorum observes are static but deliberately excluded: they resolve a
+// recruiter's outcome through the general path's slot table, and the only
+// program emitting them (the compiled quorum-transport strategy) carries
+// branching observes anyway, so implementing them twice would be dead code —
+// a program using them runs the general path.
 func lockstepObserve(op ObserveOp) bool {
 	switch op {
 	case ObserveDiscoverQuorum, ObserveQuorumAdopt:
