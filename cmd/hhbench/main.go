@@ -7,11 +7,13 @@
 //	hhbench -list
 //	hhbench -exp E9
 //	hhbench -exp all -scale full
-//	hhbench -engine scalar -exp E9   (force the scalar replicate loop)
 //	hhbench -exp E9 -cpuprofile cpu.prof   (profile any run's hot path)
 //
-// Throughput is measured by the repository benchmark, bench/ (see
-// bench/README.md), not by this command.
+// Each measurement runs on the batch engine when core.CompileForBatch
+// accepts its configuration and on the scalar engine otherwise; the two are
+// bit-identical, so the tables do not depend on the choice. Throughput is
+// measured by the repository benchmark, bench/ (see bench/README.md), not by
+// this command.
 package main
 
 import (
@@ -41,21 +43,11 @@ func run(args []string, out io.Writer) error {
 		exp        = fs.String("exp", "all", "experiment id (E1..E27) or 'all'")
 		scale      = fs.String("scale", "small", "experiment sizing: small or full")
 		list       = fs.Bool("list", false, "list experiment ids and exit")
-		engine     = fs.String("engine", "auto", "replicate engine: auto (batch where eligible) or scalar")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	switch strings.ToLower(*engine) {
-	case "auto":
-		experiment.SetBatchEngine(true)
-	case "scalar":
-		experiment.SetBatchEngine(false)
-	default:
-		return fmt.Errorf("unknown engine %q (want auto or scalar)", *engine)
 	}
 
 	if *cpuprofile != "" {

@@ -43,22 +43,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogusflag"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
-	if err := run([]string{"-engine", "warp"}, &out); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
-// TestRunEngineScalar forces the scalar replicate loop; the experiment must
-// still regenerate and pass (the batch path is bit-identical, so either
-// engine yields the same table).
-func TestRunEngineScalar(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-engine", "scalar", "-exp", "E2", "-scale", "small"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "SHAPE HOLDS") {
-		t.Fatalf("output missing verdict:\n%s", out.String())
-	}
 }
 
 // TestProfileFlags smoke-tests -cpuprofile/-memprofile: a tiny run must

@@ -180,6 +180,9 @@ func runLive(n, k, good int, algoName, format string, seed uint64, rounds, reps 
 	if reps <= 0 {
 		return fmt.Errorf("live mode needs -reps > 0, got %d", reps)
 	}
+	if rounds < 0 {
+		return fmt.Errorf("househunt: negative round budget %d", rounds)
+	}
 	a, err := liveAlgorithm(algoName)
 	if err != nil {
 		return err

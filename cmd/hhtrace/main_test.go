@@ -100,4 +100,19 @@ func TestRunLiveRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-live", "-algo", "bogus"}, &out); err == nil {
 		t.Fatal("unknown live algorithm accepted")
 	}
+	// A negative budget fails with the replay mode's message, before the
+	// sweep writes anything.
+	const want = "househunt: negative round budget -5"
+	for _, args := range [][]string{
+		{"-rounds", "-5"},
+		{"-live", "-reps", "2", "-n", "64", "-k", "2", "-rounds", "-5"},
+	} {
+		out.Reset()
+		if err := run(args, &out); err == nil || err.Error() != want {
+			t.Fatalf("%v: error %v, want %q", args, err, want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: wrote %q before failing", args, out.String())
+		}
+	}
 }

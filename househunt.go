@@ -191,9 +191,8 @@ func WithStabilityWindow(rounds int) Option {
 
 // WithTracing records per-round populations and commitments; the Result then
 // carries a History and supports CSV export and ASCII plotting. Tracing does
-// not change the engine choice: a batch-eligible colony is traced by the
-// batch engine (sim.TraceObserver) with the same rows core.RunTraced records
-// on the scalar engine.
+// not change the engine choice: both engines record the same rows through
+// core.RunConfig.Trace.
 func WithTracing() Option {
 	return func(c *Config) error {
 		c.traced = true
@@ -460,39 +459,24 @@ func (c *Colony) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		tr  *trace.Trace
-		obs sim.BatchObserver
-	)
 	if c.cfg.traced {
-		tr = trace.New(runCfg.Env.K())
-		to, err := sim.NewTraceObserver(tr, runCfg.Env.K())
-		if err != nil {
-			return nil, err
-		}
-		obs = to
+		runCfg.Trace = trace.New(runCfg.Env.K())
 	}
-	batched, ok, err := core.RunBatchObserved(algorithm, runCfg, []uint64{runCfg.Seed}, obs)
+	batched, ok, err := core.RunBatch(algorithm, runCfg, []uint64{runCfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	if ok {
-		return newResult(batched[0], tr, engineBatch, ""), nil
+		return newResult(batched[0], runCfg.Trace, engineBatch, ""), nil
 	}
 
 	// Declined: ask for the reason only now, so the batch path compiles once.
 	_, _, reason := core.CompileForBatch(algorithm, runCfg)
-	var res core.Result
-	if tr != nil {
-		runCfg.Trace = tr
-		res, err = core.RunTraced(algorithm, runCfg)
-	} else {
-		res, err = core.Run(algorithm, runCfg)
-	}
+	res, err := core.Run(algorithm, runCfg)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(res, tr, engineScalar, reason), nil
+	return newResult(res, runCfg.Trace, engineScalar, reason), nil
 }
 
 // lower maps the colony to the core runner's inputs: the algorithm and an

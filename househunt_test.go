@@ -350,29 +350,23 @@ func TestQuorumViaFacade(t *testing.T) {
 }
 
 // runReference runs the colony's lowered configuration through the scalar
-// reference runners, core.Run or (traced) core.RunTraced, and converts the
-// outcome with the same engine labels as got so the two compare whole.
+// reference runner, core.Run, traced into cfg.Trace when the colony is, and
+// converts the outcome with the same engine labels as got so the two compare
+// whole.
 func runReference(t *testing.T, colony *Colony, got *Result) *Result {
 	t.Helper()
 	algorithm, cfg, err := colony.lower()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		res core.Result
-		tr  *trace.Trace
-	)
 	if colony.cfg.traced {
-		tr = trace.New(cfg.Env.K())
-		cfg.Trace = tr
-		res, err = core.RunTraced(algorithm, cfg)
-	} else {
-		res, err = core.Run(algorithm, cfg)
+		cfg.Trace = trace.New(cfg.Env.K())
 	}
+	res, err := core.Run(algorithm, cfg)
 	if err != nil {
 		t.Fatalf("scalar reference: %v", err)
 	}
-	return newResult(res, tr, got.Engine, got.EngineReason)
+	return newResult(res, cfg.Trace, got.Engine, got.EngineReason)
 }
 
 // assertMatchesReference checks a facade result against the scalar reference
@@ -388,7 +382,7 @@ func assertMatchesReference(t *testing.T, colony *Colony, got *Result) {
 		return
 	}
 	if !reflect.DeepEqual(got.History(), want.History()) {
-		t.Fatal("history diverged from core.RunTraced")
+		t.Fatal("history diverged from the traced core.Run")
 	}
 	for _, export := range []func(*Result, io.Writer) error{(*Result).WriteCSV, (*Result).WriteJSON} {
 		var a, b bytes.Buffer
@@ -399,7 +393,7 @@ func assertMatchesReference(t *testing.T, colony *Colony, got *Result) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("export bytes diverged from core.RunTraced:\ngot  %.200s\nwant %.200s", a.String(), b.String())
+			t.Fatalf("export bytes diverged from the traced core.Run:\ngot  %.200s\nwant %.200s", a.String(), b.String())
 		}
 	}
 }
@@ -407,7 +401,7 @@ func assertMatchesReference(t *testing.T, colony *Colony, got *Result) {
 // TestRunBatchMatchesScalarReference pins the facade's engine routing: every
 // algorithm, plain and traced, with and without fault options, a stability
 // window and a budget too small to converge, runs on the batch engine and
-// reproduces core.Run/core.RunTraced on the same configuration exactly.
+// reproduces core.Run, traced or not, on the same configuration exactly.
 func TestRunBatchMatchesScalarReference(t *testing.T) {
 	t.Parallel()
 	algos := []Algorithm{

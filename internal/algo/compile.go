@@ -21,13 +21,12 @@ import (
 // cmd/hhlint enforces statically over internal/sim and this package.
 //
 // Batch-coverage matrix (algorithm × configuration → engine). Any scalar-only
-// cfg feature (Trace, Metrics, a non-stock NewMatcher, an agent wrapper other
-// than a fault spec) forces the scalar path regardless of the algorithm;
-// core.CompileForBatch reports which field blocked compilation via the
-// core.Reason* constants. Every algorithm in the package now has a
-// compiled form — only scalar-only cfg features fall back. (Traced colonies
-// of the househunt facade leave cfg.Trace unset and record through
-// sim.TraceObserver instead, so they stay on the batch path.)
+// cfg feature (a non-stock NewMatcher, an agent wrapper other than a fault
+// spec) forces the scalar path regardless of the algorithm, and
+// core.CompileForBatch's reason names the field that blocked compilation.
+// Every algorithm in the package now has a compiled form — only scalar-only
+// cfg features fall back. cfg.Trace is not one: core.RunBatch records it
+// through sim.TraceObserver with the rows core.Run records.
 //
 //	algorithm      plain cfg   batch path          notes
 //	Simple         batch       lockstep            Algorithm 3

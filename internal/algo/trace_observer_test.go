@@ -10,12 +10,14 @@ import (
 )
 
 // TestTraceObserverMatchesRunTraced pins batch-native tracing against the
-// scalar reference on the differential harness's representative cells — the
-// lockstep path, the general path, static fault lanes and an adaptive
-// schedule: a batch run observed by sim.TraceObserver records exactly the
-// rows core.RunTraced records for the same seed, and its BatchResults
-// deep-equal an unobserved run's. The observed runs carry every seed of the
-// cell, so the trace also proves that only replicate 0 is recorded.
+// scalar reference, a traced core.Run, on the differential harness's
+// representative cells — the lockstep path, the general path, static fault
+// lanes and an adaptive schedule: a batch run observed by sim.TraceObserver
+// records exactly the rows core.Run records into cfg.Trace for the same
+// seed, and its BatchResults deep-equal an unobserved run's. The observed
+// runs carry every seed of the cell, so the trace also proves that only
+// replicate 0 is recorded. core.RunBatch given the same cfg.Trace records
+// the same rows and returns the same result as core.Run.
 func TestTraceObserverMatchesRunTraced(t *testing.T) {
 	cells := map[string]bool{
 		"simple/n128/k4":            true, // lockstep
@@ -63,21 +65,36 @@ func TestTraceObserverMatchesRunTraced(t *testing.T) {
 				t.Fatalf("observed run diverged from unobserved run:\nplain:    %+v\nobserved: %+v", plain, observed)
 			}
 
-			cfg.Trace = trace.New(k)
-			ref, err := core.RunTraced(c.algo, cfg)
+			scalarCfg := cfg
+			scalarCfg.Trace = trace.New(k)
+			ref, err := core.Run(c.algo, scalarCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ref.Rounds != observed[0].Rounds {
 				t.Fatalf("scalar ran %d rounds, batch %d", ref.Rounds, observed[0].Rounds)
 			}
-			got, want := tr.Rounds(), cfg.Trace.Rounds()
-			if len(got) != len(want) {
-				t.Fatalf("batch trace has %d rows, core.RunTraced %d", len(got), len(want))
+			want := scalarCfg.Trace.Rounds()
+			batchCfg := cfg
+			batchCfg.Trace = trace.New(k)
+			batched, ok, err := core.RunBatch(c.algo, batchCfg, []uint64{cfg.Seed})
+			if err != nil || !ok {
+				t.Fatalf("traced core.RunBatch: ok=%v err=%v", ok, err)
 			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("trace row %d diverged from core.RunTraced:\nbatch:  %+v\nscalar: %+v", i, got[i], want[i])
+			if !reflect.DeepEqual(batched[0], ref) {
+				t.Fatalf("traced core.RunBatch result diverged from core.Run:\nbatch:  %+v\nscalar: %+v", batched[0], ref)
+			}
+			for _, got := range []struct {
+				name string
+				rows []trace.Round
+			}{{"sim.TraceObserver", tr.Rounds()}, {"core.RunBatch", batchCfg.Trace.Rounds()}} {
+				if len(got.rows) != len(want) {
+					t.Fatalf("%s trace has %d rows, core.Run %d", got.name, len(got.rows), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got.rows[i], want[i]) {
+						t.Fatalf("%s trace row %d diverged from core.Run:\nbatch:  %+v\nscalar: %+v", got.name, i, got.rows[i], want[i])
+					}
 				}
 			}
 		})

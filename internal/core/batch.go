@@ -31,19 +31,12 @@ type BatchFaultWrapper interface {
 	BatchFaults() (sim.FaultSpec, bool)
 }
 
-// Decline reasons returned by CompileForBatch for configurations with
-// scalar-only features. Exported as constants so the harness layers (algo and
-// experiment tests, CLI logs) can assert the exact routing cause instead of
-// matching ad-hoc substrings.
-const (
-	// ReasonWrapperScalarOnly: cfg.Wrap holds a custom wrapper (not a
-	// BatchFaultWrapper), e.g. async plans or hand-rolled agent decoration.
-	ReasonWrapperScalarOnly = "cfg.Wrap is set (agent wrappers other than fault specs are scalar-only)"
-	// ReasonTraceScalarOnly: per-round traces require the scalar engine.
-	ReasonTraceScalarOnly = "cfg.Trace is set (per-round traces are scalar-only)"
-	// ReasonMetricsScalarOnly: engine instrumentation requires the scalar engine.
-	ReasonMetricsScalarOnly = "cfg.Metrics is set (engine instrumentation is scalar-only)"
-)
+// ReasonWrapperScalarOnly is CompileForBatch's decline reason for a cfg.Wrap
+// holding a custom wrapper (not a BatchFaultWrapper), e.g. async plans or
+// hand-rolled agent decoration. It is exported so the harness layers (algo
+// tests, the facade's Result.EngineReason) can assert the exact routing cause
+// instead of matching an ad-hoc substring.
+const ReasonWrapperScalarOnly = "cfg.Wrap is set (agent wrappers other than fault specs are scalar-only)"
 
 // batchMatcherFactory resolves cfg.NewMatcher for the batch engine. The
 // engine compiles the stock matcher models — the default Algorithm 1 pairing
@@ -77,16 +70,18 @@ func batchMatcherFactory(cfg RunConfig) (factory func() sim.Matcher, probe sim.M
 }
 
 // CompileForBatch reports whether algo + cfg can run on the batch engine and
-// returns the compiled program if so. Eligibility requires a compilable
-// algorithm and a configuration with none of the scalar-only features:
-// traces, metrics and non-stock matchers all hold per-agent or per-engine
-// state the batch lanes do not model. Agent wrappers are scalar-only too,
-// with one exception: a cfg.Wrap implementing BatchFaultWrapper (faults.Spec)
-// lowers to the batch engine's native fault lanes and compiles, its
-// sim.FaultSpec attached to the program's parameters.
-// Configurations selecting a stock matcher model (Algorithm 1 or the
-// simultaneous/rendezvous ablations) compile: the batch engine runs those
-// models with exactly their scalar draw sequences.
+// returns the compiled program if so. It is the one engine choice: the
+// facade and the experiment measurements run the batch engine exactly when
+// it accepts. Eligibility requires a compilable algorithm and a
+// configuration with none of the scalar-only features: non-stock matchers
+// hold per-engine state the batch lanes do not model, and agent wrappers are
+// scalar-only too, with one exception: a cfg.Wrap implementing
+// BatchFaultWrapper (faults.Spec) lowers to the batch engine's native fault
+// lanes and compiles, its sim.FaultSpec attached to the program's
+// parameters. Configurations selecting a stock matcher model (Algorithm 1 or
+// the simultaneous/rendezvous ablations) compile: the batch engine runs
+// those models with exactly their scalar draw sequences. cfg.Trace does not
+// affect eligibility; RunBatch records it through a sim.TraceObserver.
 //
 // When compilation is declined, the returned reason names the cfg field or
 // algorithm that blocked it — one log line answers "why is this sweep on the
@@ -107,10 +102,6 @@ func compileForBatch(algo Algorithm, cfg RunConfig) (prog sim.Program, matcher f
 		return sim.Program{}, nil, false, fmt.Sprintf("colony size %d is not positive", cfg.N)
 	case cfg.Env.K() == 0:
 		return sim.Program{}, nil, false, "empty environment"
-	case cfg.Trace != nil:
-		return sim.Program{}, nil, false, ReasonTraceScalarOnly
-	case cfg.Metrics != nil:
-		return sim.Program{}, nil, false, ReasonMetricsScalarOnly
 	}
 	var faultSpec sim.FaultSpec
 	if cfg.Wrap != nil {
@@ -164,18 +155,20 @@ func compileForBatch(algo Algorithm, cfg RunConfig) (prog sim.Program, matcher f
 
 // RunBatch executes one replicate per seed on the batch engine and returns
 // results equal to what Run would produce for the same (algo, cfg, seed)
-// triples — same winners, same round counts, same censuses. The boolean
-// reports eligibility: when false, the caller must run the scalar path
-// (cfg cannot run batched); no work has been done in that case.
+// triples — same winners, same round counts, same censuses, and with
+// cfg.Trace set (which needs exactly one seed) the same trace rows. The
+// boolean reports eligibility: when false, the caller must run the scalar
+// path (cfg cannot run batched); no work has been done in that case.
 func RunBatch(algo Algorithm, cfg RunConfig, seeds []uint64) ([]Result, bool, error) {
 	return RunBatchObserved(algo, cfg, seeds, nil)
 }
 
 // RunBatchObserved is RunBatch with a streaming telemetry observer attached
 // to the batch engine. Observation is draw-free, so the results are
-// bit-identical to RunBatch's; cfg.Trace/cfg.Metrics still decline
-// compilation (they are scalar-engine instrumentation — the observer IS the
-// batch engine's telemetry path). A nil observer is exactly RunBatch.
+// bit-identical to RunBatch's. A nil observer is exactly RunBatch. cfg.Trace
+// is served by an observer of its own (sim.TraceObserver), so a traced run
+// takes a nil obs and exactly one seed; anything else is an error, as is a
+// trace built for another nest count.
 func RunBatchObserved(algo Algorithm, cfg RunConfig, seeds []uint64, obs sim.BatchObserver) ([]Result, bool, error) {
 	prog, factory, ok, _ := compileForBatch(algo, cfg)
 	if !ok {
@@ -183,6 +176,22 @@ func RunBatchObserved(algo Algorithm, cfg RunConfig, seeds []uint64, obs sim.Bat
 	}
 	if len(seeds) == 0 {
 		return nil, true, fmt.Errorf("core: batch run needs at least one seed")
+	}
+	if cfg.Trace != nil {
+		switch {
+		case len(seeds) != 1:
+			return nil, true, fmt.Errorf("core: cfg.Trace records one replicate, got %d seeds", len(seeds))
+		case obs != nil:
+			return nil, true, fmt.Errorf("core: cfg.Trace and an observer cannot share a batch run")
+		}
+		if err := checkTrace(cfg); err != nil {
+			return nil, true, err
+		}
+		to, err := sim.NewTraceObserver(cfg.Trace, cfg.Env.K())
+		if err != nil {
+			return nil, true, fmt.Errorf("core: %w", err)
+		}
+		obs = to
 	}
 	var opts []sim.BatchOption
 	if factory != nil {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/gmrl/househunt/internal/metrics"
 	"github.com/gmrl/househunt/internal/rng"
 	"github.com/gmrl/househunt/internal/sim"
 	"github.com/gmrl/househunt/internal/trace"
@@ -35,13 +34,12 @@ func (c compilableOracle) CompileBatch(n int, env sim.Environment) (sim.Program,
 
 // TestCompileForBatchReasons pins the fallback diagnostics: every scalar-only
 // cfg field and every algorithm-side refusal must name itself in the returned
-// reason, and an eligible pair must return an empty reason — the "why is this
-// sweep slow" contract.
+// reason, and an eligible pair, traced or not, must return an empty reason —
+// the "why is this sweep slow" contract.
 func TestCompileForBatchReasons(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1, 0})
 	base := RunConfig{N: 16, Env: env}
-	tr := trace.New(2)
 	cases := []struct {
 		name string
 		algo Algorithm
@@ -56,16 +54,6 @@ func TestCompileForBatchReasons(t *testing.T) {
 			c.Wrap = WrapFunc(func(a []sim.Agent) ([]sim.Agent, error) { return a, nil })
 			return c
 		}(), "cfg.Wrap"},
-		{"trace", compilableOracle{}, func() RunConfig {
-			c := base
-			c.Trace = tr
-			return c
-		}(), "cfg.Trace"},
-		{"metrics", compilableOracle{}, func() RunConfig {
-			c := base
-			c.Metrics = metrics.NewRegistry()
-			return c
-		}(), "cfg.Metrics"},
 		{"matcher", compilableOracle{}, func() RunConfig {
 			c := base
 			c.NewMatcher = func() sim.Matcher { return customMatcher{} }
@@ -92,6 +80,11 @@ func TestCompileForBatchReasons(t *testing.T) {
 	if _, ok, reason := CompileForBatch(compilableOracle{}, base); !ok || reason != "" {
 		t.Errorf("eligible pair: ok=%v reason=%q, want true and empty", ok, reason)
 	}
+	traced := base
+	traced.Trace = trace.New(2)
+	if _, ok, reason := CompileForBatch(compilableOracle{}, traced); !ok || reason != "" {
+		t.Errorf("traced pair: ok=%v reason=%q, want true and empty", ok, reason)
+	}
 
 	// Every stock matcher model compiles: the batch engine runs the default
 	// Algorithm 1 pairing (with its carry-aware transport form) and the
@@ -117,6 +110,57 @@ func TestCompileForBatchReasons(t *testing.T) {
 		!strings.Contains(reason, "algorithm1") || !strings.Contains(reason, "carry-aware") ||
 		!strings.Contains(reason, "simultaneous") || !strings.Contains(reason, "rendezvous") {
 		t.Errorf("matcher reason %q does not name the custom type and the stock batch-compiled models", reason)
+	}
+}
+
+// TestRunTraceErrors pins cfg.Trace's misuse errors on each engine. The batch
+// engine records a trace through one sim.TraceObserver, which keeps one
+// replicate, so a traced batch run with two seeds or with an observer of its
+// own fails; a trace built for another nest count fails on either engine. No
+// failing run records a row, and the same traced config with one seed runs.
+func TestRunTraceErrors(t *testing.T) {
+	t.Parallel()
+	env := sim.MustEnvironment([]float64{1, 0})
+	obs, err := sim.NewTraceObserver(trace.New(2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(seeds []uint64, obs sim.BatchObserver) func(RunConfig) error {
+		return func(cfg RunConfig) error {
+			_, ok, err := RunBatchObserved(compilableOracle{}, cfg, seeds, obs)
+			if !ok {
+				t.Fatalf("traced config declined")
+			}
+			return err
+		}
+	}
+	wrongK := "core: cfg.Trace built for 3 nests, environment has 2"
+	for _, tc := range []struct {
+		name string
+		k    int
+		run  func(RunConfig) error
+		want string
+	}{
+		{"batch/two seeds", 2, batch([]uint64{1, 2}, nil), "core: cfg.Trace records one replicate, got 2 seeds"},
+		{"batch/observer", 2, batch([]uint64{1}, obs), "core: cfg.Trace and an observer cannot share a batch run"},
+		{"batch/wrong k", 3, batch([]uint64{1}, nil), wrongK},
+		{"scalar/wrong k", 3, func(cfg RunConfig) error {
+			_, err := Run(oracleAlgorithm{}, cfg)
+			return err
+		}, wrongK},
+	} {
+		cfg := RunConfig{N: 16, Env: env, MaxRounds: 4, Trace: trace.New(tc.k)}
+		if err := tc.run(cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		if cfg.Trace.Len() != 0 {
+			t.Errorf("%s: failed run recorded %d rows", tc.name, cfg.Trace.Len())
+		}
+	}
+	cfg := RunConfig{N: 16, Env: env, MaxRounds: 4, Trace: trace.New(2)}
+	res, ok, err := RunBatch(compilableOracle{}, cfg, []uint64{1})
+	if err != nil || !ok || cfg.Trace.Len() != res[0].Rounds {
+		t.Fatalf("one-seed traced run: ok=%v err=%v, %d rows for %+v", ok, err, cfg.Trace.Len(), res)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -287,11 +288,14 @@ func TestRunWrapErrors(t *testing.T) {
 	}
 }
 
+// TestRunTraced pins a traced core.Run: one row per executed round, each
+// carrying the round's commitment census, and the same result as the
+// untraced run.
 func TestRunTraced(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{0, 1})
 	tr := trace.New(2)
-	res, err := RunTraced(oracleAlgorithm{}, RunConfig{N: 20, Env: env, Seed: 8, Trace: tr})
+	res, err := Run(oracleAlgorithm{}, RunConfig{N: 20, Env: env, Seed: 8, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +310,14 @@ func TestRunTraced(t *testing.T) {
 	if last.Commitments == nil || last.Commitments[2] != 20 {
 		t.Fatalf("final trace census = %v", last.Commitments)
 	}
-	if _, err := RunTraced(oracleAlgorithm{}, RunConfig{N: 5, Env: env}); err == nil {
-		t.Fatal("RunTraced without trace accepted")
+	for i, rec := range tr.Rounds() {
+		if rec.Round != i+1 {
+			t.Fatalf("trace row %d is round %d", i, rec.Round)
+		}
+	}
+	untraced, err := Run(oracleAlgorithm{}, RunConfig{N: 20, Env: env, Seed: 8})
+	if err != nil || !reflect.DeepEqual(untraced, res) {
+		t.Fatalf("untraced run %+v (%v) differs from traced run %+v", untraced, err, res)
 	}
 }
 
@@ -337,42 +347,6 @@ func TestLocationConverged(t *testing.T) {
 	t.Fatal("location convergence never reached")
 }
 
-func TestRegistry(t *testing.T) {
-	t.Parallel()
-	r := NewRegistry()
-	if err := r.Register(oracleAlgorithm{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(oracleAlgorithm{}); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := r.Register(nil); err == nil {
-		t.Fatal("nil registration accepted")
-	}
-	a, err := r.Lookup("oracle")
-	if err != nil || a.Name() != "oracle" {
-		t.Fatalf("Lookup: %v %v", a, err)
-	}
-	if _, err := r.Lookup("nope"); err == nil {
-		t.Fatal("unknown lookup succeeded")
-	}
-	if !strings.Contains(strings.Join(r.Names(), ","), "oracle") {
-		t.Fatalf("Names = %v", r.Names())
-	}
-}
-
-func TestRegistryMustRegisterPanics(t *testing.T) {
-	t.Parallel()
-	r := NewRegistry()
-	r.MustRegister(oracleAlgorithm{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate MustRegister did not panic")
-		}
-	}()
-	r.MustRegister(oracleAlgorithm{})
-}
-
 // failingAlgorithm always fails to build, to exercise the build-error paths.
 type failingAlgorithm struct{}
 
@@ -389,9 +363,9 @@ func TestRunWrapsBuildErrors(t *testing.T) {
 		t.Fatalf("build error not wrapped with algorithm name: %v", err)
 	}
 	tr := trace.New(1)
-	_, err = RunTraced(failingAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr})
+	_, err = Run(failingAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr})
 	if err == nil || !strings.Contains(err.Error(), "failing") {
-		t.Fatalf("RunTraced build error not wrapped: %v", err)
+		t.Fatalf("traced Run build error not wrapped: %v", err)
 	}
 }
 
@@ -399,20 +373,23 @@ func TestRunTracedValidationAndWrap(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1})
 	tr := trace.New(1)
-	if _, err := RunTraced(nil, RunConfig{N: 4, Env: env, Trace: tr}); err == nil {
+	if _, err := Run(nil, RunConfig{N: 4, Env: env, Trace: tr}); err == nil {
 		t.Fatal("nil algorithm accepted")
 	}
-	if _, err := RunTraced(oracleAlgorithm{}, RunConfig{N: 0, Env: env, Trace: tr}); err == nil {
+	if _, err := Run(oracleAlgorithm{}, RunConfig{N: 0, Env: env, Trace: tr}); err == nil {
 		t.Fatal("zero colony accepted")
 	}
 	boom := WrapFunc(func([]sim.Agent) ([]sim.Agent, error) { return nil, errors.New("boom") })
-	if _, err := RunTraced(oracleAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr, Wrap: boom}); err == nil {
-		t.Fatal("wrap error swallowed in RunTraced")
+	if _, err := Run(oracleAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr, Wrap: boom}); err == nil {
+		t.Fatal("wrap error swallowed in a traced Run")
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("failed runs recorded %d trace rows", tr.Len())
 	}
 	// A successful wrapped, matcher-overridden traced run.
 	tr2 := trace.New(1)
 	passthrough := WrapFunc(func(a []sim.Agent) ([]sim.Agent, error) { return a, nil })
-	res, err := RunTraced(oracleAlgorithm{}, RunConfig{
+	res, err := Run(oracleAlgorithm{}, RunConfig{
 		N: 10, Env: env, Trace: tr2, Seed: 4, Wrap: passthrough,
 		NewMatcher: func() sim.Matcher { return &sim.SimultaneousMatcher{} },
 	})
@@ -425,7 +402,7 @@ func TestRunTracedBudgetExhaustion(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1, 0, 0, 0, 0, 0, 0, 0})
 	tr := trace.New(8)
-	res, err := RunTraced(oracleAlgorithm{}, RunConfig{N: 30, Env: env, Seed: 1, MaxRounds: 1, Trace: tr})
+	res, err := Run(oracleAlgorithm{}, RunConfig{N: 30, Env: env, Seed: 1, MaxRounds: 1, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +444,7 @@ func TestRunTracedStabilityWindow(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1})
 	tr := trace.New(1)
-	res, err := RunTraced(oracleAlgorithm{}, RunConfig{
+	res, err := Run(oracleAlgorithm{}, RunConfig{
 		N: 12, Env: env, Seed: 9, Trace: tr, StabilityWindow: 4,
 	})
 	if err != nil || !res.Solved {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/gmrl/househunt/internal/metrics"
 	"github.com/gmrl/househunt/internal/rng"
 	"github.com/gmrl/househunt/internal/sim"
 	"github.com/gmrl/househunt/internal/trace"
@@ -33,10 +32,13 @@ type RunConfig struct {
 	// because matchers carry per-engine scratch state and must not be shared
 	// across concurrent runs.
 	NewMatcher func() sim.Matcher
-	// Trace, when non-nil, receives per-round populations and commitments.
+	// Trace, when non-nil, receives one row per executed round: the round,
+	// its end-of-round populations and its commitment census. It must be
+	// built for Env.K() nests. Both engines fill it with the same rows: Run
+	// records the census its convergence check takes, and RunBatch attaches
+	// a sim.TraceObserver, which records one replicate, so a traced batch
+	// run takes exactly one seed and no other observer.
 	Trace *trace.Trace
-	// Metrics, when non-nil, receives engine instrumentation.
-	Metrics *metrics.Registry
 	// Strict toggles §2 protocol validation (default on).
 	Strict *bool
 	// Wrap post-processes the built agents (fault injection, asynchrony);
@@ -102,11 +104,17 @@ func defaultMaxRounds(n, k int) int {
 	return 64 * (k + 1) * (log2n + 1)
 }
 
+// checkTrace rejects a trace built for another nest count; both engines
+// call it before running, so a wrong-k trace fails the same way on each.
+func checkTrace(cfg RunConfig) error {
+	if cfg.Trace != nil && cfg.Trace.NumNests() != cfg.Env.K() {
+		return fmt.Errorf("core: cfg.Trace built for %d nests, environment has %d", cfg.Trace.NumNests(), cfg.Env.K())
+	}
+	return nil
+}
+
 // buildColony validates cfg, builds the algorithm's agents and applies the
-// wrapper, enforcing the colony-size contract at every stage. It is the
-// single setup path shared by Run and RunTraced so the two runners cannot
-// drift apart (RunTraced once lost cfg.Strict and the size checks exactly
-// that way).
+// wrapper, enforcing the colony-size contract at every stage.
 func buildColony(algo Algorithm, cfg RunConfig) ([]sim.Agent, error) {
 	if algo == nil {
 		return nil, errNilAlgorithm
@@ -116,6 +124,9 @@ func buildColony(algo Algorithm, cfg RunConfig) ([]sim.Agent, error) {
 	}
 	if cfg.Env.K() == 0 {
 		return nil, errors.New("core: empty environment")
+	}
+	if err := checkTrace(cfg); err != nil {
+		return nil, err
 	}
 	root := rng.New(cfg.Seed)
 	agents, err := algo.Build(cfg.N, cfg.Env, root.Split(2))
@@ -137,36 +148,23 @@ func buildColony(algo Algorithm, cfg RunConfig) ([]sim.Agent, error) {
 	return agents, nil
 }
 
-// engineOptions assembles the sim options both runners share. The trace
-// option is deliberately excluded: Run forwards cfg.Trace to the engine,
-// while RunTraced records richer per-round censuses itself.
-func engineOptions(cfg RunConfig) []sim.Option {
-	opts := []sim.Option{sim.WithSeed(cfg.Seed)}
-	if cfg.NewMatcher != nil {
-		opts = append(opts, sim.WithMatcher(cfg.NewMatcher()))
-	}
-	if cfg.Metrics != nil {
-		opts = append(opts, sim.WithMetrics(cfg.Metrics))
-	}
-	if cfg.Strict != nil {
-		opts = append(opts, sim.WithStrict(*cfg.Strict))
-	}
-	return opts
-}
-
 // Run executes one colony of algo on cfg and reports the result. The error
 // return covers configuration and protocol failures; failing to converge
 // within the budget is NOT an error — it is Result.Solved == false — because
 // non-convergence is a measured outcome for the lower-bound and fault
-// experiments.
+// experiments. Run always uses the scalar engine: it is the reference the
+// batch engine is checked against, cfg.Trace's rows included.
 func Run(algo Algorithm, cfg RunConfig) (Result, error) {
 	agents, err := buildColony(algo, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	opts := engineOptions(cfg)
-	if cfg.Trace != nil {
-		opts = append(opts, sim.WithTrace(cfg.Trace))
+	opts := []sim.Option{sim.WithSeed(cfg.Seed)}
+	if cfg.NewMatcher != nil {
+		opts = append(opts, sim.WithMatcher(cfg.NewMatcher()))
+	}
+	if cfg.Strict != nil {
+		opts = append(opts, sim.WithStrict(*cfg.Strict))
 	}
 	engine, err := sim.New(cfg.Env, agents, opts...)
 	if err != nil {
@@ -187,6 +185,11 @@ func Run(algo Algorithm, cfg RunConfig) (Result, error) {
 	var winner sim.NestID
 	until := func(e *sim.Engine) bool {
 		census := TakeCensus(agents, cfg.Env.K())
+		if cfg.Trace != nil {
+			// checkTrace matched the trace to k, so both rows have the
+			// length RecordRound wants and it cannot fail.
+			_ = cfg.Trace.RecordRound(e.Round(), e.Counts(), census.Committed)
+		}
 		w, ok := census.Converged(cfg.Env)
 		switch {
 		case !ok:
@@ -207,72 +210,6 @@ func Run(algo Algorithm, cfg RunConfig) (Result, error) {
 	}
 
 	res.Rounds = rounds
-	res.FinalCensus = TakeCensus(agents, cfg.Env.K())
-	if streak >= window {
-		res.Solved = true
-		res.Winner = winner
-		res.WinnerQuality = cfg.Env.Quality(winner)
-	}
-	return res, nil
-}
-
-// RunTraced is Run with per-round commitment recording into cfg.Trace, which
-// must be non-nil. It is slower (a census per round lands in the trace) and
-// exists for the CLI tools and the population-dynamics figures.
-func RunTraced(algo Algorithm, cfg RunConfig) (Result, error) {
-	if cfg.Trace == nil {
-		return Result{}, errors.New("core: RunTraced needs a trace")
-	}
-	agents, err := buildColony(algo, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// The engine records populations; we mirror commitments into a parallel
-	// trace by census after each round, using Run's machinery via a manual
-	// loop to interleave the census records.
-	engine, err := sim.New(cfg.Env, agents, engineOptions(cfg)...)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: constructing engine: %w", err)
-	}
-
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds(cfg.N, cfg.Env.K())
-	}
-	window := cfg.StabilityWindow
-	if window <= 0 {
-		window = 1
-	}
-
-	res := Result{Algorithm: algo.Name()}
-	streak := 0
-	var winner sim.NestID
-	for engine.Round() < maxRounds {
-		if err := engine.Step(); err != nil {
-			return Result{}, fmt.Errorf("core: running %s: %w", algo.Name(), err)
-		}
-		census := TakeCensus(agents, cfg.Env.K())
-		if err := cfg.Trace.RecordRound(engine.Round(), engine.Counts(), census.Committed); err != nil {
-			return Result{}, fmt.Errorf("core: tracing: %w", err)
-		}
-		w, ok := census.Converged(cfg.Env)
-		switch {
-		case !ok:
-			streak = 0
-		case streak == 0 || w == winner:
-			winner = w
-			streak++
-		default:
-			winner = w
-			streak = 1
-		}
-		if streak >= window {
-			break
-		}
-	}
-
-	res.Rounds = engine.Round()
 	res.FinalCensus = TakeCensus(agents, cfg.Env.K())
 	if streak >= window {
 		res.Solved = true

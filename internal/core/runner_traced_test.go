@@ -32,26 +32,27 @@ func (trespasserAlgorithm) Build(n int, _ sim.Environment, _ *rng.Source) ([]sim
 
 // TestRunTracedRejectsSizeChangingWrapper is the regression test for the
 // missing post-Wrap size check: a wrapper that shrinks the colony must fail
-// with a clean error, exactly as Run does, not corrupt downstream indexing.
+// a traced run with a clean error, exactly as an untraced one, not corrupt
+// downstream indexing.
 func TestRunTracedRejectsSizeChangingWrapper(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1})
 	shrink := WrapFunc(func(a []sim.Agent) ([]sim.Agent, error) { return a[:len(a)-1], nil })
 
 	tr := trace.New(1)
-	_, err := RunTraced(oracleAlgorithm{}, RunConfig{N: 8, Env: env, Trace: tr, Wrap: shrink})
+	_, err := Run(oracleAlgorithm{}, RunConfig{N: 8, Env: env, Trace: tr, Wrap: shrink})
 	if err == nil || !strings.Contains(err.Error(), "changed colony size") {
-		t.Fatalf("RunTraced accepted a size-changing wrapper: %v", err)
+		t.Fatalf("traced Run accepted a size-changing wrapper: %v", err)
 	}
 
-	// Run's behaviour is the reference; the two runners must agree.
+	// The untraced run must agree.
 	_, err = Run(oracleAlgorithm{}, RunConfig{N: 8, Env: env, Wrap: shrink})
 	if err == nil || !strings.Contains(err.Error(), "changed colony size") {
 		t.Fatalf("Run accepted a size-changing wrapper: %v", err)
 	}
 }
 
-// TestRunTracedStrictPropagation is the regression test for the dropped
+// TestRunTracedStrictPropagation is the regression test for a dropped
 // cfg.Strict: traced runs must honour a disabled strict mode (the protocol
 // violation goes unpunished) and enforce it when left at the default.
 func TestRunTracedStrictPropagation(t *testing.T) {
@@ -60,7 +61,7 @@ func TestRunTracedStrictPropagation(t *testing.T) {
 
 	// Default (strict on): the unvisited go must poison the run.
 	tr := trace.New(1)
-	_, err := RunTraced(trespasserAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr})
+	_, err := Run(trespasserAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr})
 	if err == nil || !strings.Contains(err.Error(), "never visited") {
 		t.Fatalf("strict traced run accepted a protocol violation: %v", err)
 	}
@@ -68,7 +69,7 @@ func TestRunTracedStrictPropagation(t *testing.T) {
 	// Strict disabled: the same colony commits to nest 1 on round one.
 	off := false
 	tr2 := trace.New(1)
-	res, err := RunTraced(trespasserAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr2, Strict: &off})
+	res, err := Run(trespasserAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr2, Strict: &off})
 	if err != nil {
 		t.Fatalf("non-strict traced run failed: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestRunTracedStrictPropagation(t *testing.T) {
 		t.Fatalf("trace recorded %d rounds, want 1", tr2.Len())
 	}
 
-	// The scalar runner must agree on both paths.
+	// The untraced run must agree on both paths.
 	if _, err := Run(trespasserAlgorithm{}, RunConfig{N: 4, Env: env}); err == nil {
 		t.Fatal("strict Run accepted a protocol violation")
 	}

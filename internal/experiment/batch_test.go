@@ -12,6 +12,17 @@ import (
 	"github.com/gmrl/househunt/internal/workload"
 )
 
+// scalarPoint is MeasureConvergence's scalar reference: the same seeds
+// through the scalar replicate loop and the same aggregation.
+func scalarPoint(t *testing.T, a core.Algorithm, cfg core.RunConfig, reps int, tag string) ConvergencePoint {
+	t.Helper()
+	runs, err := runScalarReps(a, cfg, convergenceSeeds(cfg, reps, tag))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aggregatePoint(a, cfg, runs)
+}
+
 // TestMeasureConvergenceBatchMatchesScalar is the experiment layer of the
 // cross-engine differential harness: for every compiled algorithm — the
 // Algorithm 3 family, both Algorithm 2 variants and the §6 extensions — a
@@ -26,9 +37,6 @@ func TestMeasureConvergenceBatchMatchesScalar(t *testing.T) {
 	graded := sim.MustEnvironment([]float64{0.3, 0.9, 0.2, 0})
 	const reps = 24
 
-	if !BatchEngineEnabled() {
-		t.Fatal("batch engine should be enabled by default")
-	}
 	cases := []struct {
 		algo core.Algorithm
 		env  sim.Environment
@@ -46,7 +54,6 @@ func TestMeasureConvergenceBatchMatchesScalar(t *testing.T) {
 	}
 	for _, tc := range cases {
 		cfg := core.RunConfig{N: 96, Env: tc.env, MaxRounds: 4000}
-		SetBatchEngine(true)
 		if _, ok, reason := core.CompileForBatch(tc.algo, cfg); !ok {
 			t.Fatalf("%s: expected batch eligibility, got fallback: %s", tc.algo.Name(), reason)
 		}
@@ -54,13 +61,7 @@ func TestMeasureConvergenceBatchMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		SetBatchEngine(false)
-		scalar, err := MeasureConvergence(tc.algo, cfg, reps, "batch-equiv")
-		SetBatchEngine(true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalar := scalarPoint(t, tc.algo, cfg, reps, "batch-equiv")
 
 		if !reflect.DeepEqual(batched, scalar) {
 			t.Fatalf("%s: batch and scalar measurements diverge:\nbatch  %+v\nscalar %+v",
@@ -99,17 +100,11 @@ func TestMeasureConvergenceMatcherAblationsBatchMatchScalar(t *testing.T) {
 		if _, ok, reason := core.CompileForBatch(tc.algo, cfg); !ok {
 			t.Fatalf("%s: expected batch eligibility, got fallback: %s", tc.name, reason)
 		}
-		SetBatchEngine(true)
 		batched, err := MeasureConvergence(tc.algo, cfg, reps, "matcher-equiv")
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetBatchEngine(false)
-		scalar, err := MeasureConvergence(tc.algo, cfg, reps, "matcher-equiv")
-		SetBatchEngine(true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalar := scalarPoint(t, tc.algo, cfg, reps, "matcher-equiv")
 		if !reflect.DeepEqual(batched, scalar) {
 			t.Fatalf("%s: batch and scalar ablation measurements diverge:\nbatch  %+v\nscalar %+v",
 				tc.name, batched, scalar)
@@ -166,17 +161,11 @@ func TestMeasureConvergenceFaultedBatchMatchesScalar(t *testing.T) {
 		if tc.reps > 0 {
 			cellReps = tc.reps
 		}
-		SetBatchEngine(true)
 		batched, err := MeasureConvergence(tc.algo, cfg, cellReps, "fault-equiv")
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetBatchEngine(false)
-		scalar, err := MeasureConvergence(tc.algo, cfg, cellReps, "fault-equiv")
-		SetBatchEngine(true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalar := scalarPoint(t, tc.algo, cfg, cellReps, "fault-equiv")
 		if !reflect.DeepEqual(batched, scalar) {
 			t.Fatalf("%s: faulted batch and scalar measurements diverge:\nbatch  %+v\nscalar %+v",
 				tc.name, batched, scalar)
@@ -197,8 +186,7 @@ func (fallbackMatcher) Name() string { return "fallback-test" }
 // TestMeasureConvergenceScalarFallback exercises the fallback branch. Every
 // house-hunting algorithm and every stock matcher now compiles, so the
 // fallback is driven by a scalar-only configuration (a custom matcher type)
-// instead of an uncompiled algorithm; the batch switch must not change its
-// results either (it never engages).
+// instead of an uncompiled algorithm.
 func TestMeasureConvergenceScalarFallback(t *testing.T) {
 	env, err := workload.Binary(4, 4)
 	if err != nil {

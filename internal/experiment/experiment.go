@@ -15,26 +15,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"github.com/gmrl/househunt/internal/core"
 	"github.com/gmrl/househunt/internal/stats"
 	"github.com/gmrl/househunt/internal/workload"
 )
-
-// batchDisabled gates the batch-engine fast path for replicate loops. The
-// batch engine is bit-identical to the scalar path for eligible
-// (algorithm, config) pairs (see core.RunBatch), so it is on by default and
-// every eligible measurement uses it automatically; SetBatchEngine(false)
-// forces the scalar path, which `hhbench -engine scalar` and the equivalence
-// tests use.
-var batchDisabled atomic.Bool
-
-// SetBatchEngine toggles the batch-engine fast path (default enabled).
-func SetBatchEngine(enabled bool) { batchDisabled.Store(!enabled) }
-
-// BatchEngineEnabled reports whether the batch fast path is enabled.
-func BatchEngineEnabled() bool { return !batchDisabled.Load() }
 
 // ConvergencePoint aggregates repeated runs of one algorithm on one
 // environment and colony size.
@@ -52,33 +37,25 @@ type ConvergencePoint struct {
 	WinnerQuality stats.Summary
 }
 
-// MeasureConvergence runs reps independent colonies (parallel across CPUs)
-// and aggregates. cfg's N and Env are required; its Seed is ignored (each rep
+// MeasureConvergence runs reps independent colonies and aggregates. The
+// replicates run as one batch-engine sweep when core.CompileForBatch accepts
+// (algo, cfg), and otherwise on the scalar engine, parallel across CPUs; both
+// give the same point, because each replicate is bit-identical across
+// engines. cfg's N and Env are required; its Seed is ignored (each rep
 // derives a seed from tag and the rep index). A rep that fails with a
 // protocol/configuration error aborts the whole measurement: those are bugs,
 // not outcomes.
 func MeasureConvergence(algo core.Algorithm, cfg core.RunConfig, reps int, tag string) (ConvergencePoint, error) {
-	if err := validateMeasurement(algo, reps); err != nil {
+	if err := validateMeasurement(algo, cfg, reps); err != nil {
 		return ConvergencePoint{}, err
 	}
 	seeds := convergenceSeeds(cfg, reps, tag)
-
-	var runs []core.Result
-	if BatchEngineEnabled() {
-		// Batch fast path: one struct-of-arrays sweep over all replicates.
-		// Ineligible (algo, cfg) pairs fall through to the scalar loop.
-		batched, ok, err := core.RunBatch(algo, cfg, seeds)
-		if err != nil {
-			return ConvergencePoint{}, fmt.Errorf("experiment: batch sweep: %w", err)
-		}
-		if ok {
-			runs = batched
-		}
+	runs, ok, err := core.RunBatch(algo, cfg, seeds)
+	if err != nil {
+		return ConvergencePoint{}, fmt.Errorf("experiment: batch sweep: %w", err)
 	}
-	if runs == nil {
-		var err error
-		runs, err = runScalarReps(algo, cfg, seeds)
-		if err != nil {
+	if !ok {
+		if runs, err = runScalarReps(algo, cfg, seeds); err != nil {
 			return ConvergencePoint{}, err
 		}
 	}
@@ -86,12 +63,18 @@ func MeasureConvergence(algo core.Algorithm, cfg core.RunConfig, reps int, tag s
 }
 
 // validateMeasurement rejects the argument shapes every measurement shares.
-func validateMeasurement(algo core.Algorithm, reps int) error {
+// A trace holds one colony's rows, so measurements, which run many, take
+// none; the scalar loop would otherwise record every replicate into it at
+// once.
+func validateMeasurement(algo core.Algorithm, cfg core.RunConfig, reps int) error {
 	if algo == nil {
 		return fmt.Errorf("experiment: nil algorithm")
 	}
 	if reps <= 0 {
 		return fmt.Errorf("experiment: reps must be positive, got %d", reps)
+	}
+	if cfg.Trace != nil {
+		return fmt.Errorf("experiment: measurements record no cfg.Trace")
 	}
 	return nil
 }
@@ -104,6 +87,20 @@ func convergenceSeeds(cfg core.RunConfig, reps int, tag string) []uint64 {
 		seeds[rep] = workload.SeedFor(tag, cfg.N, cfg.Env.K(), rep+1)
 	}
 	return seeds
+}
+
+// runColony runs one colony, seeded by cfg.Seed, on the batch engine when
+// core.CompileForBatch accepts (algo, cfg) and on the scalar engine
+// otherwise. cfg.Trace receives the same rows on either.
+func runColony(algo core.Algorithm, cfg core.RunConfig) (core.Result, error) {
+	runs, ok, err := core.RunBatch(algo, cfg, []uint64{cfg.Seed})
+	switch {
+	case err != nil:
+		return core.Result{}, err
+	case !ok:
+		return core.Run(algo, cfg)
+	}
+	return runs[0], nil
 }
 
 // runScalarReps executes one scalar replicate per seed, parallel across CPUs.

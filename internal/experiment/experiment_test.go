@@ -8,6 +8,7 @@ import (
 	"github.com/gmrl/househunt/internal/algo"
 	"github.com/gmrl/househunt/internal/core"
 	"github.com/gmrl/househunt/internal/sim"
+	"github.com/gmrl/househunt/internal/trace"
 	"github.com/gmrl/househunt/internal/workload"
 )
 
@@ -53,6 +54,18 @@ func TestMeasureConvergenceValidation(t *testing.T) {
 	}
 	if _, err := MeasureConvergence(algo.Simple{}, core.RunConfig{N: 4, Env: env}, 0, "x"); err == nil {
 		t.Fatal("zero reps accepted")
+	}
+	// A trace is rejected before either engine runs; the identity wrapper
+	// keeps the cell off the batch engine, whose own checks would catch it.
+	traced := core.RunConfig{N: 4, Env: env, Trace: trace.New(1), Wrap: core.WrapFunc(func(a []sim.Agent) ([]sim.Agent, error) { return a, nil })}
+	if _, err := MeasureConvergence(algo.Simple{}, traced, 2, "x"); err == nil {
+		t.Fatal("traced measurement accepted")
+	}
+	if _, _, err := MeasureConvergenceStreamed(algo.Simple{}, traced, 2, "x"); err == nil {
+		t.Fatal("traced streamed measurement accepted")
+	}
+	if traced.Trace.Len() != 0 {
+		t.Fatalf("rejected measurements recorded %d rows", traced.Trace.Len())
 	}
 }
 

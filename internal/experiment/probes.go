@@ -310,7 +310,7 @@ func MeasureExtinction(n, k, runs int, d float64, seed uint64) (ExtinctionPoint,
 	var lingerSum float64
 	for run := 0; run < runs; run++ {
 		tr := trace.New(k)
-		res, err := core.RunTraced(algo.Simple{}, core.RunConfig{
+		res, err := runColony(algo.Simple{}, core.RunConfig{
 			N: n, Env: env, Trace: tr,
 			Seed: workload.SeedFor("extinction", n, k, run+1),
 		})

@@ -77,27 +77,34 @@ func (s *foldSink) Record(_ int, _, round int32, row []int32) {
 // the scalar loop and fold the same distributions from its results, so the
 // API is total; Streamed reports which path ran.
 func MeasureConvergenceStreamed(algo core.Algorithm, cfg core.RunConfig, reps int, tag string) (ConvergencePoint, *StreamedDistributions, error) {
-	if err := validateMeasurement(algo, reps); err != nil {
+	if err := validateMeasurement(algo, cfg, reps); err != nil {
 		return ConvergencePoint{}, nil, err
 	}
 	seeds := convergenceSeeds(cfg, reps, tag)
-	dist := &StreamedDistributions{RoundsQ: stats.MustQuantileSketch(DefaultSketchAlpha)}
-
-	if BatchEngineEnabled() {
-		runs, ok, err := runBatchStreamed(algo, cfg, seeds, dist)
-		if err != nil {
-			return ConvergencePoint{}, nil, err
-		}
-		if ok {
-			dist.Streamed = true
-			return aggregatePoint(algo, cfg, runs), dist, nil
-		}
-	}
-
-	runs, err := runScalarReps(algo, cfg, seeds)
+	dist := newDistributions()
+	runs, ok, err := runBatchStreamed(algo, cfg, seeds, dist)
 	if err != nil {
 		return ConvergencePoint{}, nil, err
 	}
+	if ok {
+		dist.Streamed = true
+		return aggregatePoint(algo, cfg, runs), dist, nil
+	}
+	if runs, err = runScalarReps(algo, cfg, seeds); err != nil {
+		return ConvergencePoint{}, nil, err
+	}
+	return aggregatePoint(algo, cfg, runs), foldRuns(runs), nil
+}
+
+// newDistributions returns empty distributions with the default sketch.
+func newDistributions() *StreamedDistributions {
+	return &StreamedDistributions{RoundsQ: stats.MustQuantileSketch(DefaultSketchAlpha)}
+}
+
+// foldRuns is the scalar fallback's fold: the statistics the batch path
+// streams, folded from finished per-replicate results instead.
+func foldRuns(runs []core.Result) *StreamedDistributions {
+	dist := newDistributions()
 	for _, res := range runs {
 		dist.RoundsObserved += uint64(res.Rounds)
 		if res.Solved {
@@ -106,7 +113,7 @@ func MeasureConvergenceStreamed(algo core.Algorithm, cfg core.RunConfig, reps in
 			dist.Quality.Add(res.WinnerQuality)
 		}
 	}
-	return aggregatePoint(algo, cfg, runs), dist, nil
+	return dist
 }
 
 // runBatchStreamed wires collector → observer → batch engine for one cell.

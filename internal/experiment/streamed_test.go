@@ -3,12 +3,18 @@ package experiment
 import (
 	"math"
 	"reflect"
+	"regexp"
+	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gmrl/househunt/internal/algo"
 	"github.com/gmrl/househunt/internal/core"
+	"github.com/gmrl/househunt/internal/faults"
+	"github.com/gmrl/househunt/internal/rng"
 	"github.com/gmrl/househunt/internal/sim"
 	"github.com/gmrl/househunt/internal/stats"
 	"github.com/gmrl/househunt/internal/trace"
@@ -151,10 +157,11 @@ func checkSketch(t *testing.T, sk *stats.QuantileSketch, sample []float64) {
 }
 
 // TestMeasureConvergenceStreamedScalarFoldMatchesBatchFold runs the same cell
-// through both folds — ring-streamed from the batch lanes, and folded from
-// the scalar loop's results — and requires identical distributions: the
-// observation multisets are equal, so the integer-count sketch must be
-// bucket-identical and every quantile must agree exactly.
+// through both folds — ring-streamed from the batch lanes, and foldRuns, the
+// scalar fallback's fold, over the scalar loop's results — and requires
+// identical distributions: the observation multisets are equal, so the
+// integer-count sketch must be bucket-identical and every quantile must agree
+// exactly.
 func TestMeasureConvergenceStreamedScalarFoldMatchesBatchFold(t *testing.T) {
 	const (
 		reps = 16
@@ -174,14 +181,13 @@ func TestMeasureConvergenceStreamedScalarFoldMatchesBatchFold(t *testing.T) {
 		t.Fatal("batch path did not stream")
 	}
 
-	SetBatchEngine(false)
-	defer SetBatchEngine(true)
-	pointS, distS, err := MeasureConvergenceStreamed(algo.Simple{}, cfg, reps, tag)
+	runs, err := runScalarReps(algo.Simple{}, cfg, convergenceSeeds(cfg, reps, tag))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pointS, distS := aggregatePoint(algo.Simple{}, cfg, runs), foldRuns(runs)
 	if distS.Streamed {
-		t.Fatal("scalar fallback claims to have streamed")
+		t.Fatal("scalar fold claims to have streamed")
 	}
 
 	if !reflect.DeepEqual(pointB, pointS) {
@@ -299,8 +305,8 @@ func (s *traceSink) Record(_ int, rep, round int32, row []int32) {
 
 // TestStreamedRecordsMatchScalarTraces is the strongest cross-layer pin: the
 // per-round records streamed out of the batch lanes must equal, round for
-// round, the trace core.RunTraced records on the scalar engine for the same
-// (algorithm, config, seed) — populations and commitment census both.
+// round, the trace a traced core.Run records on the scalar engine for the
+// same (algorithm, config, seed) — populations and commitment census both.
 func TestStreamedRecordsMatchScalarTraces(t *testing.T) {
 	seeds := []uint64{11, 23, 58, 91}
 	for _, tc := range streamedGrid(t) {
@@ -329,9 +335,9 @@ func TestStreamedRecordsMatchScalarTraces(t *testing.T) {
 				repCfg := cfg
 				repCfg.Seed = seed
 				repCfg.Trace = tr
-				res, err := core.RunTraced(tc.algo, repCfg)
+				res, err := core.Run(tc.algo, repCfg)
 				if err != nil {
-					t.Fatalf("rep %d: RunTraced: %v", rep, err)
+					t.Fatalf("rep %d: traced core.Run: %v", rep, err)
 				}
 				rt := sink.reps[int32(rep)]
 				if rt == nil {
@@ -365,5 +371,65 @@ func TestStreamedRecordsMatchScalarTraces(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// panicSchedule is a fault schedule that panics when stepped at round 3.
+type panicSchedule struct{}
+
+func (panicSchedule) Name() string { return "panic" }
+
+func (panicSchedule) Step(v sim.ColonyView, _ *rng.Source, ops []sim.FaultOp) []sim.FaultOp {
+	if v.Round() == 3 {
+		panic("schedule failed")
+	}
+	return ops
+}
+
+// TestMeasureConvergenceStreamedFailureReleasesGoroutines pins what a failed
+// streamed sweep leaves behind: a schedule panicking at round 3 on a
+// two-shard batch sweep comes back as an error naming the replicate, its seed
+// and the round, the partial stream is not folded into distributions (they
+// are nil), and no goroutine outlives the call — neither the collector nor
+// the lanes' shard helpers.
+func TestMeasureConvergenceStreamedFailureReleasesGoroutines(t *testing.T) {
+	const (
+		reps = 4
+		tag  = "streamed-failure"
+	)
+	base := runtime.NumGoroutine()
+	env, err := workload.Binary(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.RunConfig{
+		N: 256, Env: env, MaxRounds: 100, BatchShards: 2,
+		Wrap: faults.Spec{Salt: 9, NewSchedule: func() faults.Schedule { return panicSchedule{} }},
+	}
+	if _, ok, reason := core.CompileForBatch(algo.Simple{}, cfg); !ok {
+		t.Fatalf("the scheduled cell should be batch-eligible: %s", reason)
+	}
+	_, dist, err := MeasureConvergenceStreamed(algo.Simple{}, cfg, reps, tag)
+	if err == nil {
+		t.Fatal("a panicking schedule returned no error")
+	}
+	m := regexp.MustCompile(`batch replicate (\d+) \(seed (\d+)\): round 3: panicked: schedule failed`).FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("error %q does not name the replicate, its seed and round 3", err)
+	}
+	rep, _ := strconv.Atoi(m[1])
+	seed, _ := strconv.ParseUint(m[2], 10, 64)
+	if seeds := convergenceSeeds(cfg, reps, tag); rep >= reps || seeds[rep] != seed {
+		t.Fatalf("error names replicate %d with seed %d; the sweep's seeds are %v", rep, seed, seeds)
+	}
+	if dist != nil {
+		t.Fatalf("a failed sweep returned distributions: %+v", dist)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after the failed sweep, want at most %d", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/gmrl/househunt/internal/metrics"
 	"github.com/gmrl/househunt/internal/rng"
-	"github.com/gmrl/househunt/internal/trace"
 )
 
 // Engine executes a colony of agents against an environment in synchronous
@@ -46,8 +45,7 @@ type Engine struct {
 	err    error
 	hook   RoundHook // end-of-round callback (adaptive fault controller); nil otherwise
 
-	tracer *trace.Trace
-	reg    *metrics.Registry
+	reg *metrics.Registry
 
 	cRounds, cSearch, cGo, cRecruit   *metrics.Counter
 	cActive, cSuccess, cSelf, cErrors *metrics.Counter
@@ -60,7 +58,6 @@ type engineConfig struct {
 	seed    uint64
 	matcher Matcher
 	strict  bool
-	tracer  *trace.Trace
 	reg     *metrics.Registry
 }
 
@@ -81,12 +78,6 @@ func WithMatcher(m Matcher) Option {
 // checks for maximum benchmark throughput.
 func WithStrict(strict bool) Option {
 	return func(c *engineConfig) { c.strict = strict }
-}
-
-// WithTrace attaches a trace that receives per-round population records and,
-// if the trace has events enabled, recruitment events.
-func WithTrace(t *trace.Trace) Option {
-	return func(c *engineConfig) { c.tracer = t }
 }
 
 // WithMetrics attaches a metrics registry for engine instrumentation.
@@ -118,9 +109,6 @@ func New(env Environment, agents []Agent, opts ...Option) (*Engine, error) {
 	if cfg.reg == nil {
 		cfg.reg = metrics.NewRegistry()
 	}
-	if cfg.tracer != nil && cfg.tracer.NumNests() != env.K() {
-		return nil, fmt.Errorf("sim: trace built for %d nests, environment has %d", cfg.tracer.NumNests(), env.K())
-	}
 
 	n := len(agents)
 	k := env.K()
@@ -144,7 +132,6 @@ func New(env Environment, agents []Agent, opts ...Option) (*Engine, error) {
 		succeeded:  make([]bool, 0, n),
 		captures:   make([]int, 0, n),
 		strict:     cfg.strict,
-		tracer:     cfg.tracer,
 		reg:        cfg.reg,
 	}
 	e.counts[Home] = n // everyone starts at the home nest
@@ -262,7 +249,6 @@ func (e *Engine) Step() error {
 
 // resolve applies the already-collected actions for round e.round.
 func (e *Engine) resolve() error {
-	r := e.round
 	k := e.env.K()
 	e.recruiters = e.recruiters[:0]
 
@@ -402,33 +388,6 @@ func (e *Engine) resolve() error {
 	}
 
 	e.cRounds.Inc()
-	if e.tracer != nil {
-		if err := e.tracer.RecordRound(r, e.counts, nil); err != nil {
-			e.err = fmt.Errorf("sim: recording trace: %w", err)
-			return e.err
-		}
-		if e.tracer.EventsEnabled() {
-			for t := 0; t < nR; t++ {
-				cb := int(e.capturedBy[t])
-				if cb < 0 {
-					continue
-				}
-				ant := e.recruiters[t]
-				if cb == t {
-					e.tracer.RecordEvent(trace.Event{
-						Round: r, Kind: trace.EventSelfRecruit,
-						Subject: ant, Object: ant, Nest: int(e.actions[ant].Nest),
-					})
-					continue
-				}
-				capturer := e.recruiters[cb]
-				e.tracer.RecordEvent(trace.Event{
-					Round: r, Kind: trace.EventRecruitSuccess,
-					Subject: capturer, Object: ant, Nest: int(e.actions[capturer].Nest),
-				})
-			}
-		}
-	}
 	return nil
 }
 

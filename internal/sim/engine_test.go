@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/gmrl/househunt/internal/rng"
-	"github.com/gmrl/househunt/internal/trace"
 )
 
 // scriptedAgent replays a fixed list of actions and records outcomes. After
@@ -48,10 +47,6 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := New(env, []Agent{nil}); err == nil {
 		t.Fatal("nil agent accepted")
-	}
-	tr := trace.New(5)
-	if _, err := New(env, agentsOf(scripted(Search())), WithTrace(tr)); err == nil {
-		t.Fatal("mismatched trace accepted")
 	}
 }
 
@@ -384,42 +379,6 @@ func TestRunUntil(t *testing.T) {
 	}
 	if rounds != 8 {
 		t.Fatalf("Run to maxRounds stopped at %d, want 8", rounds)
-	}
-}
-
-func TestTraceWiring(t *testing.T) {
-	t.Parallel()
-	env := MustEnvironment([]float64{1, 1})
-	tr := trace.New(2, trace.WithEvents(0))
-	const n = 16
-	agents := make([]Agent, n)
-	for i := range agents {
-		src := rng.New(55).Split(uint64(i))
-		agents[i] = &randomWalker{src: src}
-	}
-	e, err := New(env, agents, WithSeed(4), WithTrace(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 20; r++ {
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Len() != 20 {
-		t.Fatalf("trace rounds = %d, want 20", tr.Len())
-	}
-	for _, rec := range tr.Rounds() {
-		total := 0
-		for _, p := range rec.Populations {
-			total += p
-		}
-		if total != n {
-			t.Fatalf("round %d trace populations sum to %d, want %d", rec.Round, total, n)
-		}
-	}
-	if tr.EventCount(trace.EventRecruitSuccess)+tr.EventCount(trace.EventSelfRecruit) == 0 {
-		t.Fatal("no recruitment events recorded in 20 mixed rounds")
 	}
 }
 

@@ -136,11 +136,11 @@ func (s *streamLane) ReplicateDone(rep int, res *BatchResult) {
 
 // TraceObserver is the BatchObserver that records a single-replicate run
 // into a trace.Trace: each round's (round, populations, commitment census)
-// row, exactly the rows core.RunTraced records on the scalar engine, so a
-// traced colony can run batched with byte-identical exports. Only replicate
-// 0 is recorded — attach it to single-seed runs. It retains the history, so
-// it allocates O(k) per round by design; StreamObserver is the zero-alloc
-// tap for sweeps.
+// row, exactly the rows core.Run records on the scalar engine, so a traced
+// colony can run batched with byte-identical exports. core.RunBatch attaches
+// it for cfg.Trace. Only replicate 0 is recorded — attach it to single-seed
+// runs. It retains the history, so it allocates O(k) per round by design;
+// StreamObserver is the zero-alloc tap for sweeps.
 type TraceObserver struct {
 	tr *trace.Trace
 }

@@ -179,9 +179,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 // — but emits each round as it arrives instead of buffering the run.
 // Trace.WriteJSON is implemented on top of this writer.
 //
-// Use: WriteRound per round, then Close (optionally with events) exactly
-// once. A stream with zero rounds encodes "rounds":null, matching the
-// encoding of a Trace that never recorded a round.
+// Use: WriteRound per round, then Close exactly once. A stream with zero
+// rounds encodes "rounds":null, matching the encoding of a Trace that never
+// recorded a round.
 type JSONWriter struct {
 	w        io.Writer
 	numNests int
@@ -232,9 +232,9 @@ func (jw *JSONWriter) WriteRound(r Round) error {
 	return nil
 }
 
-// Close terminates the document, appending events when non-empty, and writes
-// the trailing newline. It must be called exactly once.
-func (jw *JSONWriter) Close(events []Event) error {
+// Close terminates the document and writes the trailing newline. It must be
+// called exactly once.
+func (jw *JSONWriter) Close() error {
 	if jw.closed {
 		return fmt.Errorf("trace: JSONWriter: Close called twice")
 	}
@@ -245,27 +245,6 @@ func (jw *JSONWriter) Close(events []Event) error {
 		}
 	} else if err := jw.emit("]"); err != nil {
 		return err
-	}
-	if len(events) > 0 {
-		if err := jw.emit(`,"events":[`); err != nil {
-			return err
-		}
-		for i, e := range events {
-			enc, err := json.Marshal(e)
-			if err != nil {
-				return fmt.Errorf("trace: encoding JSON: %w", err)
-			}
-			sep := ","
-			if i == 0 {
-				sep = ""
-			}
-			if err := jw.emit(sep + string(enc)); err != nil {
-				return err
-			}
-		}
-		if err := jw.emit("]"); err != nil {
-			return err
-		}
 	}
 	return jw.emit("}\n")
 }

@@ -11,14 +11,9 @@ import (
 )
 
 // randomTrace builds an arbitrary valid trace for the round-trip properties.
-func randomTrace(src *rng.Source, withEvents bool) *Trace {
+func randomTrace(src *rng.Source) *Trace {
 	numNests := 1 + src.Intn(5)
-	var tr *Trace
-	if withEvents {
-		tr = New(numNests, WithEvents(0))
-	} else {
-		tr = New(numNests)
-	}
+	tr := New(numNests)
 	rounds := src.Intn(20)
 	for r := 1; r <= rounds; r++ {
 		pops := make([]int, numNests+1)
@@ -36,17 +31,6 @@ func randomTrace(src *rng.Source, withEvents bool) *Trace {
 			panic(err)
 		}
 	}
-	if withEvents {
-		for i := 0; i < src.Intn(5); i++ {
-			tr.RecordEvent(Event{
-				Round:   1 + src.Intn(rounds+1),
-				Kind:    EventKind(1 + src.Intn(7)),
-				Subject: src.Intn(64),
-				Object:  src.Intn(64) - 1,
-				Nest:    src.Intn(numNests + 1),
-			})
-		}
-	}
 	return tr
 }
 
@@ -57,13 +41,13 @@ func TestWriteJSONByteIdenticalToOneShotEncoding(t *testing.T) {
 	t.Parallel()
 	src := rng.New(0x7ACE)
 	for trial := 0; trial < 50; trial++ {
-		tr := randomTrace(src, trial%2 == 0)
+		tr := randomTrace(src)
 		var streamed bytes.Buffer
 		if err := tr.WriteJSON(&streamed); err != nil {
 			t.Fatal(err)
 		}
 		var oneShot bytes.Buffer
-		if err := json.NewEncoder(&oneShot).Encode(jsonDoc{NumNests: tr.numNests, Rounds: tr.rounds, Events: tr.events}); err != nil {
+		if err := json.NewEncoder(&oneShot).Encode(jsonDoc{NumNests: tr.numNests, Rounds: tr.rounds}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(streamed.Bytes(), oneShot.Bytes()) {
@@ -74,13 +58,12 @@ func TestWriteJSONByteIdenticalToOneShotEncoding(t *testing.T) {
 }
 
 // TestJSONRoundTripFixedPoint checks write→read→write is a fixed point on
-// random traces, including eventless traces that had recording enabled (the
-// ReadJSON event-configuration fix).
+// random traces.
 func TestJSONRoundTripFixedPoint(t *testing.T) {
 	t.Parallel()
 	src := rng.New(0xF1CE)
 	for trial := 0; trial < 50; trial++ {
-		tr := randomTrace(src, trial%2 == 0)
+		tr := randomTrace(src)
 		var first bytes.Buffer
 		if err := tr.WriteJSON(&first); err != nil {
 			t.Fatal(err)
@@ -105,14 +88,14 @@ func TestJSONRoundTripFixedPoint(t *testing.T) {
 }
 
 // TestCSVRoundTripFixedPoint checks WriteCSV→ReadCSV→WriteCSV is a fixed
-// point. CSV carries no events and renders absent censuses as zeros, so the
-// property quantifies over what the format can represent: the second and
-// third documents must be byte-identical.
+// point. CSV renders absent censuses as zeros, so the property quantifies
+// over what the format can represent: the second and third documents must be
+// byte-identical.
 func TestCSVRoundTripFixedPoint(t *testing.T) {
 	t.Parallel()
 	src := rng.New(0xC5F)
 	for trial := 0; trial < 50; trial++ {
-		tr := randomTrace(src, false)
+		tr := randomTrace(src)
 		var first bytes.Buffer
 		if err := tr.WriteCSV(&first); err != nil {
 			t.Fatal(err)
@@ -160,44 +143,6 @@ func TestReadJSONValidatesShapes(t *testing.T) {
 	}
 	if _, err := tr.PopulationSeries(1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReadJSONPreservesEventConfiguration pins the fix for the unconditional
-// WithEvents(0): an eventless document reads back with event recording off.
-func TestReadJSONPreservesEventConfiguration(t *testing.T) {
-	t.Parallel()
-	eventless := New(1, WithEvents(0))
-	if err := eventless.RecordRound(1, []int{2, 2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eventless.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.EventsEnabled() {
-		t.Fatal("eventless document read back with event recording enabled")
-	}
-
-	withEvents := New(1, WithEvents(0))
-	withEvents.RecordEvent(Event{Round: 1, Kind: EventFinalize, Object: -1, Nest: 1})
-	buf.Reset()
-	if err := withEvents.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err = ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.EventsEnabled() {
-		t.Fatal("event-carrying document read back with event recording disabled")
-	}
-	if len(back.Events()) != 1 {
-		t.Fatalf("events = %+v, want 1", back.Events())
 	}
 }
 
@@ -249,13 +194,13 @@ func TestJSONWriterMisuse(t *testing.T) {
 	if err := jw.WriteRound(Round{Round: 1, Populations: []int{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Close(nil); err != nil {
+	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw.WriteRound(Round{Round: 2, Populations: []int{1, 2}}); err == nil {
 		t.Fatal("WriteRound after Close accepted")
 	}
-	if err := jw.Close(nil); err == nil {
+	if err := jw.Close(); err == nil {
 		t.Fatal("double Close accepted")
 	}
 	if err := NewJSONWriter(&bytes.Buffer{}, 1).WriteRound(Round{Populations: []int{1}}); err == nil {
@@ -268,7 +213,7 @@ func TestJSONWriterMisuse(t *testing.T) {
 func TestJSONWriterEmptyMatchesEmptyTrace(t *testing.T) {
 	t.Parallel()
 	var streamed, oneShot bytes.Buffer
-	if err := NewJSONWriter(&streamed, 3).Close(nil); err != nil {
+	if err := NewJSONWriter(&streamed, 3).Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := New(3).WriteJSON(&oneShot); err != nil {

@@ -1,8 +1,13 @@
 // Package trace records per-round execution histories of house-hunting runs:
-// nest populations, commitment censuses, state censuses, and discrete events
-// (recruitments, drop-outs, finalizations). Traces power the population-
-// dynamics experiments (`go run ./cmd/hhbench -exp <id>`), the ASCII plots in
-// the CLI tools, and several integration-test oracles.
+// one row per round with the nest populations and the commitment census.
+// Both engines produce the same rows for the same seed — core.Run on the
+// scalar engine, and sim.TraceObserver, which core.RunBatch attaches for
+// cfg.Trace, on the batch engine. Traces power the small-nest extinction
+// experiment (`go run ./cmd/hhbench -exp E8`), the facade's WithTracing, the
+// ASCII plots in the CLI tools and several integration-test oracles. The
+// package also carries the streaming side of telemetry: CSV/JSON writers
+// that emit rows as they arrive, and the lane rings and collector that move
+// batch-lane records to a sink.
 //
 // The package is pure data: it does not know about the engine or the agents.
 // The engine and runners push observations in; exporters (CSV, JSON, ASCII)
@@ -15,65 +20,6 @@ import (
 	"io"
 )
 
-// EventKind labels a discrete event. Starting at 1 keeps the zero value
-// invalid, per house style.
-type EventKind int
-
-// Event kinds recorded by the engine and runners.
-const (
-	// EventRecruitSuccess is recorded when an active recruiter captures
-	// another ant in the round's matching.
-	EventRecruitSuccess EventKind = iota + 1
-	// EventSelfRecruit is recorded when the matcher pairs an ant with itself
-	// (possible when it draws itself from the recruiting pool).
-	EventSelfRecruit
-	// EventNestDropout is recorded by Algorithm 2 runners when a competing
-	// nest's population decreases and its ants turn passive.
-	EventNestDropout
-	// EventFinalize is recorded when an ant enters the final state.
-	EventFinalize
-	// EventCrash is recorded by the fault injector when an ant crashes.
-	EventCrash
-	// EventByzantineAct is recorded when a Byzantine ant deviates.
-	EventByzantineAct
-	// EventQuorumReached is recorded when a nest's population first crosses a
-	// quorum threshold (used by quorum-flavoured extensions and examples).
-	EventQuorumReached
-)
-
-// String returns the event kind's wire name.
-func (k EventKind) String() string {
-	switch k {
-	case EventRecruitSuccess:
-		return "recruit_success"
-	case EventSelfRecruit:
-		return "self_recruit"
-	case EventNestDropout:
-		return "nest_dropout"
-	case EventFinalize:
-		return "finalize"
-	case EventCrash:
-		return "crash"
-	case EventByzantineAct:
-		return "byzantine_act"
-	case EventQuorumReached:
-		return "quorum_reached"
-	default:
-		return fmt.Sprintf("event(%d)", int(k))
-	}
-}
-
-// Event is one discrete occurrence at a round. Subject and Object are ant
-// indices (Object may be -1 when not applicable); Nest is a nest index with
-// 0 = home.
-type Event struct {
-	Round   int       `json:"round"`
-	Kind    EventKind `json:"kind"`
-	Subject int       `json:"subject"`
-	Object  int       `json:"object"`
-	Nest    int       `json:"nest"`
-}
-
 // Round is the per-round record: populations by nest (index 0 = home) and an
 // optional commitment census by nest.
 type Round struct {
@@ -82,38 +28,18 @@ type Round struct {
 	Commitments []int `json:"commitments,omitempty"`
 }
 
-// Trace accumulates rounds and events for one execution.
+// Trace accumulates the rounds of one execution.
 //
-// Construct with New. Recording methods copy their slice arguments, so the
-// engine may reuse buffers between rounds.
+// Construct with New. RecordRound copies its slice arguments, so the engine
+// may reuse buffers between rounds.
 type Trace struct {
-	numNests     int // candidate nests (excluding home)
-	rounds       []Round
-	events       []Event
-	recordEvents bool
-	maxEvents    int
-}
-
-// Option configures a Trace.
-type Option func(*Trace)
-
-// WithEvents enables discrete-event recording, keeping at most maxEvents
-// events (0 means unlimited). Event recording is off by default because a
-// large colony can generate millions of recruitment events.
-func WithEvents(maxEvents int) Option {
-	return func(t *Trace) {
-		t.recordEvents = true
-		t.maxEvents = maxEvents
-	}
+	numNests int // candidate nests (excluding home)
+	rounds   []Round
 }
 
 // New creates a Trace for an environment with numNests candidate nests.
-func New(numNests int, opts ...Option) *Trace {
-	t := &Trace{numNests: numNests}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
+func New(numNests int) *Trace {
+	return &Trace{numNests: numNests}
 }
 
 // NumNests returns the number of candidate nests the trace was built for.
@@ -137,44 +63,12 @@ func (t *Trace) RecordRound(round int, populations, commitments []int) error {
 	return nil
 }
 
-// RecordEvent appends an event if event recording is enabled and the cap has
-// not been reached.
-func (t *Trace) RecordEvent(e Event) {
-	if !t.recordEvents {
-		return
-	}
-	if t.maxEvents > 0 && len(t.events) >= t.maxEvents {
-		return
-	}
-	t.events = append(t.events, e)
-}
-
-// EventsEnabled reports whether the trace is accepting events; the engine
-// uses this to skip event construction entirely when tracing is population-only.
-func (t *Trace) EventsEnabled() bool {
-	return t.recordEvents && (t.maxEvents == 0 || len(t.events) < t.maxEvents)
-}
-
 // Len returns the number of recorded rounds.
 func (t *Trace) Len() int { return len(t.rounds) }
 
 // Rounds returns the recorded rounds. The returned slice is the internal
 // backing array; callers must treat it as read-only.
 func (t *Trace) Rounds() []Round { return t.rounds }
-
-// Events returns recorded events; read-only for callers.
-func (t *Trace) Events() []Event { return t.events }
-
-// EventCount returns the number of recorded events of the given kind.
-func (t *Trace) EventCount(kind EventKind) int {
-	n := 0
-	for _, e := range t.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
 
 // PopulationSeries returns nest's population trajectory across recorded
 // rounds (nest 0 = home).
@@ -229,7 +123,6 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 type jsonDoc struct {
 	NumNests int     `json:"num_nests"`
 	Rounds   []Round `json:"rounds"`
-	Events   []Event `json:"events,omitempty"`
 }
 
 // WriteJSON writes the full trace as a single JSON document, streaming each
@@ -243,16 +136,12 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 			return err
 		}
 	}
-	return jw.Close(t.events)
+	return jw.Close()
 }
 
 // ReadJSON parses a trace previously written by WriteJSON. Round shapes are
 // validated against num_nests on decode, so a truncated or hand-edited
-// document fails here instead of panicking later in PopulationSeries. Event
-// recording is enabled on the result only when the document carries events:
-// the wire format cannot distinguish "events on but none occurred" from
-// "events off", so an eventless document reads back with events off (making
-// write→read→write a fixed point).
+// document fails here instead of panicking later in PopulationSeries.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var doc jsonDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -270,12 +159,7 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: decoding JSON: round %d commitments length %d, want %d", rd.Round, len(rd.Commitments), want)
 		}
 	}
-	var opts []Option
-	if len(doc.Events) > 0 {
-		opts = append(opts, WithEvents(0))
-	}
-	t := New(doc.NumNests, opts...)
+	t := New(doc.NumNests)
 	t.rounds = doc.Rounds
-	t.events = doc.Events
 	return t, nil
 }

@@ -81,54 +81,6 @@ func TestCommitmentSeriesWithoutCensus(t *testing.T) {
 	}
 }
 
-func TestEventsDisabledByDefault(t *testing.T) {
-	t.Parallel()
-	tr := New(1)
-	tr.RecordEvent(Event{Round: 1, Kind: EventRecruitSuccess})
-	if len(tr.Events()) != 0 {
-		t.Fatal("events recorded while disabled")
-	}
-	if tr.EventsEnabled() {
-		t.Fatal("EventsEnabled true while disabled")
-	}
-}
-
-func TestEventsCap(t *testing.T) {
-	t.Parallel()
-	tr := New(1, WithEvents(2))
-	for i := 0; i < 5; i++ {
-		tr.RecordEvent(Event{Round: i, Kind: EventFinalize, Subject: i, Object: -1, Nest: 1})
-	}
-	if len(tr.Events()) != 2 {
-		t.Fatalf("cap not enforced: %d events", len(tr.Events()))
-	}
-	if tr.EventsEnabled() {
-		t.Fatal("EventsEnabled should be false at cap")
-	}
-	if tr.EventCount(EventFinalize) != 2 {
-		t.Fatalf("EventCount = %d", tr.EventCount(EventFinalize))
-	}
-	if tr.EventCount(EventCrash) != 0 {
-		t.Fatal("EventCount for absent kind should be 0")
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	t.Parallel()
-	kinds := []EventKind{
-		EventRecruitSuccess, EventSelfRecruit, EventNestDropout, EventFinalize,
-		EventCrash, EventByzantineAct, EventQuorumReached, EventKind(99),
-	}
-	seen := make(map[string]bool, len(kinds))
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || seen[s] {
-			t.Fatalf("kind %d has empty or duplicate name %q", k, s)
-		}
-		seen[s] = true
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	t.Parallel()
 	tr := New(2)
@@ -169,9 +121,8 @@ func TestWriteCSVNoCommitments(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	t.Parallel()
-	tr := New(2, WithEvents(0))
+	tr := New(2)
 	mustRecord(t, tr, 1, []int{9, 6, 1}, []int{0, 7, 2})
-	tr.RecordEvent(Event{Round: 1, Kind: EventRecruitSuccess, Subject: 3, Object: 5, Nest: 1})
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -185,9 +136,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.Rounds()[0].Populations[1] != 6 {
 		t.Fatalf("round trip lost populations: %+v", back.Rounds()[0])
-	}
-	if len(back.Events()) != 1 || back.Events()[0].Kind != EventRecruitSuccess {
-		t.Fatalf("round trip lost events: %+v", back.Events())
 	}
 }
 
