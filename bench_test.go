@@ -11,6 +11,7 @@ package househunt
 // Full-scale tables come from: go run ./cmd/hhbench -exp all -scale full
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/gmrl/househunt/internal/algo"
@@ -309,8 +310,9 @@ func BenchmarkMatcherSweepBatchRendezvous(b *testing.B) {
 // BenchmarkLargeColonyBatch runs one million-ant Algorithm 3 colony (k=16, 2
 // good nests) per iteration through core.RunBatch on the default worker
 // budget, so the single replicate shards across every core, and reports
-// ns/ant-round. A -cpuprofile of it attributes the million-ant cell's time
-// without the bench module:
+// ns/ant-round and B/ant, the heap bytes an op allocates per ant (the lane's
+// per-ant columns, nearly all of B/op). A -cpuprofile of it attributes the
+// million-ant cell's time without the bench module:
 //
 //	go test -run '^$' -bench LargeColonyBatch -benchtime 4x -cpuprofile cpu.out .
 func BenchmarkLargeColonyBatch(b *testing.B) {
@@ -324,6 +326,8 @@ func BenchmarkLargeColonyBatch(b *testing.B) {
 	}
 	cfg := core.RunConfig{N: n, Env: env, MaxRounds: 4000}
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	antRounds := 0.0
 	for i := 0; i < b.N; i++ {
@@ -336,7 +340,10 @@ func BenchmarkLargeColonyBatch(b *testing.B) {
 		}
 		antRounds += float64(n) * float64(res[0].Rounds)
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/antRounds, "ns/ant-round")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/n, "B/ant")
 }
 
 // BenchmarkFullEmigration measures a complete emigration (search to

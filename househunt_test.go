@@ -460,9 +460,10 @@ func TestRunBatchMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestRunScalarOnlyOptions pins the fallback: jittered colonies report the
-// scalar engine with CompileForBatch's named reason and still match the
-// scalar reference, traced or not.
+// TestRunScalarOnlyOptions pins the fallback: jittered colonies and
+// environments above the batch lanes' nest limit report the scalar engine
+// with CompileForBatch's named reason, solve, and still match the scalar
+// reference, traced or not.
 func TestRunScalarOnlyOptions(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -472,6 +473,8 @@ func TestRunScalarOnlyOptions(t *testing.T) {
 	}{
 		{"jitter", []Option{WithJitter(0.1, 2)}, core.ReasonWrapperScalarOnly},
 		{"jitter+crash", []Option{WithJitter(0.1, 2), WithCrashFaults(0.1, 30)}, core.ReasonWrapperScalarOnly},
+		{"256 nests", []Option{WithColonySize(1024), WithBinaryNests(256, 2), WithAlgorithm(AlgorithmOptimal)},
+			"environment has 256 nests, above the batch lanes' one-byte nest-id limit (sim.MaxBatchNests = 255)"},
 	}
 	for _, tc := range cases {
 		for _, traced := range []bool{false, true} {
@@ -491,6 +494,9 @@ func TestRunScalarOnlyOptions(t *testing.T) {
 			}
 			if got.Engine != "scalar" || got.EngineReason != tc.reason {
 				t.Fatalf("%s: engine %q (%s), want scalar (%s)", tc.name, got.Engine, got.EngineReason, tc.reason)
+			}
+			if !got.Solved {
+				t.Fatalf("%s: colony did not solve in %d rounds", tc.name, got.Rounds)
 			}
 			assertMatchesReference(t, colony, got)
 		}

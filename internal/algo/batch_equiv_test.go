@@ -1074,6 +1074,48 @@ func TestBatchCeilingBoundaryEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchNestLimitEquivalence pins the widest environment the batch lanes
+// hold: k = sim.MaxBatchNests, so nest ids fill the lanes' one-byte columns
+// up to 255. Three programs run round for round against the scalar engine and
+// through both runners: the lockstep path (simple), the general path
+// (optimal), and the fault lanes with crash victims' last known nests
+// (simple under crashes and Byzantine lurers). A fourth case adds the stress
+// schedule, whose relocations re-aim lurers at nest 255, the highest bad
+// nest, through the narrowing relocate op.
+func TestBatchNestLimitEquivalence(t *testing.T) {
+	t.Parallel()
+	qs := make([]float64, sim.MaxBatchNests)
+	qs[0], qs[127] = 1, 1 // nests 1 and 128 are good; 255 is bad
+	env := sim.MustEnvironment(qs)
+	mixed := faults.Spec{CrashFraction: 0.1, CrashWindow: 20, ByzantineFraction: 0.05, Salt: 21}
+	seeds := []uint64{3, 11}
+	cases := []diffCase{
+		{name: "k255/simple", algo: Simple{}, n: 1024, env: env, seeds: seeds, maxRounds: 40},
+		{name: "k255/optimal", algo: Optimal{}, n: 1024, env: env, seeds: seeds, maxRounds: 40},
+		{name: "k255/simple+faults", algo: Simple{}, n: 1024, env: env, seeds: seeds, maxRounds: 40, faults: mixed},
+		{name: "k255/simple+sched", algo: Simple{}, n: 1024, env: env, seeds: seeds, maxRounds: 40, faults: mixed,
+			sched: func() faults.Schedule { return stressSchedule{} }},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			want := scalarTrace(t, c)
+			compareTraces(t, c, want, batchTrace(t, c, compileCase(t, c)))
+			top := 0
+			for _, rounds := range want {
+				for _, rec := range rounds {
+					top = max(top, rec.commit[sim.MaxBatchNests])
+				}
+			}
+			if top == 0 {
+				t.Fatalf("%s: no ant ever committed to nest %d; the check is vacuous", c.name, sim.MaxBatchNests)
+			}
+			assertRunnerEquivalence(t, c)
+		})
+	}
+}
+
 // TestBatchShardInvariance pins the sharding contract directly: the same
 // compiled program over the same seeds must produce bit-identical round
 // traces at every shard count, including counts that do not divide n and a

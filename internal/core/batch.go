@@ -72,8 +72,9 @@ func batchMatcherFactory(cfg RunConfig) (factory func() sim.Matcher, probe sim.M
 // CompileForBatch reports whether algo + cfg can run on the batch engine and
 // returns the compiled program if so. It is the one engine choice: the
 // facade and the experiment measurements run the batch engine exactly when
-// it accepts. Eligibility requires a compilable algorithm and a
-// configuration with none of the scalar-only features: non-stock matchers
+// it accepts. Eligibility requires a compilable algorithm, an environment of
+// at most sim.MaxBatchNests nests (the lanes store nest ids in one byte), and
+// a configuration with none of the scalar-only features: non-stock matchers
 // hold per-engine state the batch lanes do not model, and agent wrappers are
 // scalar-only too, with one exception: a cfg.Wrap implementing
 // BatchFaultWrapper (faults.Spec) lowers to the batch engine's native fault
@@ -102,6 +103,10 @@ func compileForBatch(algo Algorithm, cfg RunConfig) (prog sim.Program, matcher f
 		return sim.Program{}, nil, false, fmt.Sprintf("colony size %d is not positive", cfg.N)
 	case cfg.Env.K() == 0:
 		return sim.Program{}, nil, false, "empty environment"
+	case cfg.Env.K() > sim.MaxBatchNests:
+		return sim.Program{}, nil, false, fmt.Sprintf(
+			"environment has %d nests, above the batch lanes' one-byte nest-id limit (sim.MaxBatchNests = %d)",
+			cfg.Env.K(), sim.MaxBatchNests)
 	}
 	var faultSpec sim.FaultSpec
 	if cfg.Wrap != nil {

@@ -40,6 +40,10 @@ func TestCompileForBatchReasons(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1, 0})
 	base := RunConfig{N: 16, Env: env}
+	wide, err := sim.Uniform(sim.MaxBatchNests+1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		algo Algorithm
@@ -66,6 +70,8 @@ func TestCompileForBatchReasons(t *testing.T) {
 		}(), "cfg.NewMatcher returned nil"},
 		{"not compilable", stubAlgorithm{}, base, "does not implement core.BatchCompilable"},
 		{"declined", compilableOracle{decline: true}, base, "declined to compile"},
+		{"too many nests", compilableOracle{}, RunConfig{N: 16, Env: wide},
+			"environment has 256 nests, above the batch lanes' one-byte nest-id limit (sim.MaxBatchNests = 255)"},
 	}
 	for _, tc := range cases {
 		_, ok, reason := CompileForBatch(tc.algo, tc.cfg)
@@ -75,6 +81,11 @@ func TestCompileForBatchReasons(t *testing.T) {
 		}
 		if !strings.Contains(reason, tc.want) {
 			t.Errorf("%s: reason %q does not mention %q", tc.name, reason, tc.want)
+		}
+		// A declined configuration is ineligible, not an error, so
+		// RunBatch's callers fall back to the scalar engine.
+		if _, ok, err := RunBatch(tc.algo, tc.cfg, []uint64{1}); ok || err != nil {
+			t.Errorf("%s: RunBatch ok=%v err=%v, want ok=false and no error", tc.name, ok, err)
 		}
 	}
 	if _, ok, reason := CompileForBatch(compilableOracle{}, base); !ok || reason != "" {

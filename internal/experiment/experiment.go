@@ -49,15 +49,9 @@ func MeasureConvergence(algo core.Algorithm, cfg core.RunConfig, reps int, tag s
 	if err := validateMeasurement(algo, cfg, reps); err != nil {
 		return ConvergencePoint{}, err
 	}
-	seeds := convergenceSeeds(cfg, reps, tag)
-	runs, ok, err := core.RunBatch(algo, cfg, seeds)
+	runs, err := runColonies(algo, cfg, convergenceSeeds(cfg, reps, tag))
 	if err != nil {
-		return ConvergencePoint{}, fmt.Errorf("experiment: batch sweep: %w", err)
-	}
-	if !ok {
-		if runs, err = runScalarReps(algo, cfg, seeds); err != nil {
-			return ConvergencePoint{}, err
-		}
+		return ConvergencePoint{}, err
 	}
 	return aggregatePoint(algo, cfg, runs), nil
 }
@@ -89,18 +83,21 @@ func convergenceSeeds(cfg core.RunConfig, reps int, tag string) []uint64 {
 	return seeds
 }
 
-// runColony runs one colony, seeded by cfg.Seed, on the batch engine when
-// core.CompileForBatch accepts (algo, cfg) and on the scalar engine
-// otherwise. cfg.Trace receives the same rows on either.
-func runColony(algo core.Algorithm, cfg core.RunConfig) (core.Result, error) {
-	runs, ok, err := core.RunBatch(algo, cfg, []uint64{cfg.Seed})
+// runColonies runs one colony per seed (cfg.Seed is ignored) and returns the
+// results in seed order: as one batch-engine sweep when core.CompileForBatch
+// accepts (algo, cfg), and otherwise on the scalar engine, parallel across
+// CPUs. Each replicate is bit-identical across engines, so the choice never
+// shows in the results. With cfg.Trace set it takes exactly one seed, and
+// the trace receives the same rows on either engine.
+func runColonies(algo core.Algorithm, cfg core.RunConfig, seeds []uint64) ([]core.Result, error) {
+	runs, ok, err := core.RunBatch(algo, cfg, seeds)
 	switch {
 	case err != nil:
-		return core.Result{}, err
+		return nil, fmt.Errorf("experiment: batch sweep: %w", err)
 	case !ok:
-		return core.Run(algo, cfg)
+		return runScalarReps(algo, cfg, seeds)
 	}
-	return runs[0], nil
+	return runs, nil
 }
 
 // runScalarReps executes one scalar replicate per seed, parallel across CPUs.

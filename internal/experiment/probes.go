@@ -310,13 +310,12 @@ func MeasureExtinction(n, k, runs int, d float64, seed uint64) (ExtinctionPoint,
 	var lingerSum float64
 	for run := 0; run < runs; run++ {
 		tr := trace.New(k)
-		res, err := runColony(algo.Simple{}, core.RunConfig{
-			N: n, Env: env, Trace: tr,
-			Seed: workload.SeedFor("extinction", n, k, run+1),
-		})
+		colony, err := runColonies(algo.Simple{}, core.RunConfig{N: n, Env: env, Trace: tr},
+			[]uint64{workload.SeedFor("extinction", n, k, run+1)})
 		if err != nil {
 			return ExtinctionPoint{}, err
 		}
+		res := colony[0]
 		for nestID := 1; nestID <= k; nestID++ {
 			series, err := tr.CommitmentSeries(nestID)
 			if err != nil {

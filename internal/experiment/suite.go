@@ -567,17 +567,20 @@ func runE13(scale Scale) (Report, error) {
 // rate of runs reaching a 90% good-nest supermajority and the mean final
 // good-nest commitment fraction.
 func measureFaultCell(n int, env sim.Environment, crash, byz float64, reps int) (superRate, meanGoodFrac float64, err error) {
+	seeds := make([]uint64, reps)
+	for rep := range seeds {
+		seeds[rep] = workload.SeedFor("E13", int(crash*100)*1000+int(byz*100), n, rep+1)
+	}
+	runs, err := runColonies(algo.Simple{}, core.RunConfig{
+		N: n, Env: env, MaxRounds: 4000,
+		Wrap: faults.Spec{CrashFraction: crash, ByzantineFraction: byz, CrashWindow: 50, Salt: 3001},
+	}, seeds)
+	if err != nil {
+		return 0, 0, err
+	}
 	super := 0
 	var fracSum float64
-	for rep := 0; rep < reps; rep++ {
-		seed := workload.SeedFor("E13", int(crash*100)*1000+int(byz*100), n, rep+1)
-		res, err := core.Run(algo.Simple{}, core.RunConfig{
-			N: n, Env: env, Seed: seed, MaxRounds: 4000,
-			Wrap: faults.Spec{CrashFraction: crash, ByzantineFraction: byz, CrashWindow: 50, Salt: 3001},
-		})
-		if err != nil {
-			return 0, 0, err
-		}
+	for _, res := range runs {
 		best := 0
 		for i := 1; i < len(res.FinalCensus.Committed); i++ {
 			if env.Good(sim.NestID(i)) && res.FinalCensus.Committed[i] > best {
@@ -648,18 +651,31 @@ func runE14(scale Scale) (Report, error) {
 // measureJitterCell runs one algorithm under jitter p and returns its solve
 // rate and mean rounds over solved runs.
 func measureJitterCell(a core.Algorithm, n int, env sim.Environment, p float64, reps int, tag string) (rate, meanRounds float64, err error) {
-	solved := 0
-	roundsSum := 0.0
-	for rep := 0; rep < reps; rep++ {
-		seed := workload.SeedFor(tag, int(p*100), n, rep+1)
-		cfg := core.RunConfig{N: n, Env: env, Seed: seed, MaxRounds: 6000}
-		if p > 0 {
-			cfg.Wrap = core.WrapFunc((async.Plan{HoldP: p, MaxDelay: 2}).Apply(rng.New(seed).Split(4001)))
-		}
-		res, err := core.Run(a, cfg)
-		if err != nil {
+	cfg := core.RunConfig{N: n, Env: env, MaxRounds: 6000}
+	seeds := make([]uint64, reps)
+	for rep := range seeds {
+		seeds[rep] = workload.SeedFor(tag, int(p*100), n, rep+1)
+	}
+	var runs []core.Result
+	if p == 0 {
+		if runs, err = runColonies(a, cfg, seeds); err != nil {
 			return 0, 0, err
 		}
+	} else {
+		// The jitter wrapper is built per seed, so these cells run one
+		// scalar colony at a time.
+		runs = make([]core.Result, reps)
+		for rep, seed := range seeds {
+			cfg.Seed = seed
+			cfg.Wrap = core.WrapFunc((async.Plan{HoldP: p, MaxDelay: 2}).Apply(rng.New(seed).Split(4001)))
+			if runs[rep], err = core.Run(a, cfg); err != nil {
+				return 0, 0, err
+			}
+		}
+	}
+	solved := 0
+	roundsSum := 0.0
+	for _, res := range runs {
 		if res.Solved {
 			solved++
 			roundsSum += float64(res.Rounds)
@@ -841,14 +857,17 @@ func runE18(scale Scale) (Report, error) {
 				q.Assessor = noisy
 				label = "flip(0.15)"
 			}
+			seeds := make([]uint64, reps)
+			for r := range seeds {
+				seeds[r] = workload.SeedFor("E18", int(mult*100), boolInt(noise)*1000+n, r+1)
+			}
+			runs, err := runColonies(q, core.RunConfig{N: n, Env: env, MaxRounds: 4000}, seeds)
+			if err != nil {
+				return Report{}, err
+			}
 			goodWins, solved := 0, 0
 			var roundsSum float64
-			for r := 0; r < reps; r++ {
-				seed := workload.SeedFor("E18", int(mult*100), boolInt(noise)*1000+n, r+1)
-				res, err := core.Run(q, core.RunConfig{N: n, Env: env, Seed: seed, MaxRounds: 4000})
-				if err != nil {
-					return Report{}, err
-				}
+			for _, res := range runs {
 				if res.Solved {
 					solved++
 					roundsSum += float64(res.Rounds)

@@ -194,10 +194,23 @@ var ErrNoCaptureList = errors.New("sim: batch matcher implements no CaptureListe
 // errNilSchedule reports a FaultSpec.NewSchedule that built no schedule.
 var errNilSchedule = errors.New("sim: fault NewSchedule returned nil")
 
+// MaxBatchNests is the most candidate nests a batch environment may hold:
+// the lanes store each ant's nest ids, 0..k, in one byte.
+const MaxBatchNests = 255
+
+// errTooManyNests reports an environment above MaxBatchNests.
+var errTooManyNests = errors.New("sim: batch lanes store nest ids in one byte")
+
+// homeNest is Home as a lane nest byte.
+const homeNest = uint8(Home)
+
 // NewBatch builds a batch engine for n-ant colonies of prog in env.
 func NewBatch(env Environment, prog Program, n int, opts ...BatchOption) (*Batch, error) {
 	if env.K() == 0 {
 		return nil, fmt.Errorf("sim: batch needs a non-empty environment")
+	}
+	if env.K() > MaxBatchNests {
+		return nil, fmt.Errorf("%w: k = %d exceeds MaxBatchNests = %d", errTooManyNests, env.K(), MaxBatchNests)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: batch needs a positive colony, got %d", n)
@@ -431,30 +444,31 @@ type lane struct {
 	envSrc, matchSrc rng.Source
 	antSrc           []rng.Source // one stream per ant, stored by value
 
-	// Register file (struct of arrays). state is unused on the lockstep path
-	// (the shared PFSM state lives in runReplicate's phase variable); nestT
-	// and countT are Algorithm 2's cross-round scratch registers. paramI and
-	// paramF are the §6 extension parameter columns — AdaptiveAnt's phase
-	// clock and ApproxNAnt's private ñ estimate — materialized only when the
-	// program's opcodes read them.
+	// Register file (struct of arrays); every nest column holds ids 0..k in
+	// one byte (k <= MaxBatchNests). state is not allocated on the lockstep
+	// path (the shared PFSM state lives in runReplicate's phase variable), nor
+	// are nestT and countT, Algorithm 2's cross-round scratch registers.
+	// paramI and paramF are the §6 extension parameter columns — AdaptiveAnt's
+	// phase clock and ApproxNAnt's private ñ estimate — materialized only when
+	// the program's opcodes read them.
 	state   []uint8
-	nest    []NestID
+	nest    []uint8
 	count   []int32
 	quality []float64
-	nestT   []NestID
+	nestT   []uint8
 	countT  []int32
 	paramI  []int32
 	paramF  []float64
 
 	// Per-round scratch.
-	actNest    []NestID // the nest advertised by this round's search/go/recruit
-	counts     []int    // end-of-round population per nest
-	commit     []int    // commitment census, maintained incrementally
-	recruiters []int32  // slot -> ant index (general path)
-	slotOf     []int32  // ant index -> recruiter slot this round (-1 otherwise)
-	active     []bool   // recruit(1, ·) per slot (per ant on the lockstep path)
-	carries    []int    // carry capacity per slot; nil unless the program transports
-	finals     int      // ants currently in Final states (deciding programs)
+	actNest    []uint8 // the nest advertised by this round's search/go/recruit
+	counts     []int   // end-of-round population per nest
+	commit     []int   // commitment census, maintained incrementally
+	recruiters []int32 // slot -> ant index (general path only)
+	slotOf     []int32 // ant index -> recruiter slot this round, -1 otherwise (general path only)
+	active     []bool  // recruit(1, ·) per slot (per ant on the lockstep path)
+	carries    []int   // carry capacity per slot; nil unless the program transports
+	finals     int     // ants currently in Final states (deciding programs)
 
 	// State-bucket scratch of the general path (nil on the lockstep path):
 	// each round the colony is regrouped by PFSM state so the emit and
@@ -476,8 +490,8 @@ type lane struct {
 	iota32   []int32 // the identity permutation 0..n-1, immutable after construction
 	isRecr   []uint8 // 0 = not recruiting, 1 = recruit, 2 = transport
 	actBit   []uint8
-	preState []uint8  // per recruited ant: the state it emitted from, for the capture pass
-	slotNest []NestID // per-slot resolved outcome nest (capturer's advertised nest)
+	preState []uint8 // per recruited ant: the state it emitted from, for the capture pass
+	slotNest []uint8 // per-slot resolved outcome nest (capturer's advertised nest)
 
 	// Sharding scaffolding (see Batch's doc comment for the draw-placement
 	// rules). shards is at least 1; pool is nil when the lane runs
@@ -509,13 +523,13 @@ type lane struct {
 	shErrKind  []uint8
 	shErrState []int32
 	shErrAnt   []int32
-	shErrNest  []NestID
+	shErrNest  []uint8
 
 	phOp        EmitOp
 	phPhase     uint8
 	phRecruited bool
 	phCountSkip bool
-	phAct       []NestID
+	phAct       []uint8
 	phBkt       []int32
 	phMode      uint8
 	phCountHome int32
@@ -559,7 +573,7 @@ type lane struct {
 	crashSt    uint8
 	round      int
 	alive      int
-	lastNest   []NestID
+	lastNest   []uint8
 	crashAnts  []int32
 	crashAt    []int32
 	sleepAnts  []int32
@@ -607,30 +621,25 @@ func newLane(b *Batch, shards int) *lane {
 	}
 	qs := b.env.Qualities()
 	ln := &lane{
-		prog:       b.prog,
-		env:        b.env,
-		qual:       qs,
-		n:          n,
-		k:          k,
-		lockstep:   b.lockstep,
-		decides:    b.decides,
-		antRNG:     b.antRNG,
-		state:      make([]uint8, n),
-		nest:       make([]NestID, n),
-		count:      make([]int32, n),
-		quality:    make([]float64, n),
-		nestT:      make([]NestID, n),
-		countT:     make([]int32, n),
-		actNest:    make([]NestID, n),
-		counts:     make([]int, k+1),
-		commit:     make([]int, k+1),
-		recruiters: make([]int32, 0, n),
-		slotOf:     make([]int32, n),
-		active:     make([]bool, n),
-		shards:     shards,
-		popT:       b.popT,
-		rcp:        b.rcp,
-		docT:       b.docT,
+		prog:     b.prog,
+		env:      b.env,
+		qual:     qs,
+		n:        n,
+		k:        k,
+		lockstep: b.lockstep,
+		decides:  b.decides,
+		antRNG:   b.antRNG,
+		nest:     make([]uint8, n),
+		count:    make([]int32, n),
+		quality:  make([]float64, n),
+		actNest:  make([]uint8, n),
+		counts:   make([]int, k+1),
+		commit:   make([]int, k+1),
+		active:   make([]bool, n),
+		shards:   shards,
+		popT:     b.popT,
+		rcp:      b.rcp,
+		docT:     b.docT,
 	}
 	copy(ln.states[:], b.prog.States)
 	for i, st := range b.prog.States {
@@ -668,7 +677,7 @@ func newLane(b *Batch, shards int) *lane {
 		ln.states[ln.crashSt] = ProgramState{Emit: EmitRecruitBit, Arg: 0, Observe: ObserveNone, Next: ln.crashSt}
 		ln.searches[ln.byzSrchSt] = 1
 		ln.numExec += batchSyntheticStates
-		ln.lastNest = make([]NestID, n)
+		ln.lastNest = make([]uint8, n)
 		ln.crashAnts = make([]int32, 0, n)
 		ln.crashAt = make([]int32, 0, n)
 		ln.sleepAnts = make([]int32, 0, n)
@@ -686,6 +695,11 @@ func newLane(b *Batch, shards int) *lane {
 	}
 	if !b.lockstep {
 		numExec := ln.numExec
+		ln.state = make([]uint8, n)
+		ln.nestT = make([]uint8, n)
+		ln.countT = make([]int32, n)
+		ln.recruiters = make([]int32, n)
+		ln.slotOf = make([]int32, n)
 		ln.bktAnts = make([]int32, n)
 		ln.segOff = make([]int32, numExec*shards+1)
 		ln.shCnt = make([]int32, shards*4*numExec)
@@ -697,7 +711,7 @@ func newLane(b *Batch, shards int) *lane {
 		ln.isRecr = make([]uint8, n)
 		ln.actBit = make([]uint8, n)
 		ln.preState = make([]uint8, n)
-		ln.slotNest = make([]NestID, n)
+		ln.slotNest = make([]uint8, n)
 		ln.shCounts = make([]int, shards*(k+1))
 		ln.shNRecr = make([]int32, shards)
 		ln.shSlotBase = make([]int32, shards)
@@ -706,7 +720,7 @@ func newLane(b *Batch, shards int) *lane {
 		ln.shErrKind = make([]uint8, shards)
 		ln.shErrState = make([]int32, shards)
 		ln.shErrAnt = make([]int32, shards)
-		ln.shErrNest = make([]NestID, shards)
+		ln.shErrNest = make([]uint8, shards)
 	}
 	// Shard scaffolding shared by both paths: even ant-range bounds, the
 	// commitment-delta slabs, the phase functions (bound once, so per-round
@@ -809,7 +823,7 @@ func (ln *lane) reset(seed uint64) error {
 		ln.sleepAnts = ln.sleepAnts[:0]
 		ln.wakeAt = ln.wakeAt[:0]
 		for i := 0; i < ln.n; i++ {
-			ln.lastNest[i] = Home
+			ln.lastNest[i] = homeNest
 			switch {
 			case ln.crashRound[i] > 0:
 				ln.crashAnts = append(ln.crashAnts, int32(i))
@@ -869,6 +883,14 @@ func (ln *lane) resetShard(sh int) {
 			}
 		}
 	}
+	for i := lo; i < hi; i++ {
+		ln.nest[i] = homeNest
+		ln.count[i] = 0
+		ln.quality[i] = 0
+	}
+	if ln.lockstep {
+		return
+	}
 	split := ln.prog.InitSplit
 	for i := lo; i < hi; i++ {
 		st := ln.prog.Init
@@ -876,10 +898,7 @@ func (ln *lane) resetShard(sh int) {
 			st = ln.prog.InitRest
 		}
 		ln.state[i] = st
-		ln.nest[i] = Home
-		ln.count[i] = 0
-		ln.quality[i] = 0
-		ln.nestT[i] = Home
+		ln.nestT[i] = homeNest
 		ln.countT[i] = 0
 	}
 }
@@ -990,7 +1009,7 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 		}
 		envSrc := &ln.envSrc
 		for i := range actNest {
-			dest := NestID(envSrc.Intn(k) + 1)
+			dest := uint8(envSrc.Intn(k) + 1)
 			actNest[i] = dest
 			counts[dest]++
 		}
@@ -1597,7 +1616,7 @@ func (ln *lane) stepGeneral() error {
 		//hh:draws a state's search bit decides whether its ants draw a destination; the scalar emit gates on the same compiled bit
 		if searches[sole] != 0 {
 			for i := 0; i < n; i++ {
-				actNest[i] = NestID(envSrc.Intn(k) + 1)
+				actNest[i] = uint8(envSrc.Intn(k) + 1)
 			}
 		}
 	} else {
@@ -1610,7 +1629,7 @@ func (ln *lane) stepGeneral() error {
 			for i := 0; i < n; i++ {
 				//hh:draws a state's search bit decides whether its ants draw a destination; the scalar emit gates on the same compiled bit
 				if searches[state[i]] != 0 {
-					actNest[i] = NestID(envSrc.Intn(k) + 1)
+					actNest[i] = uint8(envSrc.Intn(k) + 1)
 				}
 			}
 		}
@@ -1860,7 +1879,7 @@ func (ln *lane) stepGeneral() error {
 				if isRecr[i] != 0 {
 					outNest = slotNest[slotOf[i]]
 				}
-				if outNest != Home {
+				if outNest != homeNest {
 					lastNest[i] = outNest
 				}
 			}
@@ -1871,7 +1890,7 @@ func (ln *lane) stepGeneral() error {
 				if isRecr[i] != 0 {
 					outNest = slotNest[slotOf[i]]
 				}
-				if outNest != Home {
+				if outNest != homeNest {
 					lastNest[i] = outNest
 				}
 			}
@@ -1916,7 +1935,7 @@ const (
 // error.
 //
 //hh:coldpath
-func (ln *lane) parkErr(sh int, kind uint8, s, i int, nst NestID) {
+func (ln *lane) parkErr(sh int, kind uint8, s, i int, nst uint8) {
 	if ln.shErrKind[sh] != errNone {
 		return
 	}
@@ -2014,12 +2033,12 @@ func (ln *lane) emitShard(sh int) {
 			lastNest := ln.lastNest
 			for _, i32 := range members {
 				i := int(i32)
-				if dest := lastNest[i]; dest != Home {
+				if dest := lastNest[i]; dest != homeNest {
 					actNest[i] = dest
 					counts[dest]++
 					isRecr[i] = 0
 				} else {
-					actNest[i] = Home
+					actNest[i] = homeNest
 					isRecr[i] = 1
 					actBit[i] = 0
 					preState[i] = uint8(s)
@@ -2074,7 +2093,7 @@ func (ln *lane) emitShard(sh int) {
 					i := int(i32)
 					adv := nest[i]
 					if uint(adv)-1 >= uint(k) { // adv < 1 || adv > k
-						if adv == Home {
+						if adv == homeNest {
 							ln.parkErr(sh, errRecruitHome, s, i, adv)
 						} else {
 							ln.parkErr(sh, errRecruitRange, s, i, adv)
@@ -2144,7 +2163,7 @@ func (ln *lane) emitShard(sh int) {
 					}
 				}
 				adv := nest[i]
-				if b && adv == Home {
+				if b && adv == homeNest {
 					ln.parkErr(sh, errRecruitHome, s, i, adv)
 					continue
 				}
@@ -2179,7 +2198,7 @@ func (ln *lane) emitShard(sh int) {
 					b = t.Draw(&antSrc[i])
 				}
 				adv := nest[i]
-				if b && adv == Home {
+				if b && adv == homeNest {
 					ln.parkErr(sh, errRecruitHome, s, i, adv)
 					continue
 				}
@@ -2208,7 +2227,7 @@ func (ln *lane) emitShard(sh int) {
 				}
 				paramI[i]++
 				adv := nest[i]
-				if b && adv == Home {
+				if b && adv == homeNest {
 					ln.parkErr(sh, errRecruitHome, s, i, adv)
 					continue
 				}
@@ -2234,7 +2253,7 @@ func (ln *lane) emitShard(sh int) {
 					b = antSrc[i].Bernoulli(p)
 				}
 				adv := nest[i]
-				if b && adv == Home {
+				if b && adv == homeNest {
 					ln.parkErr(sh, errRecruitHome, s, i, adv)
 					continue
 				}
@@ -2768,7 +2787,7 @@ func (ln *lane) observeShard(sh int) {
 // the branch predicts perfectly.
 //
 //hh:hotpath
-func (ln *lane) outcome(i int, recruited bool, countHome int32) (NestID, int32) {
+func (ln *lane) outcome(i int, recruited bool, countHome int32) (uint8, int32) {
 	if !recruited {
 		outNest := ln.actNest[i]
 		return outNest, int32(ln.counts[outNest])
@@ -2860,7 +2879,7 @@ func (ln *lane) foldCaptureAdopts(sh int, commit []int, mode uint8) {
 // updates.
 //
 //hh:hotpath
-func (ln *lane) adoptCapture(commit []int, i int, outNest NestID, mode uint8) {
+func (ln *lane) adoptCapture(commit []int, i int, outNest uint8, mode uint8) {
 	commit[ln.nest[i]]--
 	commit[outNest]++
 	ln.nest[i] = outNest

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/gmrl/househunt/internal/rng"
@@ -222,6 +224,68 @@ func TestBatchStepAllocationFreeStockMatchers(t *testing.T) {
 					t.Errorf("%v allocs per round, want 0", allocs)
 				}
 			})
+		}
+	}
+}
+
+// TestLaneBytesPerAnt pins what a lane costs per ant: the heap bytes one
+// single-worker (*Batch).Run of one seed allocates at n = 2^16, k = 16,
+// nearly all of them the lane's and the matcher's per-ant columns. Rounds
+// allocate nothing (the tests above), so the short budget changes nothing.
+// The figure is rounded to whole bytes: the run's fixed allocations (the
+// lane struct, the result, and a few hundred bytes that vary with the
+// runtime's bookkeeping and the race detector) add about 0.1 B/ant. Nest
+// ids take one byte per column, and a lockstep lane allocates none of the
+// general path's state, scratch and slot columns: simple reads 64 B/ant, 99
+// with 8-byte nest ids and every column allocated, and optimal's four nest
+// columns save 7 bytes each against its 86.
+func TestLaneBytesPerAnt(t *testing.T) {
+	const n, k = 1 << 16, 16
+	env, err := Uniform(k, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := allocTestPrograms()
+	for _, tc := range []struct {
+		name     string
+		lockstep bool
+		max      float64
+	}{
+		{"simple", true, 65},
+		{"optimal", false, 86 - 4*7},
+	} {
+		b, err := NewBatch(env, progs[tc.name], n, WithBatchWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := b.Run([]uint64{1}, 30, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perAnt := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%s: %.2f B/ant", tc.name, perAnt)
+		if math.Round(perAnt) > tc.max {
+			t.Errorf("%s: a run allocated %.2f B/ant, want <= %v", tc.name, perAnt, tc.max)
+		}
+
+		ln := newLane(b, 1)
+		if ln.lockstep != tc.lockstep {
+			t.Fatalf("%s: lockstep = %v, want %v", tc.name, ln.lockstep, tc.lockstep)
+		}
+		general := map[string]bool{
+			"state":      ln.state != nil,
+			"nestT":      ln.nestT != nil,
+			"countT":     ln.countT != nil,
+			"slotOf":     ln.slotOf != nil,
+			"recruiters": ln.recruiters != nil,
+		}
+		for col, allocated := range general {
+			if allocated == tc.lockstep {
+				t.Errorf("%s: column %s allocated = %v on the %s path", tc.name, col, allocated,
+					map[bool]string{true: "lockstep", false: "general"}[tc.lockstep])
+			}
 		}
 	}
 }

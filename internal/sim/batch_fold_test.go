@@ -13,10 +13,10 @@ import (
 // census (index 0 is home), folded by a single shard.
 func newFoldLane() *lane {
 	return &lane{
-		nest:    []NestID{1, 2, 2},
+		nest:    []uint8{1, 2, 2},
 		quality: []float64{0.25, 0.5, 0.75},
 		commit:  []int{0, 1, 2},
-		actNest: []NestID{2, 1, 2},
+		actNest: []uint8{2, 1, 2},
 		shards:  1,
 	}
 }
@@ -108,7 +108,7 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 
 	// A capturer advertising the ant's own nest is a no-op adoption.
 	ln2 := newFoldLane()
-	ln2.actNest = []NestID{2, 2, 2}
+	ln2.actNest = []uint8{2, 2, 2}
 	// Ant 1 captured by ant 2: actNest 2 == nest[1].
 	ln2.matcher = listedCaptures{captures: []int32{1}, captors: []int32{2}}
 	ln2.foldCaptureAdopts(0, ln2.commit, adoptQualZero)
@@ -166,7 +166,7 @@ func TestNoisyRecruitFoldMatchesGeneralPath(t *testing.T) {
 	env := MustEnvironment([]float64{1, 0, 0.6, 0})
 	const n, rounds = 300, 40
 	type snapshot struct {
-		nest    []NestID
+		nest    []uint8
 		count   []int32
 		quality []float64
 		commit  []int

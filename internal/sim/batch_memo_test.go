@@ -54,8 +54,8 @@ func memoLane(n int, keys []memoKey, ants int, gate bool, seed uint64) *lane {
 		n: n, k: 1, numExec: 1, shards: 1,
 		quality:    make([]float64, ants),
 		count:      make([]int32, ants),
-		nest:       make([]NestID, ants),
-		actNest:    make([]NestID, ants),
+		nest:       make([]uint8, ants),
+		actNest:    make([]uint8, ants),
 		active:     make([]bool, ants),
 		paramI:     make([]int32, ants),
 		antSrc:     make([]rng.Source, ants),
@@ -68,7 +68,7 @@ func memoLane(n int, keys []memoKey, ants int, gate bool, seed uint64) *lane {
 		shErrKind:  make([]uint8, 1),
 		shErrState: make([]int32, 1),
 		shErrAnt:   make([]int32, 1),
-		shErrNest:  make([]NestID, 1),
+		shErrNest:  make([]uint8, 1),
 		segOff:     []int32{0, int32(ants)},
 		phBkt:      make([]int32, ants),
 		rcp:        rng.NewRecip(n),

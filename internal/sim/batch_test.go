@@ -277,6 +277,23 @@ func TestNewBatchRejectsBadInputs(t *testing.T) {
 	if _, err := NewBatch(env, simpleProgram(), math.MaxInt32); err != nil {
 		t.Errorf("NewBatch(n=MaxInt32): %v", err)
 	}
+	// The lanes store nest ids in one byte, so an environment above
+	// MaxBatchNests is rejected by name; the limit itself constructs.
+	for _, k := range []int{MaxBatchNests, MaxBatchNests + 1} {
+		wide, err := Uniform(k, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewBatch(wide, simpleProgram(), 8)
+		switch {
+		case k <= MaxBatchNests && err != nil:
+			t.Errorf("NewBatch(k=%d): %v", k, err)
+		case k > MaxBatchNests && !errors.Is(err, errTooManyNests):
+			t.Errorf("NewBatch(k=%d): err = %v, want errTooManyNests", k, err)
+		case k > MaxBatchNests && !strings.Contains(err.Error(), "k = 256 exceeds MaxBatchNests = 255"):
+			t.Errorf("NewBatch(k=%d): error %q does not name the nest limit", k, err)
+		}
+	}
 	// The lanes fold captures from the matcher's capture list only, so a
 	// factory whose matchers list no captures is rejected by name.
 	unlisted := WithBatchMatcher(func() Matcher { return tableOnlyMatcher{} })

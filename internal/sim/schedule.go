@@ -229,7 +229,7 @@ func (v *laneView) Committed(i int) NestID {
 	case ln.crashSt, ln.byzSrchSt, ln.byzRecrSt:
 		return Home
 	}
-	return ln.nest[i]
+	return NestID(ln.nest[i])
 }
 
 // applySchedule runs the lane's FaultSchedule at the end of a resolved round
@@ -278,7 +278,7 @@ func (ln *lane) applySchedule() error {
 			if op.Nest < 1 || int(op.Nest) > ln.k {
 				return fmt.Errorf("schedule %q: relocate(%d, %d): nest out of range 1..%d", ln.sched.Name(), i, op.Nest, ln.k)
 			}
-			ln.nest[i] = op.Nest
+			ln.nest[i] = uint8(op.Nest) // range-checked above
 			state[i] = ln.byzRecrSt
 		default:
 			return fmt.Errorf("schedule %q: unknown fault op kind %d", ln.sched.Name(), op.Kind)
@@ -318,12 +318,12 @@ func (ln *lane) restartAnt(i int) {
 		st = ln.prog.InitRest
 	}
 	ln.state[i] = st
-	ln.nest[i] = Home
+	ln.nest[i] = homeNest
 	ln.count[i] = 0
 	ln.quality[i] = 0
-	ln.nestT[i] = Home
+	ln.nestT[i] = homeNest
 	ln.countT[i] = 0
-	ln.lastNest[i] = Home
+	ln.lastNest[i] = homeNest
 	ln.alive++
 	ln.nCrashed--
 	ln.commit[Home]++
