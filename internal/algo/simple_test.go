@@ -83,7 +83,7 @@ func TestSimpleRoundsGrowWithK(t *testing.T) {
 func TestSimpleCommitmentAlwaysVisited(t *testing.T) {
 	t.Parallel()
 	// Every ant's committed nest must always be one it can legally go(i) to;
-	// the strict engine enforces this — a protocol error would fail the run.
+	// the engine enforces this — a protocol error would fail the run.
 	env := sim.MustEnvironment([]float64{1, 1, 0})
 	for seed := uint64(1); seed <= 5; seed++ {
 		res := runAlgo(t, Simple{}, 200, env, seed, 0)

@@ -39,8 +39,6 @@ type RunConfig struct {
 	// a sim.TraceObserver, which records one replicate, so a traced batch
 	// run takes exactly one seed and no other observer.
 	Trace *trace.Trace
-	// Strict toggles §2 protocol validation (default on).
-	Strict *bool
 	// Wrap post-processes the built agents (fault injection, asynchrony);
 	// it must preserve slice length. Wrappers are scalar-only in general —
 	// RunBatch declines wrapped configs — EXCEPT fault specs implementing
@@ -162,9 +160,6 @@ func Run(algo Algorithm, cfg RunConfig) (Result, error) {
 	opts := []sim.Option{sim.WithSeed(cfg.Seed)}
 	if cfg.NewMatcher != nil {
 		opts = append(opts, sim.WithMatcher(cfg.NewMatcher()))
-	}
-	if cfg.Strict != nil {
-		opts = append(opts, sim.WithStrict(*cfg.Strict))
 	}
 	engine, err := sim.New(cfg.Env, agents, opts...)
 	if err != nil {

@@ -10,8 +10,7 @@ import (
 )
 
 // trespasserAnt violates the §2 go precondition on purpose: it heads for
-// nest 1 without ever having visited it. Under strict validation the engine
-// must reject the run; with strict disabled it commits immediately.
+// nest 1 without ever having visited it, which the engine must reject.
 type trespasserAnt struct{}
 
 func (trespasserAnt) Act(int) sim.Action            { return sim.Goto(1) }
@@ -52,40 +51,21 @@ func TestRunTracedRejectsSizeChangingWrapper(t *testing.T) {
 	}
 }
 
-// TestRunTracedStrictPropagation is the regression test for a dropped
-// cfg.Strict: traced runs must honour a disabled strict mode (the protocol
-// violation goes unpunished) and enforce it when left at the default.
+// TestRunTracedStrictPropagation pins §2 validation on traced runs: the
+// scalar engine always validates, so an unvisited go must fail a traced run
+// exactly as it fails an untraced one.
 func TestRunTracedStrictPropagation(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1})
 
-	// Default (strict on): the unvisited go must poison the run.
 	tr := trace.New(1)
 	_, err := Run(trespasserAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr})
 	if err == nil || !strings.Contains(err.Error(), "never visited") {
-		t.Fatalf("strict traced run accepted a protocol violation: %v", err)
+		t.Fatalf("traced run accepted a protocol violation: %v", err)
 	}
 
-	// Strict disabled: the same colony commits to nest 1 on round one.
-	off := false
-	tr2 := trace.New(1)
-	res, err := Run(trespasserAlgorithm{}, RunConfig{N: 4, Env: env, Trace: tr2, Strict: &off})
-	if err != nil {
-		t.Fatalf("non-strict traced run failed: %v", err)
-	}
-	if !res.Solved || res.Winner != 1 || res.Rounds != 1 {
-		t.Fatalf("non-strict traced run did not converge immediately: %+v", res)
-	}
-	if tr2.Len() != 1 {
-		t.Fatalf("trace recorded %d rounds, want 1", tr2.Len())
-	}
-
-	// The untraced run must agree on both paths.
-	if _, err := Run(trespasserAlgorithm{}, RunConfig{N: 4, Env: env}); err == nil {
-		t.Fatal("strict Run accepted a protocol violation")
-	}
-	res, err = Run(trespasserAlgorithm{}, RunConfig{N: 4, Env: env, Strict: &off})
-	if err != nil || !res.Solved {
-		t.Fatalf("non-strict Run: %v %+v", err, res)
+	// The untraced run must agree.
+	if _, err := Run(trespasserAlgorithm{}, RunConfig{N: 4, Env: env}); err == nil || !strings.Contains(err.Error(), "never visited") {
+		t.Fatalf("Run accepted a protocol violation: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/gmrl/househunt/internal/core"
 	"github.com/gmrl/househunt/internal/rng"
 	"github.com/gmrl/househunt/internal/sim"
+	"github.com/gmrl/househunt/internal/stats"
 	"github.com/gmrl/househunt/internal/trace"
 	"github.com/gmrl/househunt/internal/workload"
 )
@@ -55,14 +56,8 @@ func MeasureRecruitSuccess(m sim.Matcher, poolSize int, activeFraction float64, 
 		Trials:         trials,
 		SuccessRate:    float64(successes) / float64(trials),
 	}
-	pt.WilsonLo, _ = wilson(successes, trials)
+	pt.WilsonLo, _ = stats.WilsonInterval(successes, trials)
 	return pt, nil
-}
-
-// wilson is re-exported thinly from stats to keep probe call sites compact.
-func wilson(successes, trials int) (float64, float64) {
-	lo, hi := statsWilson(successes, trials)
-	return lo, hi
 }
 
 // PersistencePoint measures Lemma 3.1: the per-round probability that an

@@ -649,29 +649,20 @@ func runE14(scale Scale) (Report, error) {
 }
 
 // measureJitterCell runs one algorithm under jitter p and returns its solve
-// rate and mean rounds over solved runs.
+// rate and mean rounds over solved runs. Unjittered cells run batched;
+// jittered ones run on the scalar engine, parallel across CPUs.
 func measureJitterCell(a core.Algorithm, n int, env sim.Environment, p float64, reps int, tag string) (rate, meanRounds float64, err error) {
 	cfg := core.RunConfig{N: n, Env: env, MaxRounds: 6000}
+	if p > 0 {
+		cfg.Wrap = jitterWrap(p)
+	}
 	seeds := make([]uint64, reps)
 	for rep := range seeds {
 		seeds[rep] = workload.SeedFor(tag, int(p*100), n, rep+1)
 	}
-	var runs []core.Result
-	if p == 0 {
-		if runs, err = runColonies(a, cfg, seeds); err != nil {
-			return 0, 0, err
-		}
-	} else {
-		// The jitter wrapper is built per seed, so these cells run one
-		// scalar colony at a time.
-		runs = make([]core.Result, reps)
-		for rep, seed := range seeds {
-			cfg.Seed = seed
-			cfg.Wrap = core.WrapFunc((async.Plan{HoldP: p, MaxDelay: 2}).Apply(rng.New(seed).Split(4001)))
-			if runs[rep], err = core.Run(a, cfg); err != nil {
-				return 0, 0, err
-			}
-		}
+	runs, err := runColonies(a, cfg, seeds)
+	if err != nil {
+		return 0, 0, err
 	}
 	solved := 0
 	roundsSum := 0.0
@@ -685,6 +676,17 @@ func measureJitterCell(a core.Algorithm, n int, env sim.Environment, p float64, 
 		meanRounds = roundsSum / float64(solved)
 	}
 	return float64(solved) / float64(reps), meanRounds, nil
+}
+
+// jitterWrap is E14's asynchrony wrapper at hold probability p, keyed by the
+// run's seed: each colony jitters with async.Plan{HoldP: p, MaxDelay: 2} on
+// its own stream rng.New(seed).Split(4001), so a replicate wraps the same
+// however it is scheduled.
+type jitterWrap float64
+
+// WrapAgents implements core.AgentWrapper.
+func (p jitterWrap) WrapAgents(seed uint64, agents []sim.Agent) ([]sim.Agent, error) {
+	return async.Plan{HoldP: float64(p), MaxDelay: 2}.Apply(rng.New(seed).Split(4001))(agents)
 }
 
 // --- E15: head-to-head comparison ---------------------------------------------------

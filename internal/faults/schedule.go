@@ -253,7 +253,7 @@ func (c *schedCtrl) hook(e *sim.Engine, round int) error {
 			}
 			a.badNest = op.Nest
 			// The relocated lurer will recruit(1, Nest) without ever visiting:
-			// teach the nest out of band so strict §2 validation licenses it
+			// teach the nest out of band so §2 validation licenses it
 			// (a real lurer would simply walk there first).
 			e.Teach(i, op.Nest)
 		default:

@@ -527,13 +527,10 @@ type lane struct {
 
 	phOp        EmitOp
 	phPhase     uint8
-	phRecruited bool
-	phCountSkip bool
 	phAct       []uint8
 	phBkt       []int32
 	phMode      uint8
 	phCountHome int32
-	phNRecr     int
 	phDecay     float64
 	phAgents    rng.Source
 
@@ -545,15 +542,6 @@ type lane struct {
 	fnAssemble func(int)
 	fnObserve  func(int)
 	fnReset    func(int)
-
-	// Converged-tail O(k) bookkeeping: countAllN records that the lockstep
-	// count column is uniformly n (so a unanimous goto round's refill can be
-	// skipped), countUni the uniform value of the general-path count column
-	// written by a sole-state recruited ObserveCount fold (-1 when the
-	// column is not known uniform). Both make the absorbing-state tail cost
-	// O(k) bookkeeping instead of O(n) rewrites.
-	countAllN bool
-	countUni  int32
 
 	// Fault lanes (nil/zero unless prog.Params.Faults is enabled). The four
 	// synthetic states live after the program's own in the padded tables:
@@ -792,8 +780,6 @@ func (ln *lane) reset(seed uint64) error {
 	// advances the parent stream, the ñ draws come from each ant's own
 	// already-seeded stream, and every other write is a per-ant constant.
 	ln.pool.run(ln.fnReset)
-	ln.countAllN = false
-	ln.countUni = -1
 	split := ln.prog.InitSplit
 	ln.alive = ln.n
 	if ln.faulted {
@@ -1001,7 +987,6 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 	// nest, so aliasing spares the copy (and the observe folds never write
 	// nest[i] on a go round, because outcome and register always coincide).
 	act := actNest
-	recruited := false
 	switch st.Emit {
 	case EmitSearch:
 		for i := range counts {
@@ -1030,7 +1015,6 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 		copy(counts, commit)
 		act = nest
 	case EmitRecruitPop, EmitRecruitQual, EmitRecruitAdaptive, EmitRecruitApproxN:
-		recruited = true
 		// The active bits draw only from per-ant streams (stream-disjoint),
 		// so the draw loop shards. The adaptive decay term is hoisted here,
 		// sequentially: the phase clock is colony-uniform on lockstep
@@ -1058,55 +1042,21 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 	// lane's ant ranges — and, on recruit rounds, the adoption family's
 	// sparse capture folds across chunks of the capture list — accumulating
 	// commitment changes into per-shard delta slabs folded back in one
-	// O(k·shards) pass (see lockFoldShard). Recruit outcomes carry no
-	// quality and report the home population (= n, everyone recruited).
-	//
-	// Converged-tail bookkeeping: once the count column is known to hold n
-	// everywhere, a fold that would rewrite it with n — every recruit round,
-	// and any go/search round with the whole colony in one nest — is skipped
-	// outright, making the unanimous tail's count rounds O(k) instead of
-	// O(n). Only ObserveCount can skip (its fold writes nothing else);
-	// the other count-writing observes just maintain the flag.
-	skip := false
-	switch st.Observe {
-	case ObserveCount:
-		uniformN := recruited
-		if !recruited {
-			for j := range counts {
-				if counts[j] == n {
-					uniformN = true
-					break
-				}
-			}
-		}
-		skip = uniformN && ln.countAllN
-		ln.countAllN = uniformN
-	case ObserveDiscovery, ObserveCountQual:
-		ln.countAllN = recruited // the recruited arms fill the column with n
-	case ObserveDiscoverNoisy, ObserveCountNoisy:
-		ln.countAllN = false
-	}
-	if !skip {
-		ln.phPhase = phase
-		ln.phRecruited = recruited
-		ln.phAct = act
-		ln.pool.run(ln.fnLockFold)
-		ln.foldCommitDeltas()
-	}
+	// O(k·shards) pass (see lockFoldShard).
+	ln.phPhase = phase
+	ln.phAct = act
+	ln.pool.run(ln.fnLockFold)
+	ln.foldCommitDeltas()
 	return st.Next, nil
 }
 
-// lockFoldShard applies one lockstep round's bulk observe fold to one ant
-// range and, on the adoption family's recruit rounds, the shard's chunk of
-// the capture list (see foldCaptureAdopts). On recruit rounds a captured
-// ant's outcome nest is its captor's advertised nest, read from the actNest
-// snapshot (see drawActiveShard) for each pair of the matcher's capture and
-// captor lists. Commitment changes go to the shard's delta
-// slab; every other write targets the folding ant's own registers (a
-// capture chunk writes only registers its opcode's recruited bulk arm
-// leaves alone: nest, plus quality in the two adopt modes), and the only
-// draws are the noisy perception hooks on the ant's own stream — which is
-// what makes the fold safe to shard.
+// lockFoldShard applies one lockstep round's observe fold to one ant range
+// or, on recruit rounds, to the shard's chunk of the capture list (see
+// foldCaptureAdopts): each opcode folds the one kind of outcome Validate
+// pairs it with, and ObserveNone folds nothing. Commitment changes go to the
+// shard's delta slab; every other write targets the folding ant's own
+// registers, and the only draws are the noisy perception hooks on the ant's
+// own stream — which is what makes the fold safe to shard.
 //
 //hh:hotpath
 //hh:draws noisy perception hooks only, from the observing ant's own stream; every other fold is draw-free
@@ -1116,118 +1066,50 @@ func (ln *lane) lockFoldShard(sh int) {
 	for j := range commit {
 		commit[j] = 0
 	}
-	st := ln.states[ln.phPhase]
-	recruited := ln.phRecruited
 	act := ln.phAct
 	n := ln.n
 	nest := ln.nest
+	count := ln.count
+	quality := ln.quality
 	counts := ln.counts
-	switch st.Observe {
+	qual := ln.qual
+	switch ln.states[ln.phPhase].Observe {
 	case ObserveDiscovery:
-		count := ln.count
-		quality := ln.quality
-		if recruited {
-			// Captures move nests only; the uniform recruit outcome (home
-			// population, no quality) folds over the ant range.
-			ln.foldCaptureAdopts(sh, commit, adoptPlain)
-			for i := lo; i < hi; i++ {
-				count[i] = int32(n)
-				quality[i] = 0
+		for i := lo; i < hi; i++ {
+			outNest := act[i]
+			if outNest != nest[i] {
+				commit[nest[i]]--
+				commit[outNest]++
+				nest[i] = outNest
 			}
-		} else {
-			qual := ln.qual
-			for i := lo; i < hi; i++ {
-				outNest := act[i]
-				if outNest != nest[i] {
-					commit[nest[i]]--
-					commit[outNest]++
-					nest[i] = outNest
-				}
-				count[i] = int32(counts[outNest])
-				quality[i] = qual[outNest]
-			}
+			count[i] = int32(counts[outNest])
+			quality[i] = qual[outNest]
 		}
 	case ObserveAdopt:
-		if recruited {
-			ln.foldCaptureAdopts(sh, commit, adoptQualOne)
-		} else {
-			quality := ln.quality
-			for i := lo; i < hi; i++ {
-				if outNest := act[i]; outNest != nest[i] {
-					commit[nest[i]]--
-					commit[outNest]++
-					nest[i] = outNest
-					quality[i] = 1
-				}
-			}
-		}
+		ln.foldCaptureAdopts(sh, commit, 1)
 	case ObserveCount:
-		count := ln.count
-		if recruited {
-			// Recruit outcomes carry the home population n and no nest
-			// change, so captures do not enter the fold.
-			for i := lo; i < hi; i++ {
-				count[i] = int32(n)
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				count[i] = int32(counts[act[i]])
-			}
+		for i := lo; i < hi; i++ {
+			count[i] = int32(counts[act[i]])
 		}
 	case ObserveAdoptZero:
-		if recruited {
-			ln.foldCaptureAdopts(sh, commit, adoptQualZero)
-		} else {
-			quality := ln.quality
-			for i := lo; i < hi; i++ {
-				if outNest := act[i]; outNest != nest[i] {
-					commit[nest[i]]--
-					commit[outNest]++
-					nest[i] = outNest
-					quality[i] = 0
-				}
-			}
-		}
+		ln.foldCaptureAdopts(sh, commit, 0)
 	case ObserveCountQual:
-		count := ln.count
-		quality := ln.quality
-		if recruited {
-			for i := lo; i < hi; i++ {
-				count[i] = int32(n)
-				quality[i] = 0
-			}
-		} else {
-			qual := ln.qual
-			for i := lo; i < hi; i++ {
-				outNest := act[i]
-				count[i] = int32(counts[outNest])
-				quality[i] = qual[outNest]
-			}
+		for i := lo; i < hi; i++ {
+			outNest := act[i]
+			count[i] = int32(counts[outNest])
+			quality[i] = qual[outNest]
 		}
 	case ObserveDiscoverNoisy:
-		count := ln.count
-		quality := ln.quality
 		countHook, assessHook := ln.prog.Params.Count, ln.prog.Params.Assess
 		threshold := ln.prog.Params.Threshold
-		if recruited {
-			// Captures move nests only, like ObserveDiscovery's; the hooks
-			// below then perceive the uniform recruit outcome.
-			ln.foldCaptureAdopts(sh, commit, adoptPlain)
-		}
 		for i := lo; i < hi; i++ {
-			var c int
-			var q float64
-			if recruited {
-				c, q = n, 0
-			} else {
-				outNest := act[i]
-				if outNest != nest[i] {
-					commit[nest[i]]--
-					commit[outNest]++
-					nest[i] = outNest
-				}
-				c, q = counts[outNest], ln.qual[outNest]
+			outNest := act[i]
+			if outNest != nest[i] {
+				commit[nest[i]]--
+				commit[outNest]++
+				nest[i] = outNest
 			}
+			c, q := counts[outNest], qual[outNest]
 			// Perception order matches NoisyAnt's observe: the count estimate
 			// draws first, then the quality assessment, both from the ant's
 			// own stream.
@@ -1245,13 +1127,9 @@ func (ln *lane) lockFoldShard(sh int) {
 			}
 		}
 	case ObserveCountNoisy:
-		count := ln.count
 		countHook := ln.prog.Params.Count
 		for i := lo; i < hi; i++ {
 			c := counts[act[i]]
-			if recruited {
-				c = n
-			}
 			if countHook != nil {
 				c = countHook(c, n, &ln.antSrc[i])
 			}
@@ -1754,28 +1632,14 @@ func (ln *lane) stepGeneral() error {
 	// Observe per occupied segment, sharded (see observeShard): fold outcomes
 	// into the registers and select successors. Commitment changes accumulate
 	// in per-shard delta slabs and the Final-state tallies in per-shard
-	// counters, both reduced here. The converged-tail skip: when the whole
-	// colony sits in one recruited count state and the count column is
-	// already uniformly the home population from last round's identical fold,
-	// the O(n) refill is skipped outright (phCountSkip), making the absorbing
-	// tail's count rounds O(k) bookkeeping.
-	countHome := int32(nR)
-	ln.phCountHome = countHome
-	ln.phCountSkip = sole >= 0 && ln.countUni == countHome
+	// counters, both reduced here.
+	ln.phCountHome = int32(nR)
 	ln.pool.run(ln.fnObserve)
 	finals := 0
 	for sh := 0; sh < shards; sh++ {
 		finals += int(ln.shFinals[sh])
 	}
 	ln.foldCommitDeltas()
-	// The count column is known uniform only after a sole-state recruited
-	// count fold (every ant just read the home population); anything else
-	// invalidates the skip.
-	if sole >= 0 && recruitEmit(states[sole].Emit) && states[sole].Observe == ObserveCount {
-		ln.countUni = countHome
-	} else {
-		ln.countUni = -1
-	}
 
 	// Capture pass: the adoption-family folds (adopt, latch, pend, the
 	// recruit-nest learn, the quorum wake and the transport submit) act only
@@ -1803,7 +1667,7 @@ func (ln *lane) stepGeneral() error {
 			outNest := actNest[rec[cb]]
 			st := &states[preState[i]]
 			switch st.Observe {
-			case ObserveDiscovery, ObserveNestLatch:
+			case ObserveNestLatch:
 				if outNest != nest[i] {
 					commit[nest[i]]--
 					commit[outNest]++
@@ -2349,13 +2213,13 @@ func (ln *lane) assembleShard(sh int) {
 
 // observeShard is the fnObserve phase body: fold outcomes into the registers
 // and select successors over one shard's segments, one opcode dispatch per
-// occupied segment. The outcome count is the end-of-round population of the
-// outcome nest for searchers and goers, and the home population for
-// recruiters, exactly as Engine.resolve fills Outcome.Count; whether a
-// segment recruited is a property of its emit opcode, so the distinction is
-// loop-invariant. A captured recruiter's outcome nest is its capturer's
-// advertised nest, resolved from the slotNest column (which observe folds
-// never write, so it stays pristine). Commitment changes go to the shard's
+// occupied segment. Each opcode folds the one kind of outcome Validate pairs
+// it with: a searcher's or goer's outcome is its advertised nest and that
+// nest's end-of-round population, a recruiter's the home population, exactly
+// as Engine.resolve fills Outcome.Count. Captures reach recruiters through the
+// capture pass, except under ObserveInform, which folds both kinds and reads
+// a captured recruiter's outcome nest — its capturer's advertised nest — from
+// the slotNest column here. Commitment changes go to the shard's
 // delta slab and Final-state entries to its finals counter; every other
 // write targets the folding ant's own registers, and the only draws are the
 // noisy perception hooks on the ant's own stream.
@@ -2409,13 +2273,16 @@ func (ln *lane) observeShard(sh int) {
 			continue
 		}
 		st := &states[s]
-		recruited := recruitEmit(st.Emit)
 		next0 := st.Next
 		switch st.Observe {
-		case ObserveNone:
-			// Padding call; outcome discarded. Successors are uniform, and a
-			// self-loop (the synthetic fault states, absorbing waits) writes
-			// nothing at all.
+		case ObserveNone, ObserveAdopt, ObserveAdoptZero, ObserveAdoptPend,
+			ObserveNestLatch, ObserveQuorumAdopt, ObserveQuorumTransport:
+			// Padding calls discard their outcome, and the recruit folds act
+			// on captured ants only: the capture pass folds them, redirecting
+			// the ants whose fold branches and adjusting the finals tally.
+			// Successors are uniform here, and a self-loop (the synthetic
+			// fault states, absorbing waits, Algorithm 2's final state)
+			// writes nothing at all.
 			if next0 != uint8(s) {
 				for _, i32 := range members {
 					state[i32] = next0
@@ -2423,114 +2290,45 @@ func (ln *lane) observeShard(sh int) {
 			}
 			finals += int(isFinal[next0]) * len(members)
 		case ObserveDiscovery:
-			if recruited {
-				// Capture adoptions land in the capture pass afterwards; the
-				// uniform recruit outcome (home population, no quality)
-				// folds here.
-				for _, i32 := range members {
-					i := int(i32)
-					count[i] = countHome
-					quality[i] = 0
-					state[i] = next0
+			for _, i32 := range members {
+				i := int(i32)
+				outNest := actNest[i]
+				if outNest != nest[i] {
+					commit[nest[i]]--
+					commit[outNest]++
+					nest[i] = outNest
 				}
-			} else {
-				for _, i32 := range members {
-					i := int(i32)
-					outNest := actNest[i]
-					if outNest != nest[i] {
-						commit[nest[i]]--
-						commit[outNest]++
-						nest[i] = outNest
-					}
-					count[i] = int32(counts[outNest])
-					quality[i] = qual[outNest]
-					state[i] = next0
-				}
-			}
-			finals += int(isFinal[next0]) * len(members)
-		case ObserveAdopt:
-			if recruited {
-				// Adoption requires capture: the capture pass folds it.
-				if next0 != uint8(s) {
-					for _, i32 := range members {
-						state[i32] = next0
-					}
-				}
-			} else {
-				for _, i32 := range members {
-					i := int(i32)
-					if outNest := actNest[i]; outNest != nest[i] {
-						commit[nest[i]]--
-						commit[outNest]++
-						nest[i] = outNest
-						quality[i] = 1
-					}
-					state[i] = next0
-				}
+				count[i] = int32(counts[outNest])
+				quality[i] = qual[outNest]
+				state[i] = next0
 			}
 			finals += int(isFinal[next0]) * len(members)
 		case ObserveCount:
-			if recruited {
-				// The converged-tail skip: a sole-state recruited count fold
-				// whose column already holds the home population (and whose
-				// state self-loops) rewrites nothing.
-				if !(ln.phCountSkip && next0 == uint8(s)) {
-					for _, i32 := range members {
-						count[i32] = countHome
-						state[i32] = next0
-					}
-				}
-			} else {
-				for _, i32 := range members {
-					i := int(i32)
-					count[i] = int32(counts[actNest[i]])
-					state[i] = next0
-				}
-			}
-			finals += int(isFinal[next0]) * len(members)
-		case ObserveAdoptZero:
-			if recruited {
-				if next0 != uint8(s) {
-					for _, i32 := range members {
-						state[i32] = next0
-					}
-				}
-			} else {
-				for _, i32 := range members {
-					i := int(i32)
-					if outNest := actNest[i]; outNest != nest[i] {
-						commit[nest[i]]--
-						commit[outNest]++
-						nest[i] = outNest
-						quality[i] = 0
-					}
-					state[i] = next0
-				}
+			for _, i32 := range members {
+				i := int(i32)
+				count[i] = int32(counts[actNest[i]])
+				state[i] = next0
 			}
 			finals += int(isFinal[next0]) * len(members)
 		case ObserveCountQual:
 			for _, i32 := range members {
 				i := int(i32)
-				outNest, outCount := ln.outcome(i, recruited, countHome)
-				count[i] = outCount
-				if recruited {
-					quality[i] = 0
-				} else {
-					quality[i] = qual[outNest]
-				}
+				outNest := actNest[i]
+				count[i] = int32(counts[outNest])
+				quality[i] = qual[outNest]
 				state[i] = next0
 			}
 			finals += int(isFinal[next0]) * len(members)
 		case ObserveDiscoverBranch:
 			for _, i32 := range members {
 				i := int(i32)
-				outNest, outCount := ln.outcome(i, recruited, countHome)
+				outNest := actNest[i]
 				if outNest != nest[i] {
 					commit[nest[i]]--
 					commit[outNest]++
 					nest[i] = outNest
 				}
-				count[i] = outCount
+				count[i] = int32(counts[outNest])
 				q := qual[outNest]
 				quality[i] = q
 				next := next0
@@ -2541,8 +2339,8 @@ func (ln *lane) observeShard(sh int) {
 				finals += int(isFinal[next])
 			}
 		case ObserveRecruitNest:
-			// Uncaptured ants (and non-recruit emits) learn their own
-			// advertised nest; the capture pass rewrites captured ants.
+			// Uncaptured ants learn their own advertised nest; the capture
+			// pass rewrites captured ants.
 			for _, i32 := range members {
 				i := int(i32)
 				nestT[i] = actNest[i]
@@ -2552,8 +2350,7 @@ func (ln *lane) observeShard(sh int) {
 		case ObserveCompareR2:
 			for _, i32 := range members {
 				i := int(i32)
-				_, outCount := ln.outcome(i, recruited, countHome)
-				countT[i] = outCount
+				countT[i] = int32(counts[actNest[i]])
 				next := next0
 				switch {
 				case nestT[i] == nest[i] && countT[i] >= count[i]:
@@ -2570,26 +2367,16 @@ func (ln *lane) observeShard(sh int) {
 				state[i] = next
 				finals += int(isFinal[next])
 			}
-		case ObserveRecountRebase:
+		case ObserveRecountRebase, ObserveRecountLiteral:
+			rebase := st.Observe == ObserveRecountRebase
 			for _, i32 := range members {
 				i := int(i32)
-				_, outCount := ln.outcome(i, recruited, countHome)
+				outCount := int32(counts[actNest[i]])
 				next := next0
 				if outCount < countT[i] {
 					next = st.NextB
-				} else {
+				} else if rebase {
 					count[i] = outCount
-				}
-				state[i] = next
-				finals += int(isFinal[next])
-			}
-		case ObserveRecountLiteral:
-			for _, i32 := range members {
-				i := int(i32)
-				_, outCount := ln.outcome(i, recruited, countHome)
-				next := next0
-				if outCount < countT[i] {
-					next = st.NextB
 				}
 				state[i] = next
 				finals += int(isFinal[next])
@@ -2597,78 +2384,30 @@ func (ln *lane) observeShard(sh int) {
 		case ObserveFinalEq:
 			for _, i32 := range members {
 				i := int(i32)
-				_, outCount := ln.outcome(i, recruited, countHome)
 				next := next0
-				if outCount == count[i] {
+				if countHome == count[i] {
 					next = st.NextB
 				}
 				state[i] = next
 				finals += int(isFinal[next])
 			}
-		case ObserveAdoptPend:
-			if recruited {
-				// Adoption requires capture; the capture pass redirects
-				// adopted ants to NextB and adjusts the finals tally.
-				for _, i32 := range members {
-					state[i32] = next0
-				}
-				finals += int(isFinal[next0]) * len(members)
-			} else {
-				for _, i32 := range members {
-					i := int(i32)
-					next := next0
-					if outNest := actNest[i]; outNest != nest[i] {
-						commit[nest[i]]--
-						commit[outNest]++
-						nest[i] = outNest
-						next = st.NextB
-					}
-					state[i] = next
-					finals += int(isFinal[next])
-				}
-			}
-		case ObserveNestLatch:
-			if recruited {
-				// Only captured ants latch a new nest (the capture pass);
-				// with a self-looping state the whole bucket is a no-op —
-				// Algorithm 2's absorbing final state costs nothing here.
-				if next0 != uint8(s) {
-					for _, i32 := range members {
-						state[i32] = next0
-					}
-				}
-			} else {
-				for _, i32 := range members {
-					i := int(i32)
-					if outNest := actNest[i]; outNest != nest[i] {
-						commit[nest[i]]--
-						commit[outNest]++
-						nest[i] = outNest
-					}
-					state[i] = next0
-				}
-			}
-			finals += int(isFinal[next0]) * len(members)
 		case ObserveDiscoverNoisy:
 			countHook, assessHook := ln.prog.Params.Count, ln.prog.Params.Assess
 			threshold := ln.prog.Params.Threshold
 			for _, i32 := range members {
 				i := int(i32)
-				outNest, outCount := ln.outcome(i, recruited, countHome)
+				outNest := actNest[i]
 				if outNest != nest[i] {
 					commit[nest[i]]--
 					commit[outNest]++
 					nest[i] = outNest
 				}
-				c := int(outCount)
+				c := counts[outNest]
 				if countHook != nil {
 					c = countHook(c, n, &antSrc[i])
 				}
 				count[i] = int32(c)
-				q := 0.0
-				if !recruited {
-					q = qual[outNest]
-				}
+				q := qual[outNest]
 				if assessHook != nil {
 					q = assessHook(q, &antSrc[i])
 				}
@@ -2684,8 +2423,7 @@ func (ln *lane) observeShard(sh int) {
 			countHook := ln.prog.Params.Count
 			for _, i32 := range members {
 				i := int(i32)
-				_, outCount := ln.outcome(i, recruited, countHome)
-				c := int(outCount)
+				c := counts[actNest[i]]
 				if countHook != nil {
 					c = countHook(c, n, &antSrc[i])
 				}
@@ -2698,17 +2436,15 @@ func (ln *lane) observeShard(sh int) {
 			mult := ln.prog.Params.QuorumMult
 			for _, i32 := range members {
 				i := int(i32)
-				outNest, outCount := ln.outcome(i, recruited, countHome)
+				outNest := actNest[i]
 				if outNest != nest[i] {
 					commit[nest[i]]--
 					commit[outNest]++
 					nest[i] = outNest
 				}
+				outCount := int32(counts[outNest])
 				count[i] = outCount
-				q := 0.0
-				if !recruited {
-					q = qual[outNest]
-				}
+				q := qual[outNest]
 				if assessHook != nil {
 					q = assessHook(q, &antSrc[i])
 				}
@@ -2727,19 +2463,10 @@ func (ln *lane) observeShard(sh int) {
 				state[i] = next0
 			}
 			finals += int(isFinal[next0]) * len(members)
-		case ObserveQuorumAdopt:
-			// Capture — not a nest change — is what wakes a quorum ant; the
-			// capture pass folds it. Self-pairs are not captures.
-			if next0 != uint8(s) {
-				for _, i32 := range members {
-					state[i32] = next0
-				}
-			}
-			finals += int(isFinal[next0]) * len(members)
 		case ObserveQuorumCheck:
 			for _, i32 := range members {
 				i := int(i32)
-				_, outCount := ln.outcome(i, recruited, countHome)
+				outCount := int32(counts[actNest[i]])
 				count[i] = outCount
 				next := next0
 				if quality[i] > 0 && countT[i] > 0 && outCount >= countT[i] {
@@ -2748,22 +2475,19 @@ func (ln *lane) observeShard(sh int) {
 				state[i] = next
 				finals += int(isFinal[next])
 			}
-		case ObserveQuorumTransport:
-			// Docility and demotion act on captured transporters only; the
-			// capture pass folds them and adjusts the finals tally.
-			for _, i32 := range members {
-				state[i32] = next0
-			}
-			finals += int(isFinal[next0]) * len(members)
 		case ObserveInform:
 			// The rumor-spreading fold: a good outcome nest informs the ant
-			// (capture resolves through the slot table, so a captured waiter
-			// learns its capturer's nest — the second information channel).
-			// Informed ants commit; the capture pass skips this opcode
-			// because the fold already resolved the capture here.
+			// (a captured waiter learns its capturer's nest from the slot
+			// table — the second information channel). Informed ants commit;
+			// the capture pass skips this opcode because the fold already
+			// resolved the capture here.
+			recruited := recruitEmit(st.Emit)
 			for _, i32 := range members {
 				i := int(i32)
-				outNest, _ := ln.outcome(i, recruited, countHome)
+				outNest := actNest[i]
+				if recruited {
+					outNest = ln.slotNest[ln.slotOf[i]]
+				}
 				next := st.NextB
 				if qual[outNest] > 0 {
 					commit[nest[i]]--
@@ -2777,35 +2501,6 @@ func (ln *lane) observeShard(sh int) {
 		}
 	}
 	ln.shFinals[sh] = int32(finals)
-}
-
-// outcome resolves ant i's outcome nest and count for the observe folds:
-// searchers and goers read the end-of-round population of their advertised
-// nest, recruiters read the home population and their slot's precomputed
-// outcome nest (their capturer's advertised nest when captured). recruited is
-// loop-invariant per bucket (it is a property of the state's emit opcode), so
-// the branch predicts perfectly.
-//
-//hh:hotpath
-func (ln *lane) outcome(i int, recruited bool, countHome int32) (uint8, int32) {
-	if !recruited {
-		outNest := ln.actNest[i]
-		return outNest, int32(ln.counts[outNest])
-	}
-	return ln.slotNest[ln.slotOf[i]], countHome
-}
-
-// recruitEmit reports whether op sends the ant to the home-nest pairing (its
-// outcome is then the home population and possibly a capturer's nest).
-//
-//hh:hotpath
-func recruitEmit(op EmitOp) bool {
-	switch op {
-	case EmitRecruitBit, EmitRecruitTransport,
-		EmitRecruitPop, EmitRecruitQual, EmitRecruitAdaptive, EmitRecruitApproxN:
-		return true
-	}
-	return false
 }
 
 // census reports unanimous commitment to a good nest from the incrementally
@@ -2837,28 +2532,18 @@ func (ln *lane) census() (NestID, bool) {
 	return Home, false
 }
 
-// Adoption fold modes for foldCaptureAdopts: what a captured ant's registers
-// record beyond the nest move. Encoding the variants as a mode instead of a
-// closure keeps the per-capture work a direct, predictable branch — the
-// closure form captured loop state and relied on escape analysis to stay off
-// the heap (hhlint/hotpathalloc flags it).
-const (
-	adoptPlain    uint8 = iota // nest move only (ObserveDiscovery)
-	adoptQualOne               // nest move, quality := 1 (ObserveAdopt)
-	adoptQualZero              // nest move, quality zeroed (ObserveAdoptZero)
-)
-
 // foldCaptureAdopts applies shard sh's contiguous chunk of the matcher's
-// capture list — the common core of the lockstep recruit-round adoption
-// folds: one adoption per captured ant whose captor advertises a nest
-// different from the ant's own, with the commitment changes going to the
+// capture list — the lockstep recruit-round adoption fold of ObserveAdopt
+// (q = 1: a captured ant trusts its recruiter) and ObserveAdoptZero (q = 0):
+// each captured ant whose captor advertises a nest different from its own
+// moves there and loads quality q, with the commitment changes going to the
 // delta slab commit. Chunks never share an ant, because listed captures are
 // distinct (pinned by TestCaptureListMatchesCaptureTable), and reading the
 // captor's nest from the actNest snapshot keeps the fold order-independent
 // even for matchers whose captors can themselves be captured.
 //
 //hh:hotpath
-func (ln *lane) foldCaptureAdopts(sh int, commit []int, mode uint8) {
+func (ln *lane) foldCaptureAdopts(sh int, commit []int, q float64) {
 	caps := ln.matcher.Captures()
 	lo, hi := shardSpan(len(caps), sh, ln.shards)
 	captors := ln.matcher.Captors()[lo:hi]
@@ -2868,25 +2553,11 @@ func (ln *lane) foldCaptureAdopts(sh int, commit []int, mode uint8) {
 		i := int(t32) // slot t is ant t on the lockstep path
 		if cb := captors[j]; cb != t32 {
 			if outNest := actNest[cb]; outNest != nest[i] {
-				ln.adoptCapture(commit, i, outNest, mode)
+				commit[nest[i]]--
+				commit[outNest]++
+				nest[i] = outNest
+				ln.quality[i] = q
 			}
 		}
-	}
-}
-
-// adoptCapture moves ant i to its capturer's advertised nest, recording the
-// move in the commitment tally commit, and applies the mode's register
-// updates.
-//
-//hh:hotpath
-func (ln *lane) adoptCapture(commit []int, i int, outNest uint8, mode uint8) {
-	commit[ln.nest[i]]--
-	commit[outNest]++
-	ln.nest[i] = outNest
-	switch mode {
-	case adoptQualOne:
-		ln.quality[i] = 1
-	case adoptQualZero:
-		ln.quality[i] = 0
 	}
 }

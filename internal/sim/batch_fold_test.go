@@ -33,30 +33,19 @@ func (l listedCaptures) Captures() []int32 { return l.captures }
 
 func (l listedCaptures) Captors() []int32 { return l.captors }
 
-// TestAdoptCaptureModes pins the mode-dispatched adoption fold that replaced
-// the per-call-site closures: every mode moves the ant and maintains the
-// incremental census identically, and only the quality family touches the
-// quality register.
+// TestAdoptCaptureModes pins the two adoption folds foldCaptureAdopts
+// serves: ObserveAdopt's (quality 1, a captured ant trusts its recruiter) and
+// ObserveAdoptZero's (quality 0). Both move the ant and maintain the
+// incremental census identically.
 func TestAdoptCaptureModes(t *testing.T) {
 	t.Parallel()
 
-	t.Run("plain", func(t *testing.T) {
-		ln := newFoldLane()
-		ln.adoptCapture(ln.commit, 0, 2, adoptPlain)
-		if ln.nest[0] != 2 {
-			t.Fatalf("nest[0] = %d, want 2", ln.nest[0])
-		}
-		if ln.commit[1] != 0 || ln.commit[2] != 3 {
-			t.Fatalf("census = %v, want [0 0 3]", ln.commit)
-		}
-		if ln.quality[0] != 0.25 {
-			t.Fatalf("plain adoption touched the quality register: q=%v", ln.quality[0])
-		}
-	})
-
 	t.Run("qualOne", func(t *testing.T) {
 		ln := newFoldLane()
-		ln.adoptCapture(ln.commit, 1, 1, adoptQualOne)
+		// Ant 1 (nest 2) captured by ant 0, which advertises nest 1.
+		ln.actNest = []uint8{1, 1, 2}
+		ln.matcher = listedCaptures{captures: []int32{1}, captors: []int32{0}}
+		ln.foldCaptureAdopts(0, ln.commit, 1)
 		if ln.nest[1] != 1 {
 			t.Fatalf("nest[1] = %d, want 1", ln.nest[1])
 		}
@@ -70,9 +59,14 @@ func TestAdoptCaptureModes(t *testing.T) {
 
 	t.Run("qualZero", func(t *testing.T) {
 		ln := newFoldLane()
-		ln.adoptCapture(ln.commit, 2, 1, adoptQualZero)
+		// Ant 2 (nest 2) captured by ant 1, which advertises nest 1.
+		ln.matcher = listedCaptures{captures: []int32{2}, captors: []int32{1}}
+		ln.foldCaptureAdopts(0, ln.commit, 0)
 		if ln.nest[2] != 1 {
 			t.Fatalf("nest[2] = %d, want 1", ln.nest[2])
+		}
+		if ln.commit[1] != 2 || ln.commit[2] != 1 {
+			t.Fatalf("census = %v, want [0 2 1]", ln.commit)
 		}
 		if ln.quality[2] != 0 {
 			t.Fatalf("qualZero must zero quality: q=%v", ln.quality[2])
@@ -92,7 +86,7 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	// Ant 1: self-pair (captor 1) → no fold.
 	// Ant 2: uncaptured (and so not listed) → no fold.
 	ln.matcher = listedCaptures{captures: []int32{0, 1}, captors: []int32{2, 1}}
-	ln.foldCaptureAdopts(0, ln.commit, adoptQualOne)
+	ln.foldCaptureAdopts(0, ln.commit, 1)
 	if ln.nest[0] != 2 || ln.quality[0] != 1 {
 		t.Fatalf("ant 0 should adopt nest 2 with quality 1; got nest=%d q=%v", ln.nest[0], ln.quality[0])
 	}
@@ -111,7 +105,7 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	ln2.actNest = []uint8{2, 2, 2}
 	// Ant 1 captured by ant 2: actNest 2 == nest[1].
 	ln2.matcher = listedCaptures{captures: []int32{1}, captors: []int32{2}}
-	ln2.foldCaptureAdopts(0, ln2.commit, adoptQualZero)
+	ln2.foldCaptureAdopts(0, ln2.commit, 0)
 	if ln2.nest[1] != 2 || ln2.quality[1] != 0.5 {
 		t.Fatalf("same-nest capture must not fold: nest=%d q=%v", ln2.nest[1], ln2.quality[1])
 	}
@@ -123,11 +117,11 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	ln3.shards = 2
 	ln3.matcher = listedCaptures{captures: []int32{0, 2}, captors: []int32{2, 1}}
 	slab0, slab1 := make([]int, 3), make([]int, 3)
-	ln3.foldCaptureAdopts(0, slab0, adoptPlain)
+	ln3.foldCaptureAdopts(0, slab0, 1)
 	if ln3.nest[0] != 2 || ln3.nest[2] != 2 {
 		t.Fatalf("chunk 0 folded nests %v, want ant 0 moved to 2 and ant 2 untouched", ln3.nest)
 	}
-	ln3.foldCaptureAdopts(1, slab1, adoptPlain)
+	ln3.foldCaptureAdopts(1, slab1, 1)
 	if ln3.nest[2] != 1 {
 		t.Fatalf("chunk 1 left ant 2 at nest %d, want 1", ln3.nest[2])
 	}
@@ -136,75 +130,100 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 	}
 }
 
-// TestNoisyRecruitFoldMatchesGeneralPath covers ObserveDiscoverNoisy on a
-// recruit round, an arm no compiled algorithm reaches: the lockstep path
-// folds its captures through foldCaptureAdopts and then runs the perception
-// hooks per ant, and must leave every register and the census exactly where
-// the general path's per-ant outcome fold does, sharded or not.
-func TestNoisyRecruitFoldMatchesGeneralPath(t *testing.T) {
+// TestLockstepPairsMatchGeneralPath runs every (emit, observe) pair the
+// lockstep path admits and Validate accepts, inside a Simple-shaped cycle
+// (search, then the pair, a recruit and a go round), on both stepping paths at
+// 1 and 3 shards: each round, every register, the populations and the census
+// must equal the single-shard general path's. A lockstep-admitted opcode that
+// lockFoldShard does not fold shows up here as a diverging register: the
+// lockstep path once admitted ObserveNestLatch and ObserveRecruitNest and
+// dropped their captures.
+func TestLockstepPairsMatchGeneralPath(t *testing.T) {
 	t.Parallel()
-	prog := Program{
-		Algorithm: "noisy-recruit-discover",
-		States: []ProgramState{
-			{Emit: EmitSearch, Observe: ObserveDiscoverNoisy, Next: 1},
-			{Emit: EmitRecruitPop, Observe: ObserveDiscoverNoisy, Next: 2},
-			{Emit: EmitGotoNest, Observe: ObserveCountNoisy, Next: 1},
-		},
-		Params: ProgramParams{
-			Threshold: 0.5,
-			Count: func(c, n int, src *rng.Source) int {
-				return c + int(src.Uint64n(3)) - 1
-			},
-			Assess: func(q float64, src *rng.Source) float64 {
-				if src.Uint64n(4) == 0 {
-					return 1 - q
-				}
-				return q
-			},
-		},
-	}
 	env := MustEnvironment([]float64{1, 0, 0.6, 0})
-	const n, rounds = 300, 40
+	const n, rounds = 300, 30
+	params := ProgramParams{
+		Tau: 2, FloorDiv: 8, NEstDelta: 0.2, Threshold: 0.5,
+		Count: func(c, n int, src *rng.Source) int {
+			return c + int(src.Uint64n(3)) - 1
+		},
+		Assess: func(q float64, src *rng.Source) float64 {
+			if src.Uint64n(4) == 0 {
+				return 1 - q
+			}
+			return q
+		},
+	}
 	type snapshot struct {
-		nest    []uint8
-		count   []int32
-		quality []float64
-		commit  []int
+		nest           []uint8
+		count          []int32
+		quality        []float64
+		counts, commit []int
 	}
-	run := func(lockstep bool, shards int) []snapshot {
-		b, err := NewBatch(env, prog, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !b.lockstep {
-			t.Fatal("the program should take the lockstep path")
-		}
-		b.lockstep = lockstep
-		ln := newLane(b, shards)
-		defer ln.close()
-		ln.reset(5)
-		phase := prog.Init
-		out := make([]snapshot, rounds)
-		for r := range out {
-			if lockstep {
-				phase, err = ln.stepLockstep(phase)
-			} else {
-				err = ln.stepGeneral()
+	pairs := 0
+	for e := EmitSearch; e <= EmitRecruitTransport; e++ {
+		for o := ObserveDiscovery; o <= ObserveInform; o++ {
+			prog := Program{
+				Algorithm: "pair",
+				States: []ProgramState{
+					{Emit: EmitSearch, Observe: ObserveDiscovery, Next: 1},
+					{Emit: e, Observe: o, Next: 2},
+					{Emit: EmitRecruitPop, Observe: ObserveAdopt, Next: 3},
+					{Emit: EmitGotoNest, Observe: ObserveCount, Next: 1},
+				},
+				Params: params,
 			}
-			if err != nil {
-				t.Fatalf("lockstep=%v shards=%d round %d: %v", lockstep, shards, r, err)
+			if !prog.Lockstep() || prog.Validate() != nil {
+				continue
 			}
-			out[r] = snapshot{slices.Clone(ln.nest), slices.Clone(ln.count), slices.Clone(ln.quality), slices.Clone(ln.commit)}
+			pairs++
+			t.Run(e.String()+"/"+o.String(), func(t *testing.T) {
+				run := func(lockstep bool, shards int) []snapshot {
+					b, err := NewBatch(env, prog, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b.lockstep = lockstep
+					ln := newLane(b, shards)
+					defer ln.close()
+					if err := ln.reset(5); err != nil {
+						t.Fatal(err)
+					}
+					phase := prog.Init
+					out := make([]snapshot, rounds)
+					for r := range out {
+						if lockstep {
+							phase, err = ln.stepLockstep(phase)
+						} else {
+							err = ln.stepGeneral()
+						}
+						if err != nil {
+							t.Fatalf("lockstep=%v shards=%d round %d: %v", lockstep, shards, r+1, err)
+						}
+						out[r] = snapshot{slices.Clone(ln.nest), slices.Clone(ln.count), slices.Clone(ln.quality),
+							slices.Clone(ln.counts), slices.Clone(ln.commit)}
+					}
+					return out
+				}
+				want := run(false, 1)
+				for _, c := range []struct {
+					lockstep bool
+					shards   int
+				}{{false, 3}, {true, 1}, {true, 3}} {
+					got := run(c.lockstep, c.shards)
+					for r := range want {
+						if !reflect.DeepEqual(got[r], want[r]) {
+							t.Fatalf("lockstep=%v shards=%d round %d: registers or census differ from the general path",
+								c.lockstep, c.shards, r+1)
+						}
+					}
+				}
+			})
 		}
-		return out
 	}
-	want := run(false, 1)
-	for _, shards := range []int{1, 3} {
-		got := run(true, shards)
-		for r := range want {
-			if !reflect.DeepEqual(got[r], want[r]) {
-				t.Fatalf("lockstep shards=%d round %d: registers differ from the general path", shards, r+1)
-			}
-		}
+	// Search and go × six search/go folds, four drawn recruits × three
+	// recruit folds.
+	if pairs != 24 {
+		t.Fatalf("ran %d lockstep pairs, want 24", pairs)
 	}
 }

@@ -41,9 +41,8 @@ type Engine struct {
 	succeeded  []bool
 	captures   []int
 
-	strict bool
-	err    error
-	hook   RoundHook // end-of-round callback (adaptive fault controller); nil otherwise
+	err  error
+	hook RoundHook // end-of-round callback (adaptive fault controller); nil otherwise
 
 	reg *metrics.Registry
 
@@ -57,7 +56,6 @@ type Option func(*engineConfig)
 type engineConfig struct {
 	seed    uint64
 	matcher Matcher
-	strict  bool
 	reg     *metrics.Registry
 }
 
@@ -71,13 +69,6 @@ func WithSeed(seed uint64) Option {
 // paper's Algorithm 1.
 func WithMatcher(m Matcher) Option {
 	return func(c *engineConfig) { c.matcher = m }
-}
-
-// WithStrict toggles protocol validation (the go/recruit visited-nest
-// preconditions of §2). Strict is on by default; turning it off removes the
-// checks for maximum benchmark throughput.
-func WithStrict(strict bool) Option {
-	return func(c *engineConfig) { c.strict = strict }
 }
 
 // WithMetrics attaches a metrics registry for engine instrumentation.
@@ -99,7 +90,7 @@ func New(env Environment, agents []Agent, opts ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("sim: agent %d is nil", i)
 		}
 	}
-	cfg := engineConfig{seed: 1, strict: true}
+	cfg := engineConfig{seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -131,7 +122,6 @@ func New(env Environment, agents []Agent, opts ...Option) (*Engine, error) {
 		capturedBy: make([]int32, 0, n),
 		succeeded:  make([]bool, 0, n),
 		captures:   make([]int, 0, n),
-		strict:     cfg.strict,
 		reg:        cfg.reg,
 	}
 	e.counts[Home] = n // everyone starts at the home nest
@@ -269,7 +259,7 @@ func (e *Engine) resolve() error {
 			if act.Nest <= 0 || int(act.Nest) > k {
 				return e.protocolError(i, "go(%d): nest out of range 1..%d", act.Nest, k)
 			}
-			if e.strict && !e.visited[i*(k+1)+int(act.Nest)] {
+			if !e.visited[i*(k+1)+int(act.Nest)] {
 				return e.protocolError(i, "go(%d): nest never visited (§2 precondition)", act.Nest)
 			}
 			e.loc[i] = act.Nest
@@ -288,7 +278,7 @@ func (e *Engine) resolve() error {
 			if act.Carry > 1 && !act.Active {
 				return e.protocolError(i, "recruit: carry %d requires active recruitment", act.Carry)
 			}
-			if e.strict && act.Nest != Home && !e.visited[i*(k+1)+int(act.Nest)] {
+			if act.Nest != Home && !e.visited[i*(k+1)+int(act.Nest)] {
 				return e.protocolError(i, "recruit(%v,%d): nest never visited (§2 precondition)", act.Active, act.Nest)
 			}
 			e.loc[i] = Home
@@ -395,7 +385,7 @@ func (e *Engine) resolve() error {
 // there — the tandem run of the biology, performed out of band. It exists for
 // the fault layer: an adaptive adversary relocating a Byzantine lurer to the
 // colony's front-runner must license the lurer's subsequent recruit(1, nest)
-// calls under strict §2 validation (a real lurer would simply walk there).
+// calls under §2 validation (a real lurer would simply walk there).
 // Out-of-range arguments are ignored.
 func (e *Engine) Teach(a int, nest NestID) {
 	k := e.env.K()

@@ -134,7 +134,7 @@ func TestGoRequiresVisit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.Step(); err == nil {
-		t.Fatal("go to unvisited nest accepted in strict mode")
+		t.Fatal("go to unvisited nest accepted")
 	}
 	if e.Err() == nil {
 		t.Fatal("engine not poisoned after protocol violation")
@@ -142,21 +142,13 @@ func TestGoRequiresVisit(t *testing.T) {
 	if err := e.Step(); err == nil {
 		t.Fatal("poisoned engine accepted another step")
 	}
-	// Non-strict mode allows it (documented escape hatch for benchmarks).
-	e2, err := New(env, agentsOf(scripted(Goto(1))), WithStrict(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Step(); err != nil {
-		t.Fatalf("non-strict go rejected: %v", err)
-	}
 }
 
 func TestGoOutOfRangeAlwaysRejected(t *testing.T) {
 	t.Parallel()
 	env := MustEnvironment([]float64{1})
 	for _, nest := range []NestID{0, -1, 2} {
-		e, err := New(env, agentsOf(scripted(Goto(nest))), WithStrict(false))
+		e, err := New(env, agentsOf(scripted(Goto(nest))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,13 +177,13 @@ func TestRecruitPreconditions(t *testing.T) {
 	if err := e2.Step(); err != nil {
 		t.Fatalf("recruit(0, home) rejected: %v", err)
 	}
-	// Recruit for an unvisited candidate nest violates §2 in strict mode.
+	// Recruit for an unvisited candidate nest violates §2.
 	e3, err := New(env, agentsOf(scripted(Recruit(true, 1))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e3.Step(); err == nil {
-		t.Fatal("recruit(1, unvisited) accepted in strict mode")
+		t.Fatal("recruit(1, unvisited) accepted")
 	}
 }
 
@@ -236,7 +228,7 @@ func TestRecruitmentTeachesNest(t *testing.T) {
 	if passive.nest != recruiter.nest {
 		t.Fatalf("recruited ant learned %d, recruiter advertises %d", passive.nest, recruiter.nest)
 	}
-	// One more step: the passive ant issues go(learned nest); strict mode must accept.
+	// One more step: the passive ant issues go(learned nest); §2 validation must accept it.
 	if err := e.Step(); err != nil {
 		t.Fatalf("go after recruitment rejected: %v", err)
 	}

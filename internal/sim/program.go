@@ -13,7 +13,12 @@ import (
 //
 // A Program state pairs one emit opcode (which environment call to make) with
 // one observe opcode (how to fold the call's outcome into the register file)
-// and up to three successor states. The register file covers both compiled
+// and up to three successor states. As in the paper's §2 model, each call
+// returns its own kind of outcome — search() and go(i) a nest and its
+// end-of-round population, recruit(b, i) the home population plus, when the
+// ant is captured, the capturer's nest — and each observe opcode folds one
+// kind (ObserveNone and ObserveInform take both); Validate rejects a state
+// whose emit makes the other kind. The register file covers both compiled
 // algorithms: a committed nest, a remembered count and a perceived quality
 // (Algorithm 3), plus the scratch nest and scratch count Algorithm 2's 4-round
 // subroutine carries between rounds (the pseudocode's nest_t and count_t).
@@ -253,80 +258,88 @@ func adaptiveDecay(n, phases, tau int, floorDiv float64) float64 {
 
 // ObserveOp enumerates the compiled observe behaviours. Static opcodes always
 // enter Next; branching ones document which successor each outcome selects.
+// Each opcode folds the outcome of one kind of call, search/go or recruit
+// (see observeKind); its doc names the kind.
 type ObserveOp uint8
 
 const (
 	// ObserveDiscovery loads nest, count and quality from the outcome — the
-	// pattern after search(). Static.
+	// pattern after search(). Folds search/go outcomes. Static.
 	//hh:draws none scalar=SimpleAnt.Observe
 	ObserveDiscovery ObserveOp = iota
 	// ObserveAdopt adopts the recruiter's nest when the outcome's nest
 	// differs from the committed one, setting quality to 1 (a captured ant
-	// trusts its recruiter) — the pattern after recruit(). Static.
+	// trusts its recruiter) — the pattern after recruit(). Folds recruit
+	// outcomes. Static.
 	//hh:draws none scalar=SimpleAnt.Observe
 	ObserveAdopt
 	// ObserveCount loads only the count register — the pattern after go().
-	// Static.
+	// Folds search/go outcomes. Static.
 	//hh:draws none scalar=SimpleAnt.Observe
 	ObserveCount
 	// ObserveNone folds nothing — the padding calls of Algorithm 2 whose
-	// return values are discarded. Static.
+	// return values are discarded — so it follows either kind of call.
+	// Static.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveNone
 	// ObserveDiscoverBranch loads nest, count and quality like
 	// ObserveDiscovery, then branches on the discovered quality: Next when
 	// quality > 0 (Algorithm 2's active), NextB when quality = 0 (passive) —
-	// lines 8-11.
+	// lines 8-11. Folds search/go outcomes.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveDiscoverBranch
 	// ObserveRecruitNest stores the outcome nest in the scratch nest register
 	// nestT (the recruit of line 23, whose result is the capturer's nest when
-	// captured and the ant's own nest otherwise), then enters Next.
+	// captured and the ant's own nest otherwise), then enters Next. Folds
+	// recruit outcomes.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveRecruitNest
 	// ObserveCompareR2 stores the outcome count in countT and performs
 	// Algorithm 2's three-way R2 compare (lines 25-38): Case 1 (nestT = nest
 	// and countT >= count) re-baselines count := countT and enters Next;
 	// Case 2 (nestT = nest, population dropped) enters NextB; Case 3
-	// (recruited elsewhere) commits nest := nestT and enters NextC.
+	// (recruited elsewhere) commits nest := nestT and enters NextC. Folds
+	// search/go outcomes.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveCompareR2
 	// ObserveRecountRebase is Case 3's R3 population check (lines 39-41) in
 	// the analysis-consistent reading: count_n := outcome count; if
 	// count_n < countT enter NextB (the to-passive chain), else re-baseline
-	// count := count_n and enter Next.
+	// count := count_n and enter Next. Folds search/go outcomes.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveRecountRebase
 	// ObserveRecountLiteral is the pseudocode-literal Case 3 check: same
 	// branching as ObserveRecountRebase but count keeps the old nest's value
 	// on the Next branch (the stale baseline the E17 ablation quantifies).
+	// Folds search/go outcomes.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveRecountLiteral
 	// ObserveFinalEq is branch 1's R4 check (lines 29-31): if the outcome
 	// count equals the count register enter NextB (the final state), else
-	// Next. The outcome of a recruit call carries the home-nest population.
+	// Next. Folds recruit outcomes, whose count is the home-nest population.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveFinalEq
 	// ObserveAdoptPend is the passive R2 fold (lines 14-17): when the outcome
 	// nest differs the ant adopts it and enters NextB (the pending chain that
-	// latches final at the phase boundary); otherwise it enters Next.
+	// latches final at the phase boundary); otherwise it enters Next. Folds
+	// recruit outcomes.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveAdoptPend
 	// ObserveNestLatch re-loads the nest register from the outcome — the
 	// final-state recruit loop's ⟨nest, ·⟩ := recruit(1, nest) of line 21 —
-	// then enters Next.
+	// then enters Next. Folds recruit outcomes.
 	//hh:draws none scalar=OptimalAnt.Observe
 	ObserveNestLatch
 	// ObserveAdoptZero adopts the recruiter's nest when the outcome's nest
 	// differs from the committed one, resetting quality to 0 — the §6
 	// quality-aware recruit fold: a captured ant prices the unknown nest
-	// conservatively until its next visit re-assesses it. Static.
+	// conservatively until its next visit re-assesses it. Folds recruit
+	// outcomes. Static.
 	//hh:draws none scalar=QualityAnt.Observe
 	ObserveAdoptZero
 	// ObserveCountQual loads the count register and re-assesses quality from
-	// the outcome — the quality-aware assess visit (the engine reports the
-	// nest's true quality on go outcomes; recruit outcomes carry quality 0).
-	// Static.
+	// the outcome — the quality-aware assess visit, reading the nest's true
+	// quality. Folds search/go outcomes. Static.
 	//hh:draws none scalar=QualityAnt.Observe
 	ObserveCountQual
 	// ObserveDiscoverNoisy is the noisy-perception discovery fold: the count
@@ -335,11 +348,11 @@ const (
 	// 0 otherwise — NoisyAnt's active flag encoded exactly like Simple's
 	// (quality > 0 gates the recruit draw). Both hooks draw from the observing
 	// ant's own stream, count first, then quality, matching NoisyAnt's observe
-	// order. Static.
+	// order. Folds search/go outcomes. Static.
 	//hh:draws whatever Params.Count then Params.Assess draw from the observing ant stream, in that order scalar=NoisyAnt.Observe
 	ObserveDiscoverNoisy
 	// ObserveCountNoisy loads the count register through Params.Count — the
-	// noisy assess visit. Static.
+	// noisy assess visit. Folds search/go outcomes. Static.
 	//hh:draws whatever Params.Count draws from the observing ant stream scalar=NoisyAnt.Observe
 	ObserveCountNoisy
 	// ObserveDiscoverQuorum is the quorum-transport discovery fold: adopt the
@@ -347,7 +360,7 @@ const (
 	// Params.Assess(outcome quality) > 0.5 into the quality register (1 active
 	// canvasser, 0 passive), and self-calibrate the quorum threshold
 	// T = max(⌊QuorumMult·count⌋, count+2) into the countT scratch register —
-	// exactly QuorumAnt's search observe. Static.
+	// exactly QuorumAnt's search observe. Folds search/go outcomes. Static.
 	//hh:draws whatever Params.Assess draws from the observing ant stream scalar=QuorumAnt.Observe
 	ObserveDiscoverQuorum
 	// ObserveQuorumAdopt is the canvasser/passive recruit fold: when the ant
@@ -355,7 +368,7 @@ const (
 	// change — a carried ant knows it was picked up even if the capturer
 	// advertises its own nest) it adopts the capturer's nest and becomes an
 	// active canvasser (quality := 1). A self-pair does not count as capture.
-	// Static.
+	// Folds recruit outcomes. Static.
 	//hh:draws none: capture state folds without randomness scalar=QuorumAnt.Observe
 	ObserveQuorumAdopt
 	// ObserveQuorumCheck is the canvasser assess fold: load the exact count,
@@ -363,6 +376,7 @@ const (
 	// (quality > 0) and the count has reached the countT threshold; otherwise
 	// enter Next (keep canvassing). The transport states are Final, making the
 	// compiled program deciding exactly as QuorumAnt.Decided reports transport.
+	// Folds search/go outcomes.
 	//hh:draws none scalar=QuorumAnt.Observe
 	ObserveQuorumCheck
 	// ObserveQuorumTransport is the transporter recruit fold: a captured
@@ -370,7 +384,7 @@ const (
 	// the captured ant's stream); a submitting transporter carried to a
 	// DIFFERENT nest demotes to a canvasser of that nest — NextB — while one
 	// carried for its own nest, a resisting one, or an uncaptured one stays in
-	// transport — Next.
+	// transport — Next. Folds recruit outcomes.
 	//hh:draws one docility Bernoulli word from the captured transporter stream when QuorumDocility is inside (0, 1), none otherwise scalar=QuorumAnt.Observe
 	ObserveQuorumTransport
 	// ObserveInform is the rumor-spreading fold of the §3 lower-bound process:
@@ -378,12 +392,86 @@ const (
 	// that nest and enters Next (the informed state); otherwise it folds
 	// nothing and enters NextB. The recruit outcome of a captured waiter
 	// resolves to its capturer's advertised nest, so capture and discovery are
-	// the same two information channels as the scalar SpreaderAnt's. The
-	// Spreader compiler requires exactly one good nest, making "good outcome
-	// nest" and "outcome nest = target" the same predicate.
+	// the same two information channels as the scalar SpreaderAnt's, and the
+	// opcode folds both kinds of outcome: the compiled Spreader's searchers
+	// search and its waiters recruit. The Spreader compiler requires exactly
+	// one good nest, making "good outcome nest" and "outcome nest = target"
+	// the same predicate.
 	//hh:draws none scalar=SpreaderAnt.Observe
 	ObserveInform
 )
+
+var emitNames = [...]string{
+	EmitSearch: "EmitSearch", EmitGotoNest: "EmitGotoNest", EmitRecruitPop: "EmitRecruitPop",
+	EmitRecruitBit: "EmitRecruitBit", EmitGotoScratch: "EmitGotoScratch", EmitRecruitQual: "EmitRecruitQual",
+	EmitRecruitAdaptive: "EmitRecruitAdaptive", EmitRecruitApproxN: "EmitRecruitApproxN",
+	EmitRecruitTransport: "EmitRecruitTransport",
+}
+
+var observeNames = [...]string{
+	ObserveDiscovery: "ObserveDiscovery", ObserveAdopt: "ObserveAdopt", ObserveCount: "ObserveCount",
+	ObserveNone: "ObserveNone", ObserveDiscoverBranch: "ObserveDiscoverBranch",
+	ObserveRecruitNest: "ObserveRecruitNest", ObserveCompareR2: "ObserveCompareR2",
+	ObserveRecountRebase: "ObserveRecountRebase", ObserveRecountLiteral: "ObserveRecountLiteral",
+	ObserveFinalEq: "ObserveFinalEq", ObserveAdoptPend: "ObserveAdoptPend", ObserveNestLatch: "ObserveNestLatch",
+	ObserveAdoptZero: "ObserveAdoptZero", ObserveCountQual: "ObserveCountQual",
+	ObserveDiscoverNoisy: "ObserveDiscoverNoisy", ObserveCountNoisy: "ObserveCountNoisy",
+	ObserveDiscoverQuorum: "ObserveDiscoverQuorum", ObserveQuorumAdopt: "ObserveQuorumAdopt",
+	ObserveQuorumCheck: "ObserveQuorumCheck", ObserveQuorumTransport: "ObserveQuorumTransport",
+	ObserveInform: "ObserveInform",
+}
+
+// String returns the opcode's constant name.
+func (op EmitOp) String() string {
+	if int(op) < len(emitNames) {
+		return emitNames[op]
+	}
+	return fmt.Sprintf("EmitOp(%d)", uint8(op))
+}
+
+// String returns the opcode's constant name.
+func (op ObserveOp) String() string {
+	if int(op) < len(observeNames) {
+		return observeNames[op]
+	}
+	return fmt.Sprintf("ObserveOp(%d)", uint8(op))
+}
+
+// outcomeKind is a set of the kinds of outcome a call returns.
+type outcomeKind uint8
+
+const (
+	visitOutcome   outcomeKind = 1 << iota // search() and go(i): a nest and its end-of-round population
+	recruitOutcome                         // recruit(b, i): the home population and, if captured, the capturer's nest
+)
+
+// observeKind reports the kinds of outcome op folds: one for every opcode
+// but ObserveNone, which folds nothing, and ObserveInform, whose searchers
+// and waiters share one rumor fold. The batch folds implement only these
+// pairs; Validate rejects the rest.
+func observeKind(op ObserveOp) outcomeKind {
+	switch op {
+	case ObserveAdopt, ObserveRecruitNest, ObserveFinalEq, ObserveAdoptPend, ObserveNestLatch,
+		ObserveAdoptZero, ObserveQuorumAdopt, ObserveQuorumTransport:
+		return recruitOutcome
+	case ObserveNone, ObserveInform:
+		return visitOutcome | recruitOutcome
+	}
+	return visitOutcome
+}
+
+// recruitEmit reports whether op sends the ant to the home-nest pairing (its
+// outcome is then the home population and possibly a capturer's nest).
+//
+//hh:hotpath
+func recruitEmit(op EmitOp) bool {
+	switch op {
+	case EmitRecruitBit, EmitRecruitTransport,
+		EmitRecruitPop, EmitRecruitQual, EmitRecruitAdaptive, EmitRecruitApproxN:
+		return true
+	}
+	return false
+}
 
 // staticObserve reports whether op always enters Next.
 func staticObserve(op ObserveOp) bool {
@@ -397,18 +485,16 @@ func staticObserve(op ObserveOp) bool {
 	return false
 }
 
-// lockstepObserve reports whether the lockstep fast path implements op. The
-// quorum observes are static but deliberately excluded: they resolve a
-// recruiter's outcome through the general path's slot table, and the only
-// program emitting them (the compiled quorum-transport strategy) carries
-// branching observes anyway, so implementing them twice would be dead code —
-// a program using them runs the general path.
+// lockstepObserve reports whether the lockstep fast path implements op: the
+// opcodes lockFoldShard folds, plus ObserveNone, which folds nothing. Every
+// other opcode, static or not, runs on the general path.
 func lockstepObserve(op ObserveOp) bool {
 	switch op {
-	case ObserveDiscoverQuorum, ObserveQuorumAdopt:
-		return false
+	case ObserveDiscovery, ObserveAdopt, ObserveCount, ObserveNone,
+		ObserveAdoptZero, ObserveCountQual, ObserveDiscoverNoisy, ObserveCountNoisy:
+		return true
 	}
-	return staticObserve(op)
+	return false
 }
 
 // lockstepEmit reports whether the lockstep fast path implements op.
@@ -525,8 +611,9 @@ func (p Program) NeedsFloatParam() bool {
 
 // Validate checks structural soundness: a non-empty table, an in-range
 // initial state, in-range successors (including the alternates of branching
-// opcodes), known, well-parameterized opcodes and, for the extension opcodes,
-// in-range program parameters.
+// opcodes), known, well-parameterized opcodes whose emit makes the kind of
+// outcome the observe folds and, for the extension opcodes, in-range program
+// parameters.
 func (p Program) Validate() error {
 	if len(p.States) == 0 {
 		return fmt.Errorf("sim: program %q has no states", p.Algorithm)
@@ -575,6 +662,13 @@ func (p Program) Validate() error {
 		}
 		if st.Observe > ObserveInform {
 			return fmt.Errorf("sim: program %q state %d: unknown observe opcode %d", p.Algorithm, i, st.Observe)
+		}
+		kind, kindName := visitOutcome, "search/go"
+		if recruitEmit(st.Emit) {
+			kind, kindName = recruitOutcome, "recruit"
+		}
+		if observeKind(st.Observe)&kind == 0 {
+			return fmt.Errorf("sim: program %q state %d: %v makes a %s outcome, which %v does not fold", p.Algorithm, i, st.Emit, kindName, st.Observe)
 		}
 		if st.Observe == ObserveDiscoverQuorum && !(p.Params.QuorumMult > 1) {
 			return fmt.Errorf("sim: program %q state %d: ObserveDiscoverQuorum with multiplier %v; want > 1", p.Algorithm, i, p.Params.QuorumMult)

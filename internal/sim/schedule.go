@@ -328,7 +328,4 @@ func (ln *lane) restartAnt(i int) {
 	ln.nCrashed--
 	ln.commit[Home]++
 	ln.finals += int(ln.final[st])
-	// The count column is no longer uniform: invalidate the converged-tail
-	// skip so next round's fold refills it.
-	ln.countUni = -1
 }
