@@ -90,22 +90,24 @@ func run(args []string, out io.Writer) error {
 	if *plot {
 		opts = append(opts, househunt.WithTracing())
 	}
-	if *countNoise > 0 {
+	// A float flag reaches its option whenever it is set, so the option
+	// rejects a negative or NaN value instead of the run silently dropping it.
+	if *countNoise != 0 {
 		opts = append(opts, househunt.WithCountNoise(*countNoise))
 	}
-	if *flipP > 0 {
+	if *flipP != 0 {
 		opts = append(opts, househunt.WithAssessmentFlips(*flipP))
 	}
-	if *crash > 0 {
+	if *crash != 0 {
 		opts = append(opts, househunt.WithCrashFaults(*crash, *crashWin))
 	}
-	if *byz > 0 {
+	if *byz != 0 {
 		opts = append(opts, househunt.WithByzantineAnts(*byz))
 	}
-	if *sleep > 0 {
+	if *sleep != 0 {
 		opts = append(opts, househunt.WithIdleAnts(*sleep, *sleepWin))
 	}
-	if *jitter > 0 {
+	if *jitter != 0 {
 		opts = append(opts, househunt.WithJitter(*jitter, 2))
 	}
 

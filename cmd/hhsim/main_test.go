@@ -95,6 +95,8 @@ func TestRunRejectsInvalidFaultFlags(t *testing.T) {
 		{"-crash", "0.5", "-byz", "0.3", "-sleep", "0.3"},
 		{"-crash", "0.1", "-crash-window", "-1"},
 		{"-sleep", "0.1", "-sleep-window", "-64"},
+		{"-crash", "NaN"},
+		{"-byz", "Inf"},
 	}
 	for _, args := range invalid {
 		var out bytes.Buffer
@@ -127,6 +129,17 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-whatever"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+	// A set float flag reaches its option, which rejects a NaN or negative
+	// value instead of the run dropping it and simulating without it.
+	for _, args := range [][]string{
+		{"-jitter", "NaN"}, {"-jitter", "-0.1"},
+		{"-count-noise", "NaN"}, {"-count-noise", "-1"},
+		{"-flip", "NaN"}, {"-flip", "-0.2"},
+	} {
+		if err := run(append([]string{"-n", "32", "-k", "2"}, args...), &out); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

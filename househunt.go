@@ -32,6 +32,7 @@ package househunt
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/gmrl/househunt/internal/algo"
 	"github.com/gmrl/househunt/internal/async"
@@ -107,7 +108,9 @@ type Config struct {
 	nError           float64
 }
 
-// Option configures a colony.
+// Option configures a colony. An option rejects a value outside its range
+// with an error from New or Run; for the float options that includes NaN and
+// ±Inf.
 type Option func(*Config) error
 
 // WithColonySize sets the number of ants n (required, positive).
@@ -205,8 +208,8 @@ func WithTracing() Option {
 // Forces the noisy variant of AlgorithmSimple.
 func WithCountNoise(sigma float64) Option {
 	return func(c *Config) error {
-		if sigma < 0 {
-			return fmt.Errorf("househunt: negative count noise %v", sigma)
+		if !(sigma >= 0 && sigma <= math.MaxFloat64) {
+			return fmt.Errorf("househunt: count noise %v must be a finite number >= 0", sigma)
 		}
 		c.countNoise = sigma
 		return nil
@@ -217,7 +220,7 @@ func WithCountNoise(sigma float64) Option {
 // (§6 noisy assessment). Forces the noisy variant of AlgorithmSimple.
 func WithAssessmentFlips(p float64) Option {
 	return func(c *Config) error {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("househunt: flip probability %v outside [0,1]", p)
 		}
 		c.flipP = p
@@ -231,7 +234,7 @@ func WithAssessmentFlips(p float64) Option {
 // AlgorithmSimple.
 func WithEncounterRateSensing(probes int, volume float64) Option {
 	return func(c *Config) error {
-		if probes <= 0 || volume <= 0 {
+		if probes <= 0 || !(volume > 0 && volume <= math.MaxFloat64) {
 			return fmt.Errorf("househunt: invalid encounter sensing probes=%d volume=%v", probes, volume)
 		}
 		c.encounterEst = &nest.EncounterRateCounter{Probes: probes, Volume: volume}
@@ -243,7 +246,7 @@ func WithEncounterRateSensing(probes int, volume float64) Option {
 // random rounds within the window (§6 fault tolerance).
 func WithCrashFaults(fraction float64, window int) Option {
 	return func(c *Config) error {
-		if fraction < 0 || fraction > 1 {
+		if !(fraction >= 0 && fraction <= 1) {
 			return fmt.Errorf("househunt: crash fraction %v outside [0,1]", fraction)
 		}
 		c.crashFrac = fraction
@@ -256,7 +259,7 @@ func WithCrashFaults(fraction float64, window int) Option {
 // that lure ants toward bad nests (§6 fault tolerance).
 func WithByzantineAnts(fraction float64) Option {
 	return func(c *Config) error {
-		if fraction < 0 || fraction > 1 {
+		if !(fraction >= 0 && fraction <= 1) {
 			return fmt.Errorf("househunt: byzantine fraction %v outside [0,1]", fraction)
 		}
 		c.byzantineFrac = fraction
@@ -271,7 +274,7 @@ func WithByzantineAnts(fraction float64) Option {
 // reserve wakes.
 func WithIdleAnts(fraction float64, window int) Option {
 	return func(c *Config) error {
-		if fraction < 0 || fraction > 1 {
+		if !(fraction >= 0 && fraction <= 1) {
 			return fmt.Errorf("househunt: idle fraction %v outside [0,1]", fraction)
 		}
 		c.sleepFrac = fraction
@@ -286,7 +289,7 @@ func WithIdleAnts(fraction float64, window int) Option {
 // the scalar engine.
 func WithJitter(p float64, maxDelay int) Option {
 	return func(c *Config) error {
-		if p < 0 || p >= 1 {
+		if !(p >= 0 && p < 1) {
 			return fmt.Errorf("househunt: jitter probability %v outside [0,1)", p)
 		}
 		if maxDelay < 0 {
@@ -302,7 +305,7 @@ func WithJitter(p float64, maxDelay int) Option {
 // recruit phases and the boost floor divisor (see internal/algo.AdaptiveAnt).
 func WithAdaptiveSchedule(tau int, floorDiv float64) Option {
 	return func(c *Config) error {
-		if tau < 0 || floorDiv < 0 {
+		if tau < 0 || !(floorDiv >= 0 && floorDiv <= math.MaxFloat64) {
 			return fmt.Errorf("househunt: invalid adaptive schedule tau=%d floorDiv=%v", tau, floorDiv)
 		}
 		c.adaptiveTau = tau
@@ -318,13 +321,13 @@ func WithAdaptiveSchedule(tau int, floorDiv float64) Option {
 // away (0 keeps the default 0.25).
 func WithQuorum(multiplier float64, carry int, docility float64) Option {
 	return func(c *Config) error {
-		if multiplier != 0 && multiplier <= 1 {
-			return fmt.Errorf("househunt: quorum multiplier %v must exceed 1", multiplier)
+		if multiplier != 0 && !(multiplier > 1 && multiplier <= math.MaxFloat64) {
+			return fmt.Errorf("househunt: quorum multiplier %v must be a finite number above 1", multiplier)
 		}
 		if carry < 0 {
 			return fmt.Errorf("househunt: negative transport carry %d", carry)
 		}
-		if docility < 0 || docility > 1 {
+		if !(docility >= 0 && docility <= 1) {
 			return fmt.Errorf("househunt: quorum docility %v outside [0,1]", docility)
 		}
 		c.quorumMultiplier = multiplier
@@ -339,7 +342,7 @@ func WithQuorum(multiplier float64, carry int, docility float64) Option {
 // only an approximation of n"). delta must lie in [0, 1).
 func WithColonySizeError(delta float64) Option {
 	return func(c *Config) error {
-		if delta < 0 || delta >= 1 {
+		if !(delta >= 0 && delta < 1) {
 			return fmt.Errorf("househunt: colony-size error %v outside [0,1)", delta)
 		}
 		c.nError = delta

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,6 +81,42 @@ func TestOptionValidation(t *testing.T) {
 		cfg := Config{}
 		if err := opt(&cfg); err == nil {
 			t.Errorf("bad option %d accepted", i)
+		}
+	}
+}
+
+// TestFloatOptionsRejectNaNAndInf pins that every float option fails on NaN
+// and ±Inf, which no range check written with < or > catches. Each option is
+// first shown to accept an in-range value, so the failures come from the
+// value. WithNests reaches its check through New's sim.NewEnvironment.
+func TestFloatOptionsRejectNaNAndInf(t *testing.T) {
+	t.Parallel()
+	options := []struct {
+		name string
+		ok   float64
+		opt  func(x float64) Option
+	}{
+		{"WithNests", 0.5, func(x float64) Option { return WithNests(1, x) }},
+		{"WithCountNoise", 0.1, func(x float64) Option { return WithCountNoise(x) }},
+		{"WithAssessmentFlips", 0.1, func(x float64) Option { return WithAssessmentFlips(x) }},
+		{"WithEncounterRateSensing", 1, func(x float64) Option { return WithEncounterRateSensing(4, x) }},
+		{"WithCrashFaults", 0.1, func(x float64) Option { return WithCrashFaults(x, 10) }},
+		{"WithByzantineAnts", 0.05, func(x float64) Option { return WithByzantineAnts(x) }},
+		{"WithIdleAnts", 0.1, func(x float64) Option { return WithIdleAnts(x, 10) }},
+		{"WithJitter", 0.1, func(x float64) Option { return WithJitter(x, 0) }},
+		{"WithAdaptiveSchedule", 2, func(x float64) Option { return WithAdaptiveSchedule(4, x) }},
+		{"WithQuorum multiplier", 2, func(x float64) Option { return WithQuorum(x, 3, 0.25) }},
+		{"WithQuorum docility", 0.5, func(x float64) Option { return WithQuorum(2, 3, x) }},
+		{"WithColonySizeError", 0.1, func(x float64) Option { return WithColonySizeError(x) }},
+	}
+	for _, o := range options {
+		if _, err := New(WithColonySize(64), WithBinaryNests(2, 1), o.opt(o.ok)); err != nil {
+			t.Errorf("%s(%v) rejected: %v", o.name, o.ok, err)
+		}
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := New(WithColonySize(64), WithBinaryNests(2, 1), o.opt(x)); err == nil {
+				t.Errorf("%s(%v) accepted", o.name, x)
+			}
 		}
 	}
 }

@@ -187,40 +187,54 @@ func compileCase(t *testing.T, c diffCase) sim.Program {
 }
 
 // scalarTrace runs the scalar engine on each seed, recording per-round
-// populations and commitment censuses, with the exact stream derivation the
-// core runner uses (ant root = rng.New(seed).Split(2)).
+// populations and commitment censuses; a step error is fatal.
 func scalarTrace(t *testing.T, c diffCase) [][]roundRec {
 	t.Helper()
 	recs := make([][]roundRec, len(c.seeds))
 	for si, seed := range c.seeds {
-		agents, err := c.algo.Build(c.n, c.env, rng.New(seed).Split(2))
-		if err != nil {
-			t.Fatalf("%s seed %d: build: %v", c.name, seed, err)
-		}
-		if spec := c.spec(); spec.Enabled() {
-			if agents, err = spec.WrapAgents(seed, agents); err != nil {
-				t.Fatalf("%s seed %d: wrap: %v", c.name, seed, err)
-			}
-		}
-		opts := []sim.Option{sim.WithSeed(seed)}
-		if c.matcher != "" {
-			opts = append(opts, sim.WithMatcher(stockMatcher(c.matcher)))
-		}
-		eng, err := sim.New(c.env, agents, opts...)
-		if err != nil {
-			t.Fatalf("%s seed %d: engine: %v", c.name, seed, err)
-		}
-		for r := 0; r < c.maxRounds; r++ {
-			if err := eng.Step(); err != nil {
-				t.Fatalf("%s seed %d: scalar step: %v", c.name, seed, err)
-			}
-			recs[si] = append(recs[si], roundRec{
-				counts: eng.Counts(),
-				commit: core.TakeCensus(agents, c.env.K()).Committed,
-			})
+		var err error
+		if recs[si], err = scalarRun(t, c, seed); err != nil {
+			t.Fatalf("%s seed %d: scalar step: %v", c.name, seed, err)
 		}
 	}
 	return recs
+}
+
+// scalarRun runs the scalar engine on one seed with the exact stream
+// derivation the core runner uses (ant root = rng.New(seed).Split(2)),
+// recording per-round populations and commitment censuses until the budget
+// ends or a step fails; it returns the rounds recorded before the failure
+// and the step's error.
+func scalarRun(t *testing.T, c diffCase, seed uint64) ([]roundRec, error) {
+	t.Helper()
+	agents, err := c.algo.Build(c.n, c.env, rng.New(seed).Split(2))
+	if err != nil {
+		t.Fatalf("%s seed %d: build: %v", c.name, seed, err)
+	}
+	if spec := c.spec(); spec.Enabled() {
+		if agents, err = spec.WrapAgents(seed, agents); err != nil {
+			t.Fatalf("%s seed %d: wrap: %v", c.name, seed, err)
+		}
+	}
+	opts := []sim.Option{sim.WithSeed(seed)}
+	if c.matcher != "" {
+		opts = append(opts, sim.WithMatcher(stockMatcher(c.matcher)))
+	}
+	eng, err := sim.New(c.env, agents, opts...)
+	if err != nil {
+		t.Fatalf("%s seed %d: engine: %v", c.name, seed, err)
+	}
+	var recs []roundRec
+	for r := 0; r < c.maxRounds; r++ {
+		if err := eng.Step(); err != nil {
+			return recs, err
+		}
+		recs = append(recs, roundRec{
+			counts: eng.Counts(),
+			commit: core.TakeCensus(agents, c.env.K()).Committed,
+		})
+	}
+	return recs, nil
 }
 
 // recorder is the recording sim.BatchObserver batchTrace runs under: it
@@ -244,8 +258,20 @@ func (r *recorder) ReplicateDone(int, *sim.BatchResult) {}
 
 // batchTrace runs the compiled program on the batch engine with a recording
 // observer; the window exceeding the budget keeps every replicate running
-// all maxRounds rounds so traces line up with scalarTrace.
+// all maxRounds rounds so traces line up with scalarTrace. A run error is
+// fatal.
 func batchTrace(t *testing.T, c diffCase, prog sim.Program) [][]roundRec {
+	t.Helper()
+	recs, err := batchRun(t, c, prog)
+	if err != nil {
+		t.Fatalf("%s: batch run: %v", c.name, err)
+	}
+	return recs
+}
+
+// batchRun is batchTrace returning the run's error: the records then hold
+// each replicate's rounds up to the failing one.
+func batchRun(t *testing.T, c diffCase, prog sim.Program) ([][]roundRec, error) {
 	t.Helper()
 	if fs, on := c.spec().BatchFaults(); on {
 		prog.Params.Faults = fs
@@ -263,10 +289,8 @@ func batchTrace(t *testing.T, c diffCase, prog sim.Program) [][]roundRec {
 	if err != nil {
 		t.Fatalf("%s: batch: %v", c.name, err)
 	}
-	if _, err := b.Run(c.seeds, c.maxRounds, c.maxRounds+1); err != nil {
-		t.Fatalf("%s: batch run: %v", c.name, err)
-	}
-	return rec.recs
+	_, err = b.Run(c.seeds, c.maxRounds, c.maxRounds+1)
+	return rec.recs, err
 }
 
 // compareTraces asserts two per-seed round traces are bit-identical.

@@ -2,11 +2,13 @@ package algo
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/gmrl/househunt/internal/core"
 	"github.com/gmrl/househunt/internal/faults"
 	"github.com/gmrl/househunt/internal/nest"
+	"github.com/gmrl/househunt/internal/rng"
 	"github.com/gmrl/househunt/internal/sim"
 )
 
@@ -276,5 +278,78 @@ func FuzzBatchAdaptiveFaultEquivalence(f *testing.F) {
 		c.sched = sched
 		c.name += "+sched-" + tag
 		assertTraceEquivalence(t, c)
+	})
+}
+
+// scriptSchedule is a schedule read off raw fuzz bytes: each op fires at the
+// end of its round. Nothing filters the ops, so they name any kind byte, any
+// ant and any nest, and the engines' eligibility checks see every invalid
+// op a user schedule could emit.
+type scriptSchedule []scriptOp
+
+type scriptOp struct {
+	round int
+	op    sim.FaultOp
+}
+
+// decodeScript reads four bytes per op: the round (1..maxRounds), the kind
+// byte as is, the ant as a signed byte (so -128..127 covers negative ants
+// and ants at or past n) and the nest byte as is (0 and k+1 included).
+func decodeScript(raw []byte, maxRounds int) scriptSchedule {
+	var s scriptSchedule
+	for ; len(raw) >= 4; raw = raw[4:] {
+		s = append(s, scriptOp{
+			round: 1 + int(raw[0])%maxRounds,
+			op:    sim.FaultOp{Kind: sim.FaultOpKind(raw[1]), Ant: int32(int8(raw[2])), Nest: sim.NestID(raw[3])},
+		})
+	}
+	return s
+}
+
+func (scriptSchedule) Name() string { return "script" }
+
+func (s scriptSchedule) Step(v sim.ColonyView, _ *rng.Source, ops []sim.FaultOp) []sim.FaultOp {
+	for _, o := range s {
+		if o.round == v.Round() {
+			ops = append(ops, o.op)
+		}
+	}
+	return ops
+}
+
+// FuzzScheduleOps drives both engines' schedule passes with arbitrary ops:
+// the scalar controller's hook and the batch lane's applySchedule, with its
+// crashAnt and restartAnt transitions. Either both engines finish with
+// bit-identical per-round populations and censuses, or both fail at the same
+// round with the same text after `schedule "script": ` (for example
+// `restart(5): ant is not crashed`), having agreed on every round before it.
+// The case decodes as in FuzzBatchFaultEquivalence, with colonies kept small,
+// plus the script; the checked-in corpus holds one script per rejection and
+// two valid crash → restart → relocate scripts whose restarts come after the
+// ants drew from their streams.
+func FuzzScheduleOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, algoPick, nRaw, kRaw, qualBits, param, faultRaw uint16, script []byte) {
+		c := fuzzDiffCase(seed, algoPick, nRaw&0x7fff, kRaw, qualBits, param)
+		c.faults = fuzzFaultSpec(faultRaw)
+		ops := decodeScript(script, c.maxRounds)
+		c.sched = func() faults.Schedule { return ops }
+		c.name += "+script"
+		prog := compileCase(t, c)
+		want, serr := scalarRun(t, c, seed)
+		got, berr := batchRun(t, c, prog)
+		if (serr == nil) != (berr == nil) {
+			t.Fatalf("%s: scalar error %v, batch error %v", c.name, serr, berr)
+		}
+		if serr != nil {
+			const marker = `schedule "script": `
+			_, stext, sok := strings.Cut(serr.Error(), marker)
+			_, btext, bok := strings.Cut(berr.Error(), marker)
+			if !sok || !bok || stext != btext {
+				t.Fatalf("%s: engines failed differently:\nscalar %v\nbatch  %v", c.name, serr, berr)
+			}
+		}
+		// Equal round counts mean equal failing rounds: neither engine
+		// records the round its schedule failed in.
+		compareTraces(t, c, [][]roundRec{want}, got)
 	})
 }

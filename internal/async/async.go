@@ -5,8 +5,8 @@
 //
 //   - Jitter holds an ant with probability p each round (a slow ant whose
 //     protocol clock drifts behind the colony's),
-//   - PhaseShift holds an ant for a fixed prefix of rounds (staggered
-//     wake-up after the home nest is destroyed).
+//   - Plan.MaxDelay also holds each ant for a random prefix of rounds
+//     (staggered wake-up after the home nest is destroyed).
 //
 // During a held round the ant performs a harmless legal call — revisiting its
 // committed nest, or waiting passively at home — and its wrapped protocol
@@ -61,18 +61,6 @@ func NewJitter(inner sim.Agent, p float64, src *rng.Source) (*Jitter, error) {
 		return nil, fmt.Errorf("async: nil random source")
 	}
 	return &Jitter{inner: inner, p: p, src: src}, nil
-}
-
-// NewPhaseShift wraps inner so that its first delay rounds are held: the ant
-// wakes up late and then runs synchronously.
-func NewPhaseShift(inner sim.Agent, delay int) (*Jitter, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("async: nil inner agent")
-	}
-	if delay < 0 {
-		return nil, fmt.Errorf("async: negative delay %d", delay)
-	}
-	return &Jitter{inner: inner, initialHolds: delay}, nil
 }
 
 // holdAction is the harmless legal call for a held round.

@@ -26,24 +26,10 @@ func TestNewJitterValidation(t *testing.T) {
 	}
 }
 
-func TestNewPhaseShiftValidation(t *testing.T) {
-	t.Parallel()
-	inner := algo.NewSimpleAnt(10, rng.New(1))
-	if _, err := NewPhaseShift(nil, 2); err == nil {
-		t.Fatal("nil inner accepted")
-	}
-	if _, err := NewPhaseShift(inner, -1); err == nil {
-		t.Fatal("negative delay accepted")
-	}
-}
-
 func TestPhaseShiftHoldsThenRuns(t *testing.T) {
 	t.Parallel()
 	inner := algo.NewSimpleAnt(10, rng.New(3))
-	j, err := NewPhaseShift(inner, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := &Jitter{inner: inner, initialHolds: 2}
 	// Two held rounds: uncommitted inner → passive wait at home.
 	for r := 1; r <= 2; r++ {
 		act := j.Act(r)
@@ -71,10 +57,7 @@ func TestPhaseShiftHoldsThenRuns(t *testing.T) {
 func TestJitterHoldUsesCommittedNest(t *testing.T) {
 	t.Parallel()
 	inner := algo.NewSimpleAnt(10, rng.New(4))
-	j, err := NewPhaseShift(inner, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := &Jitter{inner: inner}
 	j.Act(1)
 	j.Observe(1, sim.Outcome{Nest: 3, Count: 1, Quality: 1})
 	// Force a hold and check the held action parks at the committed nest.

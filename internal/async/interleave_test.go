@@ -40,10 +40,7 @@ func (p *clockProbe) Observe(round int, out sim.Outcome) {
 func TestJitterScriptedInterleaving(t *testing.T) {
 	t.Parallel()
 	probe := &clockProbe{}
-	j, err := NewPhaseShift(probe, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := &Jitter{inner: probe}
 	script := []bool{false, true, false, true, true, false, false} // true = hold
 	for r, hold := range script {
 		round := r + 1
@@ -142,17 +139,11 @@ func TestPlanInterleavingDeterminism(t *testing.T) {
 // jitter wrapper must not hide an inner agent's faultiness from the census.
 func TestJitterFaultyDelegation(t *testing.T) {
 	t.Parallel()
-	j, err := NewPhaseShift(&faultyProbe{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := &Jitter{inner: &faultyProbe{}, initialHolds: 1}
 	if !j.Faulty() {
 		t.Fatal("jitter hid the inner agent's faultiness")
 	}
-	plain, err := NewPhaseShift(&clockProbe{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := &Jitter{inner: &clockProbe{}, initialHolds: 1}
 	if plain.Faulty() {
 		t.Fatal("jitter fabricated faultiness for a healthy inner agent")
 	}

@@ -321,32 +321,6 @@ func TestRunTraced(t *testing.T) {
 	}
 }
 
-func TestLocationConverged(t *testing.T) {
-	t.Parallel()
-	env := sim.MustEnvironment([]float64{0, 1})
-	algoAgents, err := oracleAlgorithm{}.Build(15, env, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := sim.New(env, algoAgents, sim.WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run until every oracle ant has committed and is physically at nest 2.
-	for r := 0; r < 500; r++ {
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if w, ok := LocationConverged(e, algoAgents); ok {
-			if w != 2 {
-				t.Fatalf("location winner %d, want 2", w)
-			}
-			return
-		}
-	}
-	t.Fatal("location convergence never reached")
-}
-
 // failingAlgorithm always fails to build, to exercise the build-error paths.
 type failingAlgorithm struct{}
 
@@ -408,35 +382,6 @@ func TestRunTracedBudgetExhaustion(t *testing.T) {
 	}
 	if res.Solved || res.Rounds != 1 || tr.Len() != 1 {
 		t.Fatalf("budgeted traced run: %+v, trace %d rounds", res, tr.Len())
-	}
-}
-
-func TestLocationConvergedEdgeCases(t *testing.T) {
-	t.Parallel()
-	env := sim.MustEnvironment([]float64{0, 1})
-	agents, err := oracleAlgorithm{}.Build(5, env, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := sim.New(env, agents, sim.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before any round everyone is at home: not converged.
-	if _, ok := LocationConverged(e, agents); ok {
-		t.Fatal("converged while everyone is at home")
-	}
-	// Mismatched agents slice: refuse.
-	if _, ok := LocationConverged(e, agents[:2]); ok {
-		t.Fatal("converged with mismatched agent slice")
-	}
-	// One step: ants scattered over nests 1 and 2: not converged (and nest 1
-	// is bad even if unanimous).
-	if err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := LocationConverged(e, agents); ok {
-		t.Fatal("converged while scattered")
 	}
 }
 

@@ -11,8 +11,7 @@
 // recruit stragglers — the paper's §4.2 remark adopts "all ants reached the
 // final state / committed to the same unique nest" as termination). The
 // runner therefore detects convergence on commitments: every non-faulty ant
-// committed to the same good nest. A strict location check is available for
-// tests via LocationConverged.
+// committed to the same good nest.
 package core
 
 import (
@@ -129,37 +128,6 @@ func (c Census) Converged(env sim.Environment) (sim.NestID, bool) {
 	}
 	return w, true
 }
-
-// LocationConverged is the strict §2 check: every non-faulty ant is located
-// at the same good nest at the end of the engine's last round. Faulty ants
-// are identified through the agents slice, which must parallel engine ants.
-func LocationConverged(e *sim.Engine, agents []sim.Agent) (sim.NestID, bool) {
-	if len(agents) != e.N() {
-		return sim.Home, false
-	}
-	winner := sim.Home
-	for i := 0; i < e.N(); i++ {
-		if f, ok := agents[i].(Faulty); ok && f.Faulty() {
-			continue
-		}
-		loc := e.Location(i)
-		if loc == sim.Home {
-			return sim.Home, false
-		}
-		if winner == sim.Home {
-			winner = loc
-		} else if loc != winner {
-			return sim.Home, false
-		}
-	}
-	if winner == sim.Home || !e.Env().Good(winner) {
-		return sim.Home, false
-	}
-	return winner, true
-}
-
-// ErrNoConvergence is returned by Run when the round budget expires first.
-var ErrNoConvergence = errors.New("core: round budget exhausted before convergence")
 
 // Sentinel validation errors.
 var (

@@ -9,24 +9,20 @@ import (
 	"github.com/gmrl/househunt/internal/sim"
 )
 
-func TestNewCrashAntValidation(t *testing.T) {
-	t.Parallel()
-	if _, err := NewCrashAnt(nil, 5); err == nil {
-		t.Fatal("nil inner accepted")
-	}
-	inner := algo.NewSimpleAnt(10, rng.New(1))
-	if _, err := NewCrashAnt(inner, 0); err == nil {
-		t.Fatal("crash round 0 accepted")
-	}
+// crashVictim and sleepVictim build the wrapper Spec.WrapAgents gives a
+// static crash or sleep victim when no schedule is attached.
+func crashVictim(inner sim.Agent, crashAt int) *schedAnt {
+	return &schedAnt{inner: inner, crashAt: crashAt}
+}
+
+func sleepVictim(inner sim.Agent, wakeAt int) *schedAnt {
+	return &schedAnt{inner: inner, wakeAt: wakeAt, status: sim.AntSleeping}
 }
 
 func TestCrashAntTransparentUntilCrash(t *testing.T) {
 	t.Parallel()
 	inner := algo.NewSimpleAnt(10, rng.New(2))
-	c, err := NewCrashAnt(inner, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := crashVictim(inner, 3)
 	if c.Faulty() {
 		t.Fatal("faulty before crash round")
 	}
@@ -55,10 +51,7 @@ func TestCrashAntTransparentUntilCrash(t *testing.T) {
 func TestCrashAntWithoutKnownNest(t *testing.T) {
 	t.Parallel()
 	inner := algo.NewSimpleAnt(10, rng.New(3))
-	c, err := NewCrashAnt(inner, 1) // crashes before ever searching
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := crashVictim(inner, 1) // crashes before ever searching
 	act := c.Act(1)
 	if act.Kind != sim.ActionRecruit || act.Active || act.Nest != sim.Home {
 		t.Fatalf("nest-less crash act = %+v, want recruit(0, home)", act)
@@ -72,7 +65,7 @@ func TestCrashAntWithoutKnownNest(t *testing.T) {
 
 func TestByzantineAntHuntsBadNestThenLures(t *testing.T) {
 	t.Parallel()
-	b := NewByzantineAnt(rng.New(4))
+	b := &schedAnt{status: sim.AntByzantine}
 	if !b.Faulty() {
 		t.Fatal("byzantine ant not faulty")
 	}
@@ -87,6 +80,13 @@ func TestByzantineAntHuntsBadNestThenLures(t *testing.T) {
 	act := b.Act(3)
 	if act.Kind != sim.ActionRecruit || !act.Active || act.Nest != 3 {
 		t.Fatalf("luring act = %+v, want recruit(1, 3)", act)
+	}
+	b.Observe(3, sim.Outcome{Nest: 4, Quality: 0}) // the latch holds
+	if act := b.Act(4); act.Nest != 3 {
+		t.Fatalf("lure target moved to %d, want the first bad nest 3", act.Nest)
+	}
+	if _, ok := b.Committed(); ok {
+		t.Fatal("byzantine ant reports a commitment")
 	}
 }
 

@@ -22,15 +22,14 @@ import (
 // mutations, draw only from the dedicated adversary stream.
 type Schedule = sim.FaultSchedule
 
-// schedAnt wraps one colony member for the adaptive fault controller. It
-// subsumes the static wrappers: the same crash/wake round semantics as
-// CrashAnt/SleepAnt (with exact-round crash matching so a restarted ant
-// cannot re-fire a passed static crash) and the same luring policy as
-// ByzantineAnt (inner is nil for Byzantine victims), plus the
-// schedule-driven status transitions the controller applies between rounds.
+// schedAnt is the scalar engine's one fault wrapper: a status machine over
+// one colony member. Its static plan (from FaultSpec.Assign) crashes it at
+// crashAt or wakes it at wakeAt; a Byzantine victim (inner nil) searches
+// until it finds a bad nest and lures toward it forever; and a schedule's
+// controller applies crash, restart and relocate transitions between
+// rounds. ctrl is nil without a schedule, and then only victims are wrapped.
 type schedAnt struct {
 	ctrl   *schedCtrl
-	idx    int
 	inner  sim.Agent // nil exactly when the ant is a Byzantine victim
 	status sim.AntStatus
 	// base is the inner agent's clock offset: Act/Observe forward round-base,
@@ -42,8 +41,8 @@ type schedAnt struct {
 	wakeAt  int
 	crashAt int
 	// lastNest is the last non-home outcome nest, live or dead — where the
-	// corpse wanders after a crash (CrashAnt's tracking, kept for every ant
-	// because any ant can crash under a schedule).
+	// corpse wanders after a crash (kept for every wrapped ant because any
+	// ant can crash under a schedule).
 	lastNest sim.NestID
 	// badNest is the Byzantine lure target (Home until latched or relocated).
 	badNest sim.NestID
@@ -52,16 +51,35 @@ type schedAnt struct {
 var _ sim.Agent = (*schedAnt)(nil)
 var _ sim.RoundHooked = (*schedAnt)(nil)
 
-// RoundHook implements sim.RoundHooked: every ant carries the shared
-// controller hook, and the engine installs the first (hence the) one.
-func (a *schedAnt) RoundHook() sim.RoundHook { return a.ctrl.hook }
+// agent returns the sim.Agent the engine steps for a: a schedDecider over a
+// deciding inner agent, so the census keeps the algorithm's decider
+// contract, and a itself otherwise.
+func (a *schedAnt) agent() sim.Agent {
+	if _, ok := a.inner.(decider); ok {
+		return schedDecider{a}
+	}
+	return a
+}
+
+// RoundHook implements sim.RoundHooked: under a schedule every ant carries
+// the shared controller hook, and the engine installs the first (hence the)
+// one; without a schedule there is none, so the engine installs no hook.
+func (a *schedAnt) RoundHook() sim.RoundHook {
+	if a.ctrl == nil {
+		return nil
+	}
+	return a.ctrl.hook
+}
 
 // Act implements sim.Agent. Static transitions fire first — wake at
 // round >= wakeAt while still sleeping, crash at round == crashAt while live
-// or sleeping — then the status selects the behavior. The crash match is
-// exact where CrashAnt's is >=: under a schedule an ant may be restarted
-// after its static crash round, and the static crash must not re-fire (the
-// batch lane's crash list is matched with == identically).
+// or sleeping — then the status selects the behavior: a live ant delegates
+// on its translated clock, a sleeper and a nest-less corpse wait at home, a
+// corpse walks to its last known nest, and a Byzantine ant hunts or lures.
+// The crash match is exact: the engine calls Act every round, so == fires
+// exactly when >= first would, and an ant a schedule restarts after its
+// static crash round must not crash again (the batch lane's crash list is
+// matched with == identically).
 func (a *schedAnt) Act(round int) sim.Action {
 	if a.status == sim.AntSleeping && a.wakeAt > 0 && round >= a.wakeAt {
 		a.status = sim.AntLive
@@ -125,8 +143,11 @@ func (a *schedAnt) Committed() (sim.NestID, bool) {
 	return sim.Home, false
 }
 
-// schedDecider is a schedAnt over a deciding inner agent, forwarding the
-// verdict for the same census reason as crashDecider/sleepDecider.
+// schedDecider is a schedAnt over a deciding inner agent. It forwards the
+// inner verdict so a censused wrapped ant still counts as a decider in
+// core.TakeCensus: without it, wrapping ANY ant of a deciding algorithm
+// (e.g. Algorithm 2) would make convergence unreachable, because the ant
+// counts toward Total but never as decided.
 type schedDecider struct{ *schedAnt }
 
 // Decided forwards the inner agent's verdict while censused and reports

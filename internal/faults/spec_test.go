@@ -31,46 +31,12 @@ func (r *recordingAgent) Decided() bool { return r.decided }
 
 func (r *recordingAgent) Committed() (sim.NestID, bool) { return r.nest, r.committed }
 
-// TestByzantineAntDrawsNothing pins the stream-consumption contract the batch
-// engine's fault lane relies on: a ByzantineAnt NEVER draws from its private
-// source. Its policy is deterministic given its outcomes, so the lane can
-// skip materializing per-ant streams for Byzantine ants and stay bit-identical
-// to the scalar wrapper. If this test fails, the lane needs a per-ant stream
-// column for Byzantine ants before the contract can change.
-func TestByzantineAntDrawsNothing(t *testing.T) {
-	t.Parallel()
-	src := rng.New(11).Split(42)
-	before := src.State()
-	b := NewByzantineAnt(src)
-	// Drive the full policy: hunt, reject a good nest, latch a bad one, lure.
-	for round := 1; round <= 50; round++ {
-		b.Act(round)
-		switch round {
-		case 1:
-			b.Observe(round, sim.Outcome{Nest: 1, Quality: 1})
-		case 2:
-			b.Observe(round, sim.Outcome{Nest: 2, Quality: 0})
-		default:
-			b.Observe(round, sim.Outcome{Nest: 2, Quality: 0, Count: round})
-		}
-	}
-	if b.badNest != 2 {
-		t.Fatalf("adversary latched nest %d, want the first bad nest 2", b.badNest)
-	}
-	if after := src.State(); after != before {
-		t.Fatalf("ByzantineAnt drew from its source: state %v -> %v", before, after)
-	}
-}
-
 // TestCrashAntAtFirstRound pins the boundary case of a crash scheduled at
 // round 1: the inner agent must never act at all.
 func TestCrashAntAtFirstRound(t *testing.T) {
 	t.Parallel()
 	inner := &recordingAgent{}
-	c, err := NewCrashAnt(inner, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := crashVictim(inner, 1)
 	c.Act(1)
 	c.Observe(1, sim.Outcome{Nest: 3})
 	if len(inner.actRounds) != 0 || len(inner.obsRounds) != 0 {
@@ -88,24 +54,22 @@ func TestCrashAntAtFirstRound(t *testing.T) {
 func TestCrashAntAfterCommit(t *testing.T) {
 	t.Parallel()
 	inner := &recordingAgent{committed: true, nest: 2}
-	c, err := wrapCrash(inner, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.(sim.Agent).Act(3)
-	c.(sim.Agent).Observe(3, sim.Outcome{Nest: 2, Quality: 1})
+	c := crashVictim(inner, 4).agent()
+	c.Act(3)
+	c.Observe(3, sim.Outcome{Nest: 2, Quality: 1})
 	if nest, ok := c.(*recordingAgent); ok {
-		t.Fatalf("wrapCrash returned the inner agent unwrapped: %v", nest)
+		t.Fatalf("the wrapper handed back the inner agent unwrapped: %v", nest)
 	}
-	if nestID, ok := c.(interface {
+	com := c.(interface {
 		Committed() (sim.NestID, bool)
-	}).Committed(); !ok || nestID != 2 {
+	})
+	if nestID, ok := com.Committed(); !ok || nestID != 2 {
 		t.Fatalf("pre-crash commitment = (%v, %v), want (2, true)", nestID, ok)
 	}
-	c.(sim.Agent).Act(4) // crash fires
-	if nestID, ok := c.(interface {
-		Committed() (sim.NestID, bool)
-	}).Committed(); ok {
+	if act := c.Act(4); act.Kind != sim.ActionGo || act.Nest != 2 { // crash fires
+		t.Fatalf("crashed act = %+v, want go(last nest 2)", act)
+	}
+	if nestID, ok := com.Committed(); ok {
 		t.Fatalf("post-crash commitment = (%v, true), want none", nestID)
 	}
 }
@@ -117,10 +81,7 @@ func TestCrashAntAfterCommit(t *testing.T) {
 func TestCrashDeciderForwardsVerdict(t *testing.T) {
 	t.Parallel()
 	inner := &recordingAgent{decided: true}
-	c, err := wrapCrash(inner, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := crashVictim(inner, 5).agent()
 	d, ok := c.(interface{ Decided() bool })
 	if !ok {
 		t.Fatal("wrapping a deciding agent lost the Decided method")
@@ -128,16 +89,13 @@ func TestCrashDeciderForwardsVerdict(t *testing.T) {
 	if !d.Decided() {
 		t.Fatal("pre-crash verdict not forwarded")
 	}
-	c.(sim.Agent).Act(5)
+	c.Act(5)
 	if d.Decided() {
 		t.Fatal("post-crash ant still reports decided")
 	}
 
 	// A non-deciding inner agent must NOT gain the method.
-	plain, err := wrapCrash(algo.NewSimpleAnt(10, rng.New(1)), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := crashVictim(algo.NewSimpleAnt(10, rng.New(1)), 5).agent()
 	if _, ok := plain.(interface{ Decided() bool }); ok {
 		t.Fatal("wrapping a non-deciding agent fabricated a Decided method")
 	}
@@ -147,10 +105,7 @@ func TestCrashDeciderForwardsVerdict(t *testing.T) {
 func TestSleepDeciderForwardsVerdict(t *testing.T) {
 	t.Parallel()
 	inner := &recordingAgent{decided: true}
-	s, err := wrapSleep(inner, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sleepVictim(inner, 3).agent()
 	d, ok := s.(interface{ Decided() bool })
 	if !ok {
 		t.Fatal("wrapping a deciding agent lost the Decided method")
@@ -158,22 +113,9 @@ func TestSleepDeciderForwardsVerdict(t *testing.T) {
 	if !d.Decided() {
 		t.Fatal("verdict not forwarded through the sleep wrapper")
 	}
-	plain, err := wrapSleep(algo.NewSimpleAnt(10, rng.New(2)), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := sleepVictim(algo.NewSimpleAnt(10, rng.New(2)), 3).agent()
 	if _, ok := plain.(interface{ Decided() bool }); ok {
 		t.Fatal("wrapping a non-deciding agent fabricated a Decided method")
-	}
-}
-
-func TestNewSleepAntValidation(t *testing.T) {
-	t.Parallel()
-	if _, err := NewSleepAnt(nil, 5); err == nil {
-		t.Fatal("nil inner accepted")
-	}
-	if _, err := NewSleepAnt(&recordingAgent{}, 1); err == nil {
-		t.Fatal("wake round 1 accepted (would never sleep)")
 	}
 }
 
@@ -185,21 +127,21 @@ func TestNewSleepAntValidation(t *testing.T) {
 func TestSleepAntClockTranslation(t *testing.T) {
 	t.Parallel()
 	inner := &recordingAgent{}
-	s, err := NewSleepAnt(inner, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sleepVictim(inner, 4)
 	for round := 1; round <= 6; round++ {
 		act := s.Act(round)
 		if round < 4 {
 			if act.Kind != sim.ActionRecruit || act.Active || act.Nest != sim.Home {
 				t.Fatalf("round %d: sleeping act = %+v, want recruit(0, home)", round, act)
 			}
-			if s.Awake(round) {
-				t.Fatalf("round %d: Awake before wake round", round)
+			if s.status != sim.AntSleeping {
+				t.Fatalf("round %d: awake before wake round", round)
 			}
-		} else if !s.Awake(round) {
+		} else if s.status != sim.AntLive {
 			t.Fatalf("round %d: not awake at/after wake round", round)
+		}
+		if s.Faulty() {
+			t.Fatalf("round %d: an idle ant counts as faulty", round)
 		}
 		s.Observe(round, sim.Outcome{Nest: 1})
 	}
@@ -229,14 +171,12 @@ func TestSpecValidate(t *testing.T) {
 }
 
 // TestSpecWrapAgents checks victim counts and disjointness on the scalar
-// lowering, plus the disabled-spec fast path.
+// lowering: without a schedule exactly the victims are wrapped and no round
+// hook is carried, with one every ant is wrapped and carries the hook. It
+// also checks the disabled-spec fast path.
 func TestSpecWrapAgents(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1})
-	agents, err := (algo.Simple{}).Build(100, env, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := Spec{
 		CrashFraction:     0.2,
 		CrashWindow:       10,
@@ -245,23 +185,52 @@ func TestSpecWrapAgents(t *testing.T) {
 		SleepWindow:       12,
 		Salt:              3,
 	}
-	wrapped, err := spec.WrapAgents(77, agents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashes, byz, sleepers := 0, 0, 0
-	for _, a := range wrapped {
-		switch a.(type) {
-		case *CrashAnt:
-			crashes++
-		case *ByzantineAnt:
-			byz++
-		case *SleepAnt:
-			sleepers++
+	scheduled := spec
+	scheduled.NewSchedule = func() Schedule { return &TargetedCrash{} }
+	for _, sp := range []Spec{spec, scheduled} {
+		agents, err := (algo.Simple{}).Build(100, env, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if crashes != 20 || byz != 10 || sleepers != 15 {
-		t.Fatalf("victims: %d crash, %d byzantine, %d asleep; want 20, 10, 15", crashes, byz, sleepers)
+		bare := append([]sim.Agent(nil), agents...)
+		wrapped, err := sp.WrapAgents(77, agents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hasSchedule := sp.NewSchedule != nil
+		crashes, byz, sleepers, live := 0, 0, 0, 0
+		for i, a := range wrapped {
+			w, ok := a.(*schedAnt)
+			if !ok {
+				if hasSchedule || a != bare[i] {
+					t.Fatalf("schedule %v: ant %d is %T, want a wrapped or the bare agent", hasSchedule, i, a)
+				}
+				continue
+			}
+			if (w.RoundHook() != nil) != hasSchedule {
+				t.Fatalf("schedule %v: ant %d carries round hook %v", hasSchedule, i, w.RoundHook() != nil)
+			}
+			switch {
+			case w.crashAt > 0:
+				crashes++
+			case w.status == sim.AntByzantine:
+				byz++
+			case w.status == sim.AntSleeping:
+				sleepers++
+			default:
+				live++
+			}
+		}
+		if crashes != 20 || byz != 10 || sleepers != 15 {
+			t.Fatalf("schedule %v: victims: %d crash, %d byzantine, %d asleep; want 20, 10, 15", hasSchedule, crashes, byz, sleepers)
+		}
+		wantLive := 0
+		if hasSchedule {
+			wantLive = 100 - 20 - 10 - 15
+		}
+		if live != wantLive {
+			t.Fatalf("schedule %v: %d wrapped non-victims, want %d", hasSchedule, live, wantLive)
+		}
 	}
 
 	// A disabled spec must return the colony untouched.

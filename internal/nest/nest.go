@@ -1,9 +1,6 @@
-// Package nest models candidate nest sites and the approximate ways real
-// Temnothorax ants perceive them. It provides:
+// Package nest models the approximate ways real Temnothorax ants perceive
+// candidate nest sites. It provides:
 //
-//   - physical nest attributes and the weighted quality function biologists
-//     report (cavity area, entrance width, darkness; Healey & Pratt 2008,
-//     Sasaki & Pratt 2013 — the paper's [15] and [26]),
 //   - noisy quality assessors (unbiased Gaussian noise and binary flips,
 //     modeling the paper's remark that individual assessments are imprecise
 //     and occasionally irrational [25]),
@@ -24,56 +21,6 @@ import (
 
 	"github.com/gmrl/househunt/internal/rng"
 )
-
-// Site is a candidate nest's physical description. Attribute ranges follow
-// the conventions of the Temnothorax literature rescaled to [0,1]: larger is
-// better for Area and Darkness, smaller is better for Entrance.
-type Site struct {
-	// Area is the cavity floor area, normalized to [0,1].
-	Area float64
-	// Entrance is the entrance width, normalized to [0,1].
-	Entrance float64
-	// Darkness is the cavity light occlusion, normalized to [0,1].
-	Darkness float64
-}
-
-// QualityWeights encodes the lexicographic-ish priorities ants place on nest
-// attributes as a weighted linear score. Weights should be non-negative; they
-// are normalized by Quality.
-type QualityWeights struct {
-	Area     float64
-	Entrance float64
-	Darkness float64
-}
-
-// DefaultWeights approximates the attribute priorities reported for
-// T. curvispinosus: darkness dominates, then entrance size, then area.
-func DefaultWeights() QualityWeights {
-	return QualityWeights{Area: 0.2, Entrance: 0.3, Darkness: 0.5}
-}
-
-// Quality maps a site to a scalar quality in [0,1] under the given weights.
-// An all-zero weight vector is rejected.
-func Quality(s Site, w QualityWeights) (float64, error) {
-	if w.Area < 0 || w.Entrance < 0 || w.Darkness < 0 {
-		return 0, fmt.Errorf("nest: negative quality weight %+v", w)
-	}
-	total := w.Area + w.Entrance + w.Darkness
-	if total == 0 {
-		return 0, fmt.Errorf("nest: all-zero quality weights")
-	}
-	clamp := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		if x > 1 {
-			return 1
-		}
-		return x
-	}
-	q := (w.Area*clamp(s.Area) + w.Entrance*(1-clamp(s.Entrance)) + w.Darkness*clamp(s.Darkness)) / total
-	return q, nil
-}
 
 // Assessor produces a (possibly noisy) perceived quality from a true quality.
 // Implementations must be unbiased or document their bias; the paper's §6

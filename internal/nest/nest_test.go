@@ -7,70 +7,6 @@ import (
 	"github.com/gmrl/househunt/internal/rng"
 )
 
-func TestQualityWeighting(t *testing.T) {
-	t.Parallel()
-	w := QualityWeights{Area: 1, Entrance: 1, Darkness: 1}
-	perfect := Site{Area: 1, Entrance: 0, Darkness: 1}
-	q, err := Quality(perfect, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(q, 1, 1e-12) {
-		t.Fatalf("perfect site quality = %v, want 1", q)
-	}
-	awful := Site{Area: 0, Entrance: 1, Darkness: 0}
-	q, err = Quality(awful, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(q, 0, 1e-12) {
-		t.Fatalf("awful site quality = %v, want 0", q)
-	}
-}
-
-func TestQualityClampsAttributes(t *testing.T) {
-	t.Parallel()
-	q, err := Quality(Site{Area: 5, Entrance: -3, Darkness: 2}, DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q < 0 || q > 1 {
-		t.Fatalf("quality %v escaped [0,1]", q)
-	}
-}
-
-func TestQualityErrors(t *testing.T) {
-	t.Parallel()
-	if _, err := Quality(Site{}, QualityWeights{}); err == nil {
-		t.Fatal("all-zero weights accepted")
-	}
-	if _, err := Quality(Site{}, QualityWeights{Area: -1, Entrance: 1, Darkness: 1}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-}
-
-func TestQualityPriorities(t *testing.T) {
-	t.Parallel()
-	// With default weights, darkness must dominate: a dark small nest beats a
-	// bright large one.
-	w := DefaultWeights()
-	dark := Site{Area: 0.2, Entrance: 0.5, Darkness: 1}
-	bright := Site{Area: 1, Entrance: 0.5, Darkness: 0.1}
-	qd, err := Quality(dark, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qb, err := Quality(bright, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qd <= qb {
-		t.Fatalf("darkness priority violated: dark %v <= bright %v", qd, qb)
-	}
-}
-
-func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
 func TestExactAssessor(t *testing.T) {
 	t.Parallel()
 	src := rng.New(1)

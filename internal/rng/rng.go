@@ -15,16 +15,13 @@
 // security purposes.
 package rng
 
-import (
-	"errors"
-	"math/bits"
-)
+import "math/bits"
 
 // Source is a deterministic xoshiro256** pseudo-random number generator.
 //
 // The zero value is not a valid source (xoshiro must not have an all-zero
-// state); construct one with New, NewFromState, or Split. Source is not safe
-// for concurrent use; give each goroutine its own stream via Split.
+// state); construct one with New or Split. Source is not safe for concurrent
+// use; give each goroutine its own stream via Split.
 type Source struct {
 	s0, s1, s2, s3 uint64
 }
@@ -61,16 +58,8 @@ func (s *Source) Reseed(seed uint64) {
 	s.s3 = splitmix64(&sm)
 }
 
-// NewFromState reconstructs a Source from a previously captured state. It
-// returns an error if the state is all zero, which is invalid for xoshiro.
-func NewFromState(state [4]uint64) (*Source, error) {
-	if state[0] == 0 && state[1] == 0 && state[2] == 0 && state[3] == 0 {
-		return nil, errors.New("rng: all-zero state is invalid for xoshiro256**")
-	}
-	return &Source{s0: state[0], s1: state[1], s2: state[2], s3: state[3]}, nil
-}
-
-// State captures the current internal state, suitable for NewFromState.
+// State captures the current internal state, so a test can pin how many
+// draws a stream consumed.
 func (s *Source) State() [4]uint64 {
 	return [4]uint64{s.s0, s.s1, s.s2, s.s3}
 }

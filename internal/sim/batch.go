@@ -549,10 +549,11 @@ type lane struct {
 	// name them. round counts this replicate's rounds for the pre-round fault
 	// pass; alive is the census total (n minus Byzantine ants minus fired
 	// crashes); lastNest tracks each crash-fated ant's last known candidate
-	// nest — maintained every round, before and after the crash, exactly like
-	// the scalar CrashAnt's Observe. crashAnts/crashAt and sleepAnts/wakeAt
-	// are the compact victim lists the per-round passes scan; the full
-	// crashRound/wakeRound/byz/permScrat columns are Assign scratch.
+	// nest — maintained every round, before and after the crash, exactly
+	// like the scalar fault wrapper's Observe. crashAnts/crashAt and
+	// sleepAnts/wakeAt are the compact victim lists the per-round passes
+	// scan; the full crashRound/wakeRound/byz/permScrat columns are Assign
+	// scratch.
 	faulted    bool
 	numExec    int
 	sleepSt    uint8
@@ -809,7 +810,6 @@ func (ln *lane) reset(seed uint64) error {
 		ln.sleepAnts = ln.sleepAnts[:0]
 		ln.wakeAt = ln.wakeAt[:0]
 		for i := 0; i < ln.n; i++ {
-			ln.lastNest[i] = homeNest
 			switch {
 			case ln.crashRound[i] > 0:
 				ln.crashAnts = append(ln.crashAnts, int32(i))
@@ -843,11 +843,18 @@ func (ln *lane) reset(seed uint64) error {
 	return nil
 }
 
-// resetShard performs reset's per-ant work for one ant range: stream
+// resetShard performs reset's per-ant work for one shard's ant range.
+func (ln *lane) resetShard(sh int) {
+	ln.resetRange(int(ln.shardLo[sh]), int(ln.shardLo[sh+1]))
+}
+
+// resetRange puts ants lo..hi-1 in their replicate-start state: stream
 // seeding, parameter-column init (including ApproxN's ñ draw from the ant's
 // own stream, matching the scalar builder's order), and the register file.
-func (ln *lane) resetShard(sh int) {
-	lo, hi := int(ln.shardLo[sh]), int(ln.shardLo[sh+1])
+// Reset runs it per shard and restartAnt per revived ant: SplitInto never
+// advances the parent, so the re-seeded stream is bit for bit the one the
+// ant was born with.
+func (ln *lane) resetRange(lo, hi int) {
 	if ln.antRNG {
 		agents := &ln.phAgents
 		for i := lo; i < hi; i++ {
@@ -877,16 +884,42 @@ func (ln *lane) resetShard(sh int) {
 	if ln.lockstep {
 		return
 	}
-	split := ln.prog.InitSplit
 	for i := lo; i < hi; i++ {
-		st := ln.prog.Init
-		if split > 0 && i >= split {
-			st = ln.prog.InitRest
-		}
-		ln.state[i] = st
+		ln.state[i] = ln.initState(i)
 		ln.nestT[i] = homeNest
 		ln.countT[i] = 0
 	}
+	if ln.faulted {
+		for i := lo; i < hi; i++ {
+			ln.lastNest[i] = homeNest
+		}
+	}
+}
+
+// initState is ant i's initial program state: Init, or InitRest from the
+// program's InitSplit on. Reset, a sleeper's wake and a restart all enter
+// through it.
+//
+//hh:hotpath
+func (ln *lane) initState(i int) uint8 {
+	if split := ln.prog.InitSplit; split > 0 && i >= split {
+		return ln.prog.InitRest
+	}
+	return ln.prog.Init
+}
+
+// crashAnt crashes ant i: it leaves the census (commitment tally, alive and
+// Final counts) and parks in the crashed synthetic state. Its lastNest keeps
+// its value, so the corpse wanders to the last nest the ant knew. The static
+// pre-round crash and a schedule's FaultCrash both come here.
+//
+//hh:coldpath crash events are sparse — O(victims) over a run, never O(n) per round
+func (ln *lane) crashAnt(i int) {
+	ln.commit[ln.nest[i]]--
+	ln.alive--
+	ln.nCrashed++
+	ln.finals -= int(ln.final[ln.state[i]])
+	ln.state[i] = ln.crashSt
 }
 
 // runReplicate executes one colony to convergence or the round budget. obs
@@ -1405,12 +1438,12 @@ func (ln *lane) stepGeneral() error {
 
 	// Pre-round fault pass: wake the sleepers and fire the crashes scheduled
 	// for this round, before the colony is regrouped — the transitions must be
-	// visible to this round's emit, exactly as the scalar wrappers decide in
+	// visible to this round's emit, exactly as the scalar wrapper decides in
 	// Act. Waking restores the ant's initial program state (registers were
 	// never touched while it slept, so it starts fresh like the scalar
-	// wrapper's never-invoked inner agent); crashing removes the ant from the
-	// census (commitment tally and alive count) and parks it in the crashed
-	// synthetic state. Both lists are small — O(victims), not O(n).
+	// wrapper's never-invoked inner agent); crashAnt removes the ant from the
+	// census and parks it in the crashed synthetic state. Both lists are
+	// small — O(victims), not O(n).
 	if ln.faulted {
 		ln.round++
 		r := int32(ln.round)
@@ -1424,11 +1457,7 @@ func (ln *lane) stepGeneral() error {
 				if state[i] != ln.sleepSt {
 					continue
 				}
-				st := ln.prog.Init
-				if split := ln.prog.InitSplit; split > 0 && i >= split {
-					st = ln.prog.InitRest
-				}
-				state[i] = st
+				state[i] = ln.initState(i)
 			}
 		}
 		for idx, i32 := range ln.crashAnts {
@@ -1442,10 +1471,7 @@ func (ln *lane) stepGeneral() error {
 				if state[i] == ln.crashSt {
 					continue
 				}
-				ln.commit[nest[i]]--
-				ln.alive--
-				ln.nCrashed++
-				state[i] = ln.crashSt
+				ln.crashAnt(i)
 			}
 		}
 	}
@@ -1724,39 +1750,29 @@ func (ln *lane) stepGeneral() error {
 
 	// Track every crash-fated ant's last known candidate nest from this
 	// round's outcome — before AND after the crash fires, mirroring the
-	// scalar CrashAnt.Observe: a live wrapper records where its inner agent
-	// went, and a dead one records where recruiters dragged the corpse. The
-	// pass is O(crash victims) and reads only resolved columns (actNest for
-	// searchers/goers, the slot table for recruiters).
+	// scalar wrapper's Observe: a live ant records where it went, and a dead
+	// one records where recruiters dragged the corpse. The pass reads only
+	// resolved columns (actNest for searchers/goers, the slot table for
+	// recruiters; slotOf/slotNest are valid for every recruiter in every
+	// assembly mode). It walks the static crash victims, or every ant under
+	// an adaptive schedule, because then ANY ant can crash and its last known
+	// nest must be current when the mutation pass below runs.
 	if ln.faulted {
 		lastNest := ln.lastNest
 		isRecr := ln.isRecr
 		slotOf := ln.slotOf
+		fated := ln.crashAnts
 		if ln.sched != nil {
-			// With an adaptive schedule ANY ant can crash, so every ant's last
-			// known nest must be current when the mutation pass below runs —
-			// the sparse static-victim walk becomes a full-colony pass. The
-			// formula is identical; slotOf/slotNest are valid for every
-			// recruiter in every assembly mode.
-			for i := 0; i < n; i++ {
-				outNest := actNest[i]
-				if isRecr[i] != 0 {
-					outNest = slotNest[slotOf[i]]
-				}
-				if outNest != homeNest {
-					lastNest[i] = outNest
-				}
+			fated = ln.iota32
+		}
+		for _, i32 := range fated {
+			i := int(i32)
+			outNest := actNest[i]
+			if isRecr[i] != 0 {
+				outNest = slotNest[slotOf[i]]
 			}
-		} else {
-			for _, i32 := range ln.crashAnts {
-				i := int(i32)
-				outNest := actNest[i]
-				if isRecr[i] != 0 {
-					outNest = slotNest[slotOf[i]]
-				}
-				if outNest != homeNest {
-					lastNest[i] = outNest
-				}
+			if outNest != homeNest {
+				lastNest[i] = outNest
 			}
 		}
 	}
@@ -1892,8 +1908,8 @@ func (ln *lane) emitShard(sh int) {
 			// A crashed ant walks to the last candidate nest it knew, or —
 			// if it never learned one, or its corpse was dragged back home —
 			// waits passively in the home-nest pairing, exactly like the
-			// scalar CrashAnt. The bucket mixes both behaviours, so it cannot
-			// reuse a generic emit loop.
+			// scalar fault wrapper. The bucket mixes both behaviours, so it
+			// cannot reuse a generic emit loop.
 			lastNest := ln.lastNest
 			for _, i32 := range members {
 				i := int(i32)
@@ -2262,7 +2278,7 @@ func (ln *lane) observeShard(sh int) {
 			// commitment census, because Byzantine ants are excluded from it
 			// from round one. In an all-good environment nothing ever
 			// latches, and the adversary searches forever, exactly like the
-			// scalar ByzantineAnt.
+			// scalar fault wrapper's Byzantine status.
 			for _, i32 := range members {
 				i := int(i32)
 				if outNest := actNest[i]; qual[outNest] == 0 {

@@ -9,10 +9,10 @@ import (
 // FaultSpec is the compiled form of a fault-injection plan: the per-colony
 // knobs from which a batch lane materializes its crash-round, Byzantine and
 // sleep columns at replicate start. It is the lowering target of the faults
-// package's declarative Spec (which also lowers to the scalar wrappers); both
-// paths derive the victim assignment from the SAME stream via Assign, which is
-// what keeps a faulted batch replicate bit-identical to the wrapped scalar
-// colony.
+// package's declarative Spec (which also lowers to the scalar fault wrapper);
+// both paths derive the victim assignment from the SAME stream via Assign,
+// which is what keeps a faulted batch replicate bit-identical to the wrapped
+// scalar colony.
 //
 // Fault lanes force the general execution path (Program.Lockstep reports
 // false): faulted ants leave their program states for synthetic engine states
@@ -46,7 +46,7 @@ type FaultSpec struct {
 	SleepWindow int
 	// Salt is the Split index of the fault stream: victims and their rounds
 	// are drawn from rng.New(seed).Split(Salt), exactly like the scalar
-	// wrapper builders. Choose a salt disjoint from the engine's stream
+	// wrapper builder. Choose a salt disjoint from the engine's stream
 	// indices (0, 1, 2) so fault draws decorrelate from the simulation.
 	Salt uint64
 	// NewSchedule, when non-nil, attaches an adaptive adversary: a fresh
@@ -82,12 +82,14 @@ func (f FaultSpec) Enabled() bool {
 		f.NewSchedule != nil
 }
 
-// Validate checks the spec's fractions and windows.
+// Validate checks the spec's fractions and windows. Each check is written
+// so that a NaN fraction fails it; an infinite one fails the sign or the sum.
 func (f FaultSpec) Validate() error {
-	if f.CrashFraction < 0 || f.ByzantineFraction < 0 || f.SleepFraction < 0 {
-		return fmt.Errorf("sim: negative fault fraction %+v", f)
+	if !(f.CrashFraction >= 0 && f.ByzantineFraction >= 0 && f.SleepFraction >= 0) {
+		return fmt.Errorf("sim: fault fractions must be numbers >= 0, got crash %v, byzantine %v, sleep %v",
+			f.CrashFraction, f.ByzantineFraction, f.SleepFraction)
 	}
-	if sum := f.CrashFraction + f.ByzantineFraction + f.SleepFraction; sum > 1 {
+	if sum := f.CrashFraction + f.ByzantineFraction + f.SleepFraction; !(sum <= 1) {
 		return fmt.Errorf("sim: fault fractions sum to %v > 1", sum)
 	}
 	if f.CrashWindow < 0 || f.SleepWindow < 0 {
@@ -135,7 +137,7 @@ func (f FaultSpec) sleepWindow() int {
 // permutation, then one crash-round draw per crash victim in permutation
 // order, then (draw-free) the Byzantine victims, then one wake-round draw per
 // sleeping victim. The scalar faults.Spec wrapper builder delegates here, so
-// the batch lane's columns and the scalar wrappers can never disagree on who
+// the batch lane's columns and the scalar wrapper can never disagree on who
 // fails when.
 func (f FaultSpec) Assign(n int, src *rng.Source, crashRound, wakeRound []int32, byz []uint8, perm []int32) {
 	crashRound = crashRound[:n]
@@ -160,7 +162,7 @@ func (f FaultSpec) Assign(n int, src *rng.Source, crashRound, wakeRound []int32,
 	}
 	for ; idx < nCrash+nByz+nSleep; idx++ {
 		// Wake rounds start at 2: a sleeper sleeps through at least round 1
-		// (a wake round of 1 would make the sleep wrapper a no-op).
+		// (a wake round of 1 would never sleep at all).
 		wakeRound[perm[idx]] = int32(2 + src.Intn(f.sleepWindow()))
 	}
 }

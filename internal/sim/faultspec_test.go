@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/gmrl/househunt/internal/rng"
@@ -45,6 +46,14 @@ func TestFaultSpecValidate(t *testing.T) {
 		{CrashFraction: 0.5, ByzantineFraction: 0.3, SleepFraction: 0.3},
 		{CrashFraction: 0.1, CrashWindow: -1},
 		{SleepFraction: 0.1, SleepWindow: -20},
+		// NaN fails every comparison, so each check must put it on the
+		// error side; ±Inf fails the sign or the sum.
+		{CrashFraction: math.NaN()},
+		{ByzantineFraction: math.NaN()},
+		{SleepFraction: math.NaN(), SleepWindow: 8},
+		{CrashFraction: math.Inf(1)},
+		{SleepFraction: math.Inf(-1)},
+		{CrashFraction: math.Inf(1), ByzantineFraction: math.Inf(-1)},
 	}
 	for _, s := range invalid {
 		if err := s.Validate(); err == nil {

@@ -259,13 +259,7 @@ func (ln *lane) applySchedule() error {
 			case ln.byzSrchSt, ln.byzRecrSt:
 				return fmt.Errorf("schedule %q: crash(%d): ant is Byzantine", ln.sched.Name(), i)
 			}
-			ln.commit[ln.nest[i]]--
-			ln.alive--
-			ln.nCrashed++
-			ln.finals -= int(ln.final[state[i]])
-			state[i] = ln.crashSt
-			// lastNest keeps its value: the corpse wanders to the last nest
-			// the ant knew, exactly like a statically scheduled crash.
+			ln.crashAnt(i)
 		case FaultRestart:
 			if state[i] != ln.crashSt {
 				return fmt.Errorf("schedule %q: restart(%d): ant is not crashed", ln.sched.Name(), i)
@@ -287,45 +281,18 @@ func (ln *lane) applySchedule() error {
 	return nil
 }
 
-// restartAnt revives crashed ant i into its program's initial state with a
-// pristine register file and a freshly re-seeded agent stream — the exact
-// state resetShard gave it at replicate start (SplitInto never advances the
-// parent, so re-splitting reproduces the original stream bit for bit, and
-// the ApproxN ñ re-draw consumes the same two words the scalar rebuild's
-// builder draws). The ant rejoins the census immediately and emits from the
-// initial state next round, re-entering the algorithm's round-1 clock like a
-// waking sleeper.
+// restartAnt revives crashed ant i into its program's initial state through
+// resetRange — the exact streams, registers and parameter columns reset gave
+// it at replicate start (the ApproxN ñ re-draw consumes the same two words
+// the scalar rebuild's builder draws). The ant rejoins the census
+// immediately and emits from the initial state next round, re-entering the
+// algorithm's round-1 clock like a waking sleeper.
 //
 //hh:coldpath restart events are sparse — O(requested ops), never O(n) per round, like parkErr's error path
 func (ln *lane) restartAnt(i int) {
-	if ln.antRNG {
-		ln.phAgents.SplitInto(uint64(i), &ln.antSrc[i])
-	}
-	if ln.paramI != nil {
-		ln.paramI[i] = 0
-	}
-	if ln.paramF != nil {
-		nF := float64(ln.n)
-		ln.paramF[i] = nF
-		if delta := ln.prog.Params.NEstDelta; delta > 0 {
-			// Mirrors resetShard's ñ seeding: the scalar rebuild's builder
-			// draws the same estimate from the same pristine stream.
-			ln.paramF[i] = nF * (1 + (2*ln.antSrc[i].Float64()-1)*delta)
-		}
-	}
-	st := ln.prog.Init
-	if split := ln.prog.InitSplit; split > 0 && i >= split {
-		st = ln.prog.InitRest
-	}
-	ln.state[i] = st
-	ln.nest[i] = homeNest
-	ln.count[i] = 0
-	ln.quality[i] = 0
-	ln.nestT[i] = homeNest
-	ln.countT[i] = 0
-	ln.lastNest[i] = homeNest
+	ln.resetRange(i, i+1)
 	ln.alive++
 	ln.nCrashed--
 	ln.commit[Home]++
-	ln.finals += int(ln.final[st])
+	ln.finals += int(ln.final[ln.state[i]])
 }

@@ -158,7 +158,7 @@ func NewEnvironment(qualities []float64) (Environment, error) {
 	anyGood := false
 	qs := make([]float64, len(qualities)+1)
 	for i, q := range qualities {
-		if q < 0 || q > 1 {
+		if !(q >= 0 && q <= 1) { // NaN fails too
 			return Environment{}, fmt.Errorf("sim: nest %d quality %v outside [0,1]", i+1, q)
 		}
 		qs[i+1] = q

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -15,6 +16,9 @@ func TestNewEnvironmentValidation(t *testing.T) {
 		{"all bad", []float64{0, 0, 0}, true},
 		{"negative", []float64{-0.1, 1}, true},
 		{"above one", []float64{1.1}, true},
+		{"NaN", []float64{1, math.NaN()}, true},
+		{"plus infinity", []float64{math.Inf(1)}, true},
+		{"minus infinity", []float64{1, math.Inf(-1)}, true},
 		{"single good", []float64{1}, false},
 		{"binary mix", []float64{0, 1, 0, 1}, false},
 		{"non-binary", []float64{0.3, 0.9, 0}, false},

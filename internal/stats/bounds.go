@@ -7,59 +7,6 @@ import (
 	"github.com/gmrl/househunt/internal/rng"
 )
 
-// BinomialTailUpper returns the Chernoff-Hoeffding upper bound on
-// P[X >= k] for X ~ Binomial(n, p) via the KL-divergence form
-// exp(-n * D(k/n || p)). It is used to size trial counts so that lemma-level
-// statistical assertions have negligible false-failure probability.
-func BinomialTailUpper(n int, p float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if k > n {
-		return 0
-	}
-	q := float64(k) / float64(n)
-	if q <= p {
-		return 1
-	}
-	return math.Exp(-float64(n) * klBernoulli(q, p))
-}
-
-// BinomialTailLower returns the Chernoff-Hoeffding upper bound on
-// P[X <= k] for X ~ Binomial(n, p).
-func BinomialTailLower(n int, p float64, k int) float64 {
-	if k >= n {
-		return 1
-	}
-	if k < 0 {
-		return 0
-	}
-	q := float64(k) / float64(n)
-	if q >= p {
-		return 1
-	}
-	return math.Exp(-float64(n) * klBernoulli(q, p))
-}
-
-// klBernoulli computes D(q || p) for Bernoulli distributions, with the usual
-// 0·log0 = 0 conventions.
-func klBernoulli(q, p float64) float64 {
-	if p <= 0 || p >= 1 {
-		if q == p {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	var d float64
-	if q > 0 {
-		d += q * math.Log(q/p)
-	}
-	if q < 1 {
-		d += (1 - q) * math.Log((1-q)/(1-p))
-	}
-	return d
-}
-
 // WilsonInterval returns the Wilson score 95% confidence interval for a
 // binomial proportion with successes out of trials. Unlike the normal
 // approximation it behaves sanely at the 0 and 1 boundaries, which our

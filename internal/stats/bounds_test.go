@@ -6,39 +6,6 @@ import (
 	"github.com/gmrl/househunt/internal/rng"
 )
 
-func TestBinomialTailUpper(t *testing.T) {
-	t.Parallel()
-	// P[X >= 75] for X ~ Bin(100, 0.5) is tiny; the bound must reflect that.
-	if got := BinomialTailUpper(100, 0.5, 75); got > 1e-4 {
-		t.Fatalf("tail bound %v too loose", got)
-	}
-	if got := BinomialTailUpper(100, 0.5, 40); got != 1 {
-		t.Fatalf("below-mean threshold should give trivial bound 1, got %v", got)
-	}
-	if got := BinomialTailUpper(100, 0.5, 0); got != 1 {
-		t.Fatalf("k=0 should give 1, got %v", got)
-	}
-	if got := BinomialTailUpper(100, 0.5, 101); got != 0 {
-		t.Fatalf("k>n should give 0, got %v", got)
-	}
-}
-
-func TestBinomialTailLower(t *testing.T) {
-	t.Parallel()
-	if got := BinomialTailLower(100, 0.5, 25); got > 1e-4 {
-		t.Fatalf("lower tail bound %v too loose", got)
-	}
-	if got := BinomialTailLower(100, 0.5, 60); got != 1 {
-		t.Fatalf("above-mean threshold should give 1, got %v", got)
-	}
-	if got := BinomialTailLower(100, 0.5, -1); got != 0 {
-		t.Fatalf("k<0 should give 0, got %v", got)
-	}
-	if got := BinomialTailLower(100, 0.5, 100); got != 1 {
-		t.Fatalf("k=n should give 1, got %v", got)
-	}
-}
-
 func TestWilsonInterval(t *testing.T) {
 	t.Parallel()
 	lo, hi := WilsonInterval(50, 100)

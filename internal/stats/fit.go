@@ -91,20 +91,3 @@ func FitKLogN(ks, ns, ys []float64) (LinearFit, error) {
 	}
 	return FitLinear(x, ys)
 }
-
-// PearsonR returns the Pearson correlation coefficient between xs and ys, or
-// an error on mismatched/degenerate input.
-func PearsonR(xs, ys []float64) (float64, error) {
-	fit, err := FitLinear(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	if fit.R2 < 0 {
-		return 0, nil
-	}
-	r := math.Sqrt(fit.R2)
-	if fit.Slope < 0 {
-		r = -r
-	}
-	return r, nil
-}

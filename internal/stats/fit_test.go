@@ -111,21 +111,6 @@ func TestFitKLogN(t *testing.T) {
 	}
 }
 
-func TestPearsonR(t *testing.T) {
-	t.Parallel()
-	xs := []float64{1, 2, 3, 4}
-	up := []float64{2, 4, 6, 8}
-	down := []float64{8, 6, 4, 2}
-	r, err := PearsonR(xs, up)
-	if err != nil || !almostEqual(r, 1, 1e-9) {
-		t.Fatalf("PearsonR up = %v, %v", r, err)
-	}
-	r, err = PearsonR(xs, down)
-	if err != nil || !almostEqual(r, -1, 1e-9) {
-		t.Fatalf("PearsonR down = %v, %v", r, err)
-	}
-}
-
 func TestLinearFitString(t *testing.T) {
 	t.Parallel()
 	s := LinearFit{Slope: 2, Intercept: -1, R2: 0.99, N: 10}.String()

@@ -100,15 +100,3 @@ func SeedFor(tag string, a, b, c int) uint64 {
 	}
 	return seed
 }
-
-// PowersOfTwo returns {2^lo, …, 2^hi}.
-func PowersOfTwo(lo, hi int) []int {
-	if lo < 0 || hi < lo {
-		return nil
-	}
-	out := make([]int, 0, hi-lo+1)
-	for e := lo; e <= hi; e++ {
-		out = append(out, 1<<uint(e))
-	}
-	return out
-}

@@ -90,23 +90,3 @@ func TestSeedForStability(t *testing.T) {
 		t.Fatal("zero seed produced")
 	}
 }
-
-func TestPowersOfTwo(t *testing.T) {
-	t.Parallel()
-	got := PowersOfTwo(3, 6)
-	want := []int{8, 16, 32, 64}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if PowersOfTwo(5, 3) != nil {
-		t.Fatal("inverted range should be nil")
-	}
-	if PowersOfTwo(-1, 3) != nil {
-		t.Fatal("negative exponent should be nil")
-	}
-}
