@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -1136,6 +1137,38 @@ func TestBatchNestLimitEquivalence(t *testing.T) {
 				t.Fatalf("%s: no ant ever committed to nest %d; the check is vacuous", c.name, sim.MaxBatchNests)
 			}
 			assertRunnerEquivalence(t, c)
+		})
+	}
+}
+
+// TestBatchCountSaturationEquivalence pins perception readings beyond the
+// lanes' int32 count register. Relative noise at σ = 1e7 reads a nest of a
+// few hundred ants as billions about a fifth of the time: the scalar NoisyAnt
+// keeps such a reading as an int, and the lane must store it saturated, not
+// wrapped, to draw the same recruitments on every seed. An encounter counter
+// with an infinite cavity volume meets no one and computes every reading as
+// 0·∞, which both engines must read as the same count. Each case runs every
+// layer of the harness on the lockstep path, and its trace again on the
+// general path (generalPathVariant), whose noisy observes store the count
+// separately.
+func TestBatchCountSaturationEquivalence(t *testing.T) {
+	t.Parallel()
+	env := sim.MustEnvironment([]float64{1, 0, 1, 0})
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	var cases []diffCase
+	for _, a := range []Noisy{
+		{Counter: nest.RelativeNoiseCounter{Sigma: 1e7}},
+		{Counter: nest.EncounterRateCounter{Probes: 16, Volume: math.Inf(1)}},
+	} {
+		cases = append(cases, diffCase{name: a.Name(), algo: a, n: 1024, env: env, seeds: seeds, maxRounds: 60})
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			assertDiffCase(t, c)
+			gp := generalPathVariant(t, compileCase(t, c))
+			compareTraces(t, c, scalarTrace(t, c), batchTrace(t, c, gp))
 		})
 	}
 }

@@ -68,10 +68,10 @@ var Sentinels = map[string]bool{
 // parent's draw sequence and are deliberately absent, as are the keyed
 // draws, which are package functions and consume no stream.
 var drawMethods = map[string]bool{
-	"Uint64": true, "Uint64n": true, "Int63": true, "Intn": true,
-	"Float64": true, "Bernoulli": true, "Perm": true, "PermInto": true,
-	"PermInto32": true, "Shuffle": true, "Shuffle32": true,
-	"Binomial": true, "Geometric": true, "NormFloat64": true, "Pick": true,
+	"Uint64": true, "Uint64n": true, "Intn": true,
+	"Float64": true, "Bernoulli": true, "PermInto32": true,
+	"Shuffle": true, "Shuffle32": true,
+	"Binomial": true, "NormFloat64": true,
 }
 
 var Analyzer = &analysis.Analyzer{

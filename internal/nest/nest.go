@@ -111,7 +111,7 @@ func (ExactCounter) Name() string { return "exact" }
 
 // RelativeNoiseCounter multiplies the true count by (1 + N(0, Sigma²)),
 // rounding to the nearest non-negative integer: an unbiased multiplicative
-// error model.
+// error model. Readings beyond the int range saturate at MaxInt.
 type RelativeNoiseCounter struct {
 	Sigma float64
 }
@@ -120,11 +120,7 @@ var _ CountEstimator = RelativeNoiseCounter{}
 
 // Estimate implements CountEstimator.
 func (r RelativeNoiseCounter) Estimate(count, _ int, src *rng.Source) int {
-	v := float64(count) * (1 + src.NormFloat64()*r.Sigma)
-	if v < 0 {
-		return 0
-	}
-	return int(math.Round(v))
+	return roundCount(float64(count) * (1 + src.NormFloat64()*r.Sigma))
 }
 
 // Name implements CountEstimator.
@@ -170,10 +166,24 @@ func (e EncounterRateCounter) Estimate(count, _ int, src *rng.Source) int {
 		// tiny calibration volume collapses the inverted estimate.
 		return 1
 	}
-	return int(math.Round(est))
+	return roundCount(est)
 }
 
 // Name implements CountEstimator.
 func (e EncounterRateCounter) Name() string {
 	return fmt.Sprintf("encounter(probes=%d,vol=%g)", e.Probes, e.Volume)
+}
+
+// roundCount rounds a perceived population to the nearest integer,
+// saturating: NaN and values at or below zero read 0, and values beyond the
+// int range read MaxInt. Go leaves the conversion of an out-of-range float to
+// int to the platform.
+func roundCount(v float64) int {
+	switch {
+	case !(v > 0):
+		return 0
+	case v >= math.MaxInt:
+		return math.MaxInt
+	}
+	return int(math.Round(v))
 }

@@ -126,6 +126,47 @@ func TestEncounterRateCounterSaturation(t *testing.T) {
 	}
 }
 
+// TestCountEstimatesSaturate pins the estimators' readings outside the int
+// range, whose plain float-to-int conversion Go leaves to the platform (amd64
+// reads MinInt64): a reading beyond MaxInt saturates there, and a NaN one
+// reads 0. Relative noise at σ = 1e300 puts every reading of a non-empty nest
+// beyond one end or the other; an encounter counter with Volume 1e18 reads a
+// population of MaxInt as 1.5e19 whenever 15 or 16 of its 16 probes hit,
+// about half the time. Relative noise at σ = +Inf on an empty nest, and an
+// encounter counter with an infinite volume, whose probes never hit, both
+// compute 0·∞.
+func TestCountEstimatesSaturate(t *testing.T) {
+	t.Parallel()
+	src := rng.New(9)
+	cases := []struct {
+		name  string
+		est   CountEstimator
+		count int
+		// nan is whether every reading is NaN before rounding, and so 0.
+		nan bool
+	}{
+		{"relative σ=1e300", RelativeNoiseCounter{Sigma: 1e300}, 1000, false},
+		{"encounter vol=1e18", EncounterRateCounter{Probes: 16, Volume: 1e18}, math.MaxInt, false},
+		{"relative σ=+Inf, empty nest", RelativeNoiseCounter{Sigma: math.Inf(1)}, 0, true},
+		{"encounter vol=+Inf", EncounterRateCounter{Probes: 16, Volume: math.Inf(1)}, 1000, true},
+	}
+	for _, tc := range cases {
+		saturated := 0
+		for i := 0; i < 64; i++ {
+			got := tc.est.Estimate(tc.count, 1000, src)
+			if got < 0 || tc.nan && got != 0 {
+				t.Fatalf("%s: reading %d", tc.name, got)
+			}
+			if got == math.MaxInt {
+				saturated++
+			}
+		}
+		if !tc.nan && saturated == 0 {
+			t.Fatalf("%s: no reading of 64 saturated at MaxInt", tc.name)
+		}
+	}
+}
+
 func TestEncounterRateDefaults(t *testing.T) {
 	t.Parallel()
 	src := rng.New(8)

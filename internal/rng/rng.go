@@ -15,7 +15,10 @@
 // security purposes.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic xoshiro256** pseudo-random number generator.
 //
@@ -103,11 +106,6 @@ func (s *Source) SplitInto(index uint64, dst *Source) {
 	dst.Reseed(mix)
 }
 
-// Int63 returns a non-negative 63-bit integer, mirroring math/rand.Source.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, matching the
 // contract of math/rand.Intn; callers control n so this is a programmer error,
 // not a runtime condition.
@@ -180,52 +178,14 @@ func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a uniformly random permutation of [0, n) as a slice of ints,
-// generated with the inside-out Fisher-Yates shuffle.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// PermInto fills dst (whose length defines n) with a uniformly random
-// permutation of [0, len(dst)), avoiding the allocation of Perm. It returns
-// dst for convenience.
-//
-// The bounded draw is Lemire's method fused inline (the call tree
-// Intn → Uint64n does not inline, and a permutation is one bounded draw per
-// element); the rare rejection tail shares uint64nReject with Uint64n, so
-// the draw sequence is exactly Intn(i+1) per element.
-//
-//hh:hotpath
-func (s *Source) PermInto(dst []int) []int {
-	if len(dst) == 0 {
-		return dst
-	}
-	dst[0] = 0
-	for i := 1; i < len(dst); i++ {
-		bound := uint64(i + 1)
-		hi, lo := bits.Mul64(s.Uint64(), bound)
-		if lo < bound {
-			hi = s.uint64nReject(hi, lo, bound)
-		}
-		j := int(hi)
-		dst[i] = dst[j]
-		dst[j] = i
-	}
-	return dst
-}
-
-// PermInto32 is PermInto for an int32 destination: it fills dst with a
-// uniformly random permutation of [0, len(dst)) drawn with exactly the same
-// stream consumption as PermInto over a slice of the same length (the draws
-// depend only on the length, not on the element type). The batch engine's
-// matchers use it so a colony-sized permutation occupies half the cache
-// footprint. len(dst) must not exceed MaxInt32+1; slot counts never do.
+// PermInto32 fills dst (whose length defines n) with a uniformly random
+// permutation of [0, len(dst)), generated with the inside-out Fisher–Yates
+// shuffle, and returns dst. Element i takes one bounded draw Intn(i+1), with
+// Lemire's method fused inline (the call tree Intn → Uint64n does not
+// inline); the rare rejection tail shares uint64nReject with Uint64n, so the
+// draw sequence is exactly Intn(i+1) per element. The batch engine's matchers
+// use int32 so a colony-sized permutation occupies half the cache footprint.
+// len(dst) must not exceed MaxInt32+1; slot counts never do.
 //
 //hh:hotpath
 func (s *Source) PermInto32(dst []int32) []int32 {
@@ -307,7 +267,7 @@ func (s *Source) Binomial(n int, p float64) int {
 		if u <= 0 {
 			u = 1e-300
 		}
-		skip := int(logFloat(u) / lq)
+		skip := int(math.Log(u) / lq)
 		i += skip + 1
 		if i > n {
 			break
@@ -323,46 +283,5 @@ func logOnePminus(p float64) float64 {
 	if q <= 0 {
 		q = 1e-300
 	}
-	return logFloat(q)
+	return math.Log(q)
 }
-
-// logFloat is a minimal natural-log wrapper kept local so the hot path does
-// not pull in additional dependencies; it simply defers to math.Log via the
-// indirection in log_impl.go (split out for clarity).
-func logFloat(x float64) float64 { return logImpl(x) }
-
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success (support {0, 1, ...}). p must be in (0, 1]; p >= 1 returns 0 and
-// p <= 0 panics, since the draw would be infinite.
-func (s *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric called with p <= 0")
-	}
-	u := s.Float64()
-	if u <= 0 {
-		u = 1e-300
-	}
-	return int(logFloat(u) / logOnePminus(p))
-}
-
-// NormFloat64 returns a standard normal sample using the polar (Marsaglia)
-// method. The spare value is not cached to keep the Source stateless beyond
-// the xoshiro words; all our uses are far from the performance margin.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * sqrtImpl(-2*logImpl(q)/q)
-		}
-	}
-}
-
-// Pick returns a uniformly random element index of a non-empty collection of
-// size n, as Intn does, but is named to read better at call sites choosing
-// ants or nests.
-func (s *Source) Pick(n int) int { return s.Intn(n) }

@@ -205,13 +205,13 @@ func TestPermIsPermutation(t *testing.T) {
 	s := New(21)
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%64) + 1
-		p := s.Perm(n)
+		p := s.PermInto32(make([]int32, n))
 		if len(p) != n {
 			return false
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
+			if v < 0 || int(v) >= n || seen[v] {
 				return false
 			}
 			seen[v] = true
@@ -227,16 +227,16 @@ func TestPermIntoMatchesInvariant(t *testing.T) {
 	t.Parallel()
 	s := New(22)
 	for _, n := range []int{0, 1, 2, 3, 5, 17, 100} {
-		dst := make([]int, n)
+		dst := make([]int32, n)
 		// Poison the buffer to catch reliance on zero-initialization.
 		for i := range dst {
 			dst[i] = -1
 		}
-		s.PermInto(dst)
+		s.PermInto32(dst)
 		seen := make([]bool, n)
 		for _, v := range dst {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("PermInto(%d) produced invalid permutation %v", n, dst)
+			if v < 0 || int(v) >= n || seen[v] {
+				t.Fatalf("PermInto32(%d) produced invalid permutation %v", n, dst)
 			}
 			seen[v] = true
 		}
@@ -248,13 +248,14 @@ func TestPermUniformFirstElement(t *testing.T) {
 	s := New(23)
 	const n, draws = 5, 50000
 	counts := make([]int, n)
+	dst := make([]int32, n)
 	for i := 0; i < draws; i++ {
-		counts[s.Perm(n)[0]]++
+		counts[s.PermInto32(dst)[0]]++
 	}
 	want := float64(draws) / n
 	for i, c := range counts {
 		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("Perm first-element bucket %d: count %d vs expected %.0f", i, c, want)
+			t.Errorf("PermInto32 first-element bucket %d: count %d vs expected %.0f", i, c, want)
 		}
 	}
 }
@@ -323,28 +324,6 @@ func TestBinomialEdges(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	t.Parallel()
-	s := New(47)
-	const p, draws = 0.2, 100000
-	var sum float64
-	for i := 0; i < draws; i++ {
-		g := s.Geometric(p)
-		if g < 0 {
-			t.Fatalf("Geometric returned negative %d", g)
-		}
-		sum += float64(g)
-	}
-	mean := sum / draws
-	want := (1 - p) / p // mean of failures-before-success geometric
-	if math.Abs(mean-want) > 0.1 {
-		t.Fatalf("Geometric(%v) mean = %v, want ~%v", p, mean, want)
-	}
-	if got := s.Geometric(1.0); got != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", got)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	t.Parallel()
 	s := New(53)
@@ -403,12 +382,21 @@ func BenchmarkIntn(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkPermInto1024(b *testing.B) {
+func BenchmarkNormFloat64(b *testing.B) {
 	s := New(1)
-	dst := make([]int, 1024)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += s.NormFloat64()
+	}
+	_ = sink
+}
+
+func BenchmarkPermInto32_1024(b *testing.B) {
+	s := New(1)
+	dst := make([]int32, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.PermInto(dst)
+		s.PermInto32(dst)
 	}
 }
 

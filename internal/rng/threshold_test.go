@@ -139,11 +139,10 @@ func TestThresholdRandomProbabilities(t *testing.T) {
 	}
 }
 
-// TestPermVariantsDrawIdentical pins the two permutation kernels to one
-// draw sequence: PermInto (with its manually fused Lemire fast path) and
-// PermInto32 must consume identical words — including the data-dependent
-// rejection redraws — and produce the same permutation. A reference loop
-// drawing Intn(i+1) plays the oracle for the draw sequence itself.
+// TestPermVariantsDrawIdentical pins PermInto32 (with its manually fused
+// Lemire fast path) to one draw sequence: a reference loop drawing Intn(i+1)
+// plays the oracle, and the kernel must consume identical words — including
+// the data-dependent rejection redraws — and produce the same permutation.
 func TestPermVariantsDrawIdentical(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{0, 1, 2, 3, 7, 64, 257, 1024} {
@@ -159,18 +158,15 @@ func TestPermVariantsDrawIdentical(t *testing.T) {
 				}
 			}
 
-			a := New(seed)
-			got := a.PermInto(make([]int, n))
 			b := New(seed)
 			got32 := b.PermInto32(make([]int32, n))
 
-			if a.State() != ref.State() || b.State() != ref.State() {
-				t.Fatalf("n=%d seed=%d: stream positions diverged across perm variants", n, seed)
+			if b.State() != ref.State() {
+				t.Fatalf("n=%d seed=%d: PermInto32 left the stream at a different position than the oracle", n, seed)
 			}
-			for i := range got {
-				if got[i] != refPerm[i] || int(got32[i]) != refPerm[i] {
-					t.Fatalf("n=%d seed=%d index %d: PermInto=%d PermInto32=%d oracle=%d",
-						n, seed, i, got[i], got32[i], refPerm[i])
+			for i := range got32 {
+				if int(got32[i]) != refPerm[i] {
+					t.Fatalf("n=%d seed=%d index %d: PermInto32=%d oracle=%d", n, seed, i, got32[i], refPerm[i])
 				}
 			}
 		}

@@ -1149,7 +1149,7 @@ func (ln *lane) lockFoldShard(sh int) {
 			if countHook != nil {
 				c = countHook(c, n, &ln.antSrc[i])
 			}
-			count[i] = int32(c)
+			count[i] = countReg(c)
 			if assessHook != nil {
 				q = assessHook(q, &ln.antSrc[i])
 			}
@@ -1166,9 +1166,20 @@ func (ln *lane) lockFoldShard(sh int) {
 			if countHook != nil {
 				c = countHook(c, n, &ln.antSrc[i])
 			}
-			count[i] = int32(c)
+			count[i] = countReg(c)
 		}
 	}
+}
+
+// countReg narrows a perception hook's count reading to the lane's int32
+// count register, saturating at its range where a plain conversion would
+// wrap. The scalar NoisyAnt keeps the full int, and saturation is exact: the
+// recruit draw reads only the count's sign and how it compares with
+// n ≤ MaxInt32.
+//
+//hh:hotpath
+func countReg(c int) int32 {
+	return int32(min(max(c, math.MinInt32), math.MaxInt32))
 }
 
 // foldCommitDeltas folds the per-shard commitment delta slabs into the
@@ -2422,7 +2433,7 @@ func (ln *lane) observeShard(sh int) {
 				if countHook != nil {
 					c = countHook(c, n, &antSrc[i])
 				}
-				count[i] = int32(c)
+				count[i] = countReg(c)
 				q := qual[outNest]
 				if assessHook != nil {
 					q = assessHook(q, &antSrc[i])
@@ -2443,7 +2454,7 @@ func (ln *lane) observeShard(sh int) {
 				if countHook != nil {
 					c = countHook(c, n, &antSrc[i])
 				}
-				count[i] = int32(c)
+				count[i] = countReg(c)
 				state[i] = next0
 			}
 			finals += int(isFinal[next0]) * len(members)
