@@ -15,16 +15,17 @@ import (
 // If a change legitimately alters executions (e.g. an extra RNG draw), update
 // the table below in the same commit and say why.
 //
-// The table was last regenerated when Algorithm 1's draws became keyed: the
-// matcher now takes one word per round from the matching stream as a key,
-// shuffles only the active slots from a key-seeded stream, and derives each
-// candidate's targets from the key, where it used to shuffle all slots and
-// draw targets from the matching stream itself. The process is the same in
-// distribution (the exact oracle in internal/sim and
-// TestKeyedMatcherMatchesSequentialReference check it), but every execution
-// with a recruit round takes a different path. Optimal at n=128, seed 42
-// takes a different path too but happens to end at the same round with the
-// same winner.
+// The table was last regenerated when every per-ant draw and search
+// destination became a keyed draw: each recruit coin, perception-hook seed,
+// docility coin and ApproxN estimate is now a pure function of the agent
+// key, the ant, its logical round and a fixed draw index, and each search
+// destination one of the environment key, the ant and the round, where they
+// used to come from per-ant streams and one sequential environment stream;
+// the Source behind every remaining stream became SplitMix64 in the same
+// change. The process is the same in distribution
+// (TestKeyedDrawsMatchParentDistribution in internal/core compares 300
+// colonies per cell against a table recorded before the change), but every
+// execution takes a different path.
 func TestGoldenExecutions(t *testing.T) {
 	t.Parallel()
 	type golden struct {
@@ -37,13 +38,13 @@ func TestGoldenExecutions(t *testing.T) {
 		winner int
 	}
 	cases := []golden{
-		{AlgorithmSimple, 128, 4, 2, 42, 46, 2},
-		{AlgorithmSimple, 256, 8, 4, 7, 50, 1},
-		{AlgorithmOptimal, 128, 4, 2, 42, 49, 2},
-		{AlgorithmOptimal, 256, 8, 4, 7, 65, 2},
-		{AlgorithmAdaptive, 256, 8, 8, 7, 74, 6},
-		{AlgorithmQualityAware, 128, 4, 4, 42, 38, 3},
-		{AlgorithmQuorum, 256, 4, 2, 7, 17, 2},
+		{AlgorithmSimple, 128, 4, 2, 42, 26, 2},
+		{AlgorithmSimple, 256, 8, 4, 7, 54, 4},
+		{AlgorithmOptimal, 128, 4, 2, 42, 53, 2},
+		{AlgorithmOptimal, 256, 8, 4, 7, 69, 3},
+		{AlgorithmAdaptive, 256, 8, 8, 7, 68, 4},
+		{AlgorithmQualityAware, 128, 4, 4, 42, 42, 2},
+		{AlgorithmQuorum, 256, 4, 2, 7, 19, 2},
 	}
 	for _, tc := range cases {
 		tc := tc

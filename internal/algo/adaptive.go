@@ -29,8 +29,8 @@ import (
 // The schedule uses only quantities the paper grants the ants: the round
 // number and n.
 type AdaptiveAnt struct {
+	antKey
 	n      int
-	src    *rng.Source
 	phase  simplePhase
 	active bool
 
@@ -45,19 +45,20 @@ type AdaptiveAnt struct {
 
 var _ sim.Agent = (*AdaptiveAnt)(nil)
 
-// NewAdaptiveAnt builds one adaptive ant. tau is the boost-doubling period in
+// NewAdaptiveAnt builds ant id of an n-ant adaptive colony whose draws are
+// keyed by key. tau is the boost-doubling period in
 // recruit phases (default 2 if <= 0); floorDiv caps the boost at A = n/floorDiv
 // (default 4 if <= 0). The defaults were tuned empirically (see
 // `go run ./cmd/hhbench -exp E10`): they make convergence time nearly flat in k at the cost of a ramp-up
 // penalty for small k, with the crossover against Algorithm 3 near k ≈ 16.
-func NewAdaptiveAnt(n int, src *rng.Source, tau int, floorDiv float64) *AdaptiveAnt {
+func NewAdaptiveAnt(n int, key rng.Key, id int, tau int, floorDiv float64) *AdaptiveAnt {
 	if tau <= 0 {
 		tau = 2
 	}
 	if floorDiv <= 0 {
 		floorDiv = 4
 	}
-	return &AdaptiveAnt{n: n, src: src, phase: simpleSearch, active: true, tau: tau, floorDiv: floorDiv}
+	return &AdaptiveAnt{antKey: antKey{key, id}, n: n, phase: simpleSearch, active: true, tau: tau, floorDiv: floorDiv}
 }
 
 // recruitProbability computes b(r) for the current registers. It delegates to
@@ -69,15 +70,12 @@ func (a *AdaptiveAnt) recruitProbability() float64 {
 }
 
 // Act implements sim.Agent.
-func (a *AdaptiveAnt) Act(int) sim.Action {
+func (a *AdaptiveAnt) Act(round int) sim.Action {
 	switch a.phase {
 	case simpleSearch:
 		return sim.Search()
 	case simpleRecruit:
-		b := false
-		if a.active {
-			b = a.src.Bernoulli(a.recruitProbability())
-		}
+		b := a.active && a.coin(round, rng.DrawRecruit, a.recruitProbability())
 		a.recruitPhases++
 		return sim.Recruit(b, a.nest)
 	default:
@@ -132,8 +130,9 @@ func (ad Adaptive) Build(n int, env sim.Environment, src *rng.Source) ([]sim.Age
 		return nil, fmt.Errorf("algo: adaptive needs a non-empty environment")
 	}
 	agents := make([]sim.Agent, n)
+	key := src.Key()
 	for i := range agents {
-		agents[i] = NewAdaptiveAnt(n, src.Split(uint64(i)), ad.Tau, ad.FloorDiv)
+		agents[i] = NewAdaptiveAnt(n, key, i, ad.Tau, ad.FloorDiv)
 	}
 	return agents, nil
 }

@@ -18,8 +18,8 @@ import (
 // the property the paper's §5 analysis actually uses — so convergence should
 // survive sizable δ. `go run ./cmd/hhbench -exp E19` quantifies the cost.
 type ApproxNAnt struct {
+	antKey
 	nEst   float64
-	src    *rng.Source
 	phase  simplePhase
 	active bool
 
@@ -30,29 +30,23 @@ type ApproxNAnt struct {
 
 var _ sim.Agent = (*ApproxNAnt)(nil)
 
-// NewApproxNAnt builds one ant believing the colony has nEst ants (must be
-// positive).
-func NewApproxNAnt(nEst float64, src *rng.Source) (*ApproxNAnt, error) {
+// NewApproxNAnt builds ant id, keyed by key, believing the colony has nEst
+// ants (must be positive).
+func NewApproxNAnt(nEst float64, key rng.Key, id int) (*ApproxNAnt, error) {
 	if nEst <= 0 {
 		return nil, fmt.Errorf("algo: colony-size estimate %v must be positive", nEst)
 	}
-	return &ApproxNAnt{nEst: nEst, src: src, phase: simpleSearch, active: true}, nil
+	return &ApproxNAnt{antKey: antKey{key, id}, nEst: nEst, phase: simpleSearch, active: true}, nil
 }
 
-// Act implements sim.Agent.
-func (a *ApproxNAnt) Act(int) sim.Action {
+// Act implements sim.Agent. The coin accepts every p >= 1, so count/ñ needs
+// no clamp.
+func (a *ApproxNAnt) Act(round int) sim.Action {
 	switch a.phase {
 	case simpleSearch:
 		return sim.Search()
 	case simpleRecruit:
-		b := false
-		if a.active {
-			p := float64(a.count) / a.nEst
-			if p > 1 {
-				p = 1
-			}
-			b = a.src.Bernoulli(p)
-		}
+		b := a.active && a.coin(round, rng.DrawRecruit, float64(a.count)/a.nEst)
 		return sim.Recruit(b, a.nest)
 	default:
 		return sim.Goto(a.nest)
@@ -109,13 +103,9 @@ func (a ApproxN) Build(n int, env sim.Environment, src *rng.Source) ([]sim.Agent
 		return nil, fmt.Errorf("algo: approxn delta %v outside [0, 1)", a.Delta)
 	}
 	agents := make([]sim.Agent, n)
+	key := src.Key()
 	for i := range agents {
-		antSrc := src.Split(uint64(i))
-		nEst := float64(n)
-		if a.Delta > 0 {
-			nEst = float64(n) * (1 + (2*antSrc.Float64()-1)*a.Delta)
-		}
-		ant, err := NewApproxNAnt(nEst, antSrc)
+		ant, err := NewApproxNAnt(sim.ApproxNEstimate(n, a.Delta, key, i), key, i)
 		if err != nil {
 			return nil, err
 		}

@@ -878,7 +878,7 @@ func TestExtensionGeneralPathEquivalence(t *testing.T) {
 // the extensions that need parameter columns request them, only the quorum
 // programs carry transport capacity, and only quorum and optimal decide.
 // Spreader is the one program with no per-ant randomness at all — neither
-// form of the process ever draws from an ant stream.
+// form of the process makes a per-ant draw.
 func TestCompiledInventoryPrograms(t *testing.T) {
 	t.Parallel()
 	env := sim.MustEnvironment([]float64{1, 0})

@@ -254,9 +254,9 @@ func (QualityAware) CompileBatch(n int, env sim.Environment) (sim.Program, bool)
 // CompileBatch implements core.BatchCompilable: the §6 approximate-n
 // extension is Algorithm 3's cycle with the draw probability min(1, count/ñ)
 // (EmitRecruitApproxN), where each ant's private estimate ñ lives in the
-// lane's per-ant float parameter column. The lane draws ñ from the ant's own
-// stream at replicate start — and skips the draw entirely at δ = 0 — exactly
-// as the scalar builder does, which keeps every subsequent Bernoulli aligned.
+// lane's per-ant float parameter column. The lane sets ñ at replicate start
+// to the ant's keyed sim.ApproxNEstimate — exactly n at δ = 0 — which is
+// what the scalar builder computes.
 // A δ outside [0, 1) declines to compile so the scalar path surfaces the
 // builder's validation error.
 func (a ApproxN) CompileBatch(n int, env sim.Environment) (sim.Program, bool) {
@@ -292,10 +292,9 @@ const (
 // capture — the bound's two information channels). The opcode keys on nest
 // quality, so the compile declines unless the environment has exactly one
 // good nest — the same restriction Build enforces, and what makes "reached a
-// good nest" and "reached the target" the same event. Spreader ants never
-// draw from their per-ant streams in either form, so equivalence needs no
-// draw alignment at all: searchers consume the engine's environment stream in
-// ant order exactly like scalar searchers.
+// good nest" and "reached the target" the same event. Spreader ants make no
+// per-ant draws in either form, and a searcher's destination is the
+// environment's keyed word for (ant, round) on both engines.
 func (s Spreader) CompileBatch(n int, env sim.Environment) (sim.Program, bool) {
 	if n <= 0 || env.K() == 0 {
 		return sim.Program{}, false
@@ -356,8 +355,8 @@ func countHook(c nest.CountEstimator) func(int, int, *rng.Source) int {
 
 // CompileBatch implements core.BatchCompilable: the §6 noisy-perception
 // extension is Algorithm 3's three-state cycle with every count and quality
-// read routed through the perception hooks, consumed from the ant's own
-// stream in NoisyAnt's order (count estimate first, then assessment). The
+// read routed through the perception hooks, each on a Source reseeded from
+// the ant's keyed word for that hook, as NoisyAnt's observe does. The
 // scalar ant's active flag is the quality register — 1 exactly when the
 // perceived discovery quality exceeds the classification threshold, and set
 // to 1 on adoption — so the recruit draw reuses EmitRecruitPop: NoisyAnt
@@ -430,8 +429,8 @@ func quorumBatchProgram(name string, mult float64, carry int, docility float64, 
 // CompileBatch implements core.BatchCompilable: the §6 quorum/transport
 // strategy lowered to the general execution path with carry-aware recruitment
 // matching. The per-ant quorum threshold lives in the countT scratch register
-// (disjoint from Algorithm 2's use of it), the docility Bernoulli consumes
-// the captured ant's stream exactly like QuorumAnt's submit check, and the
+// (disjoint from Algorithm 2's use of it), the docility coin is the captured
+// ant's keyed word exactly like QuorumAnt's submit check, and the
 // builder's defaulting (multiplier 1.5, carry 3, docility 0.25) and
 // validation are mirrored here so invalid parameterizations surface the
 // scalar builder's error instead of silently compiling. A multiplier large

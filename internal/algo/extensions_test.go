@@ -70,7 +70,7 @@ func TestSpreaderSeedsClamped(t *testing.T) {
 
 func TestSpreaderAntInformsOnTargetContact(t *testing.T) {
 	t.Parallel()
-	a := NewSpreaderAnt(testSrc(3), 2, false)
+	a := NewSpreaderAnt(2, false)
 	if a.Informed() {
 		t.Fatal("fresh ant informed")
 	}
@@ -134,7 +134,7 @@ func TestAdaptiveProbabilitySchedule(t *testing.T) {
 	t.Parallel()
 	// The recruit probability must (a) start near count/n, (b) grow as phases
 	// pass, and (c) stay strictly below 1 and increasing in count.
-	a := NewAdaptiveAnt(1024, testSrc(4), 4, 8)
+	a := NewAdaptiveAnt(1024, testKey(4), 0, 4, 8)
 	a.count = 64 // n/k for k=16
 	early := a.recruitProbability()
 	if math.Abs(early-64.0/(64+1024)) > 1e-9 {
@@ -162,7 +162,7 @@ func TestAdaptiveProbabilitySchedule(t *testing.T) {
 
 func TestAdaptiveDefaults(t *testing.T) {
 	t.Parallel()
-	a := NewAdaptiveAnt(100, testSrc(5), 0, 0)
+	a := NewAdaptiveAnt(100, testKey(5), 0, 0, 0)
 	if a.tau != 2 || a.floorDiv != 4 {
 		t.Fatalf("defaults: tau=%d floorDiv=%v", a.tau, a.floorDiv)
 	}
@@ -200,7 +200,7 @@ func TestQualityAwareBinaryReducesToGoodChoice(t *testing.T) {
 
 func TestQualityAntRepricesAfterCapture(t *testing.T) {
 	t.Parallel()
-	a := NewQualityAnt(100, testSrc(6))
+	a := NewQualityAnt(100, testKey(6), 0)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 10, Quality: 0.8})
 	a.Act(2)
@@ -277,7 +277,7 @@ func TestNoisyBuilderValidation(t *testing.T) {
 	if _, err := (Noisy{}).Build(0, env, testSrc(1)); err == nil {
 		t.Fatal("zero colony accepted")
 	}
-	if _, err := NewNoisyAnt(10, testSrc(1), nil, nest.ExactAssessor{}, 0.5); err == nil {
+	if _, err := NewNoisyAnt(10, testKey(1), 0, nil, nest.ExactAssessor{}, 0.5); err == nil {
 		t.Fatal("nil counter accepted")
 	}
 	if (Noisy{}).Name() == "" {

@@ -19,8 +19,8 @@ import (
 // cost; `go run ./cmd/hhbench -exp E12` measures success rate and slowdown
 // against the noise level.
 type NoisyAnt struct {
+	antKey
 	n      int
-	src    *rng.Source
 	phase  simplePhase
 	active bool
 
@@ -31,49 +31,48 @@ type NoisyAnt struct {
 	counter   nest.CountEstimator
 	assessor  nest.Assessor
 	threshold float64
+	// scratch is the Source the perception hooks draw from, reseeded from
+	// the ant's keyed word before every call.
+	scratch rng.Source
 }
 
 var _ sim.Agent = (*NoisyAnt)(nil)
 
-// NewNoisyAnt builds one noisy-perception ant. threshold is the perceived
-// quality above which a nest is treated as good.
-func NewNoisyAnt(n int, src *rng.Source, counter nest.CountEstimator, assessor nest.Assessor, threshold float64) (*NoisyAnt, error) {
+// NewNoisyAnt builds ant id of an n-ant noisy-perception colony whose draws
+// are keyed by key. threshold is the perceived quality above which a nest is
+// treated as good.
+func NewNoisyAnt(n int, key rng.Key, id int, counter nest.CountEstimator, assessor nest.Assessor, threshold float64) (*NoisyAnt, error) {
 	if counter == nil || assessor == nil {
 		return nil, fmt.Errorf("algo: noisy ant needs both a counter and an assessor")
 	}
 	return &NoisyAnt{
-		n: n, src: src, phase: simpleSearch, active: true,
+		antKey: antKey{key, id}, n: n, phase: simpleSearch, active: true,
 		counter: counter, assessor: assessor, threshold: threshold,
 	}, nil
 }
 
 // Act implements sim.Agent.
-func (a *NoisyAnt) Act(int) sim.Action {
+func (a *NoisyAnt) Act(round int) sim.Action {
 	switch a.phase {
 	case simpleSearch:
 		return sim.Search()
 	case simpleRecruit:
-		b := false
-		if a.active {
-			p := float64(a.count) / float64(a.n)
-			if p > 1 {
-				p = 1
-			}
-			b = a.src.Bernoulli(p)
-		}
+		b := a.active && a.coin(round, rng.DrawRecruit, float64(a.count)/float64(a.n))
 		return sim.Recruit(b, a.nest)
 	default:
 		return sim.Goto(a.nest)
 	}
 }
 
-// Observe implements sim.Agent.
-func (a *NoisyAnt) Observe(_ int, out sim.Outcome) {
+// Observe implements sim.Agent. Each hook call draws from scratch reseeded
+// by its own keyed word: DrawCount for the count, DrawAssess for the
+// quality.
+func (a *NoisyAnt) Observe(round int, out sim.Outcome) {
 	switch a.phase {
 	case simpleSearch:
 		a.nest = out.Nest
-		a.count = a.counter.Estimate(out.Count, a.n, a.src)
-		a.quality = a.assessor.Assess(out.Quality, a.src)
+		a.count = a.counter.Estimate(out.Count, a.n, a.reseed(&a.scratch, round, rng.DrawCount))
+		a.quality = a.assessor.Assess(out.Quality, a.reseed(&a.scratch, round, rng.DrawAssess))
 		if a.quality <= a.threshold {
 			a.active = false
 		}
@@ -85,7 +84,7 @@ func (a *NoisyAnt) Observe(_ int, out sim.Outcome) {
 		}
 		a.phase = simpleAssess
 	case simpleAssess:
-		a.count = a.counter.Estimate(out.Count, a.n, a.src)
+		a.count = a.counter.Estimate(out.Count, a.n, a.reseed(&a.scratch, round, rng.DrawCount))
 		a.phase = simpleRecruit
 	}
 }
@@ -137,8 +136,9 @@ func (no Noisy) Build(n int, env sim.Environment, src *rng.Source) ([]sim.Agent,
 		threshold = 0.5
 	}
 	agents := make([]sim.Agent, n)
+	key := src.Key()
 	for i := range agents {
-		ant, err := NewNoisyAnt(n, src.Split(uint64(i)), counter, assessor, threshold)
+		ant, err := NewNoisyAnt(n, key, i, counter, assessor, threshold)
 		if err != nil {
 			return nil, err
 		}

@@ -46,7 +46,7 @@ func TestNoisyZeroNoiseDegenerate(t *testing.T) {
 // (the comparison is quality <= threshold), anything above reads as good.
 func TestNoisyThresholdExactBoundary(t *testing.T) {
 	t.Parallel()
-	at, err := NewNoisyAnt(64, testSrc(32), nest.ExactCounter{}, nest.ExactAssessor{}, 0.5)
+	at, err := NewNoisyAnt(64, testKey(32), 0, nest.ExactCounter{}, nest.ExactAssessor{}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestNoisyThresholdExactBoundary(t *testing.T) {
 	if at.active {
 		t.Fatal("quality exactly at the threshold classified as good")
 	}
-	above, err := NewNoisyAnt(64, testSrc(33), nest.ExactCounter{}, nest.ExactAssessor{}, 0.5)
+	above, err := NewNoisyAnt(64, testKey(33), 0, nest.ExactCounter{}, nest.ExactAssessor{}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,28 +66,26 @@ func TestNoisyThresholdExactBoundary(t *testing.T) {
 	}
 }
 
-// TestNoisyOverestimateClampsProbability pins the recruit-probability clamp:
-// a noisy count above n would put count/n past 1, and the ant must treat it
-// as a sure recruit (Bernoulli at p >= 1 is deterministically true and
-// consumes no randomness) rather than emit an out-of-range probability.
+// TestNoisyOverestimateClampsProbability pins the recruit probability of an
+// overestimate: a noisy count above n puts count/n past 1, and the ant must
+// treat it as a sure recruit, whatever its keyed word, rather than emit an
+// out-of-range probability.
 func TestNoisyOverestimateClampsProbability(t *testing.T) {
 	t.Parallel()
-	a, err := NewNoisyAnt(8, testSrc(34), nest.ExactCounter{}, nest.ExactAssessor{}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Act(1)
-	// The engine would never report 40 ants in an 8-ant colony, but a noisy
-	// counter can: model it by feeding the inflated count through an exact
-	// perception path.
-	a.Observe(1, sim.Outcome{Nest: 1, Count: 40, Quality: 1})
-	before := a.src.State()
-	act := a.Act(2)
-	if act.Kind != sim.ActionRecruit || !act.Active {
-		t.Fatalf("overestimating ant act = %+v, want a sure active recruit", act)
-	}
-	if a.src.State() != before {
-		t.Fatal("clamped sure recruit consumed randomness")
+	key := testKey(34)
+	for id := 0; id < 500; id++ {
+		a, err := NewNoisyAnt(8, key, id, nest.ExactCounter{}, nest.ExactAssessor{}, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Act(1)
+		// The engine would never report 40 ants in an 8-ant colony, but a
+		// noisy counter can: model it by feeding the inflated count through
+		// an exact perception path.
+		a.Observe(1, sim.Outcome{Nest: 1, Count: 40, Quality: 1})
+		if act := a.Act(2); act.Kind != sim.ActionRecruit || !act.Active {
+			t.Fatalf("ant %d: overestimating ant act = %+v, want a sure active recruit", id, act)
+		}
 	}
 }
 

@@ -65,8 +65,6 @@ func (s optState) String() string {
 // behind Literal for the E17 ablation, which quantifies how often it
 // deadlocks (`go run ./cmd/hhbench -exp E17`).
 type OptimalAnt struct {
-	src *rng.Source
-
 	state   optState
 	next    optState // latched at the phase boundary (end of R4)
 	pending bool     // passive ant captured at R2, becomes final at boundary
@@ -87,8 +85,8 @@ var _ sim.Agent = (*OptimalAnt)(nil)
 // NewOptimalAnt builds one Algorithm 2 ant. literal selects the pseudocode's
 // literal Case 3 (stale count baseline); false selects the analysis-
 // consistent re-baselining.
-func NewOptimalAnt(src *rng.Source, literal bool) *OptimalAnt {
-	return &OptimalAnt{src: src, state: optSearch, literal: literal}
+func NewOptimalAnt(literal bool) *OptimalAnt {
+	return &OptimalAnt{state: optSearch, literal: literal}
 }
 
 // phasePos maps a global round (>= 2) to the pseudocode's R1..R4 as 0..3.
@@ -262,7 +260,7 @@ func (o Optimal) Build(n int, env sim.Environment, src *rng.Source) ([]sim.Agent
 	}
 	agents := make([]sim.Agent, n)
 	for i := range agents {
-		agents[i] = NewOptimalAnt(src.Split(uint64(i)), o.Literal)
+		agents[i] = NewOptimalAnt(o.Literal)
 	}
 	return agents, nil
 }

@@ -113,7 +113,7 @@ func TestOptimalLogarithmicScaling(t *testing.T) {
 func TestOptimalAntStateMachine(t *testing.T) {
 	t.Parallel()
 	// Unit-level walk of the happy path: search → active case 1 → final.
-	a := NewOptimalAnt(testSrc(1), false)
+	a := NewOptimalAnt(false)
 	if got := a.Act(1); got.Kind != sim.ActionSearch {
 		t.Fatalf("round 1 act = %+v", got)
 	}
@@ -153,7 +153,7 @@ func TestOptimalAntStateMachine(t *testing.T) {
 func TestOptimalAntDropout(t *testing.T) {
 	t.Parallel()
 	// Case 2: population decreased → passive, with the paper's padding calls.
-	a := NewOptimalAnt(testSrc(2), false)
+	a := NewOptimalAnt(false)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 2, Count: 10, Quality: 1})
 	a.Act(2)
@@ -179,7 +179,7 @@ func TestOptimalAntDropout(t *testing.T) {
 func TestOptimalAntRecruitedAway(t *testing.T) {
 	t.Parallel()
 	// Case 3: captured during R1; the repaired variant re-baselines count.
-	a := NewOptimalAnt(testSrc(3), false)
+	a := NewOptimalAnt(false)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 50, Quality: 1})
 	a.Act(2)
@@ -218,7 +218,7 @@ func TestOptimalLiteralAntKeepsStaleCount(t *testing.T) {
 	t.Parallel()
 	// Same trajectory as above under the literal pseudocode: the stale count
 	// of 50 makes count_t = 32 < 50 look like a decrease → spurious dropout.
-	a := NewOptimalAnt(testSrc(4), true)
+	a := NewOptimalAnt(true)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 50, Quality: 1})
 	a.Act(2)
@@ -244,7 +244,7 @@ func TestOptimalLiteralAntKeepsStaleCount(t *testing.T) {
 
 func TestOptimalPassiveCapturedBecomesFinal(t *testing.T) {
 	t.Parallel()
-	a := NewOptimalAnt(testSrc(5), false)
+	a := NewOptimalAnt(false)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 3, Count: 2, Quality: 0}) // bad nest → passive
 	if a.State() != "passive" {

@@ -20,8 +20,8 @@ import (
 // recruited to an unknown nest prices it correctly from its next visit; until
 // then it conservatively recruits at quality 0.
 type QualityAnt struct {
+	antKey
 	n      int
-	src    *rng.Source
 	phase  simplePhase
 	active bool
 
@@ -32,21 +32,19 @@ type QualityAnt struct {
 
 var _ sim.Agent = (*QualityAnt)(nil)
 
-// NewQualityAnt builds one quality-weighted ant.
-func NewQualityAnt(n int, src *rng.Source) *QualityAnt {
-	return &QualityAnt{n: n, src: src, phase: simpleSearch, active: true}
+// NewQualityAnt builds ant id of an n-ant quality-weighted colony whose
+// draws are keyed by key.
+func NewQualityAnt(n int, key rng.Key, id int) *QualityAnt {
+	return &QualityAnt{antKey: antKey{key, id}, n: n, phase: simpleSearch, active: true}
 }
 
 // Act implements sim.Agent.
-func (a *QualityAnt) Act(int) sim.Action {
+func (a *QualityAnt) Act(round int) sim.Action {
 	switch a.phase {
 	case simpleSearch:
 		return sim.Search()
 	case simpleRecruit:
-		b := false
-		if a.active {
-			b = a.src.Bernoulli(a.quality * float64(a.count) / float64(a.n))
-		}
+		b := a.active && a.coin(round, rng.DrawRecruit, a.quality*float64(a.count)/float64(a.n))
 		return sim.Recruit(b, a.nest)
 	default:
 		return sim.Goto(a.nest)
@@ -98,8 +96,9 @@ func (QualityAware) Build(n int, env sim.Environment, src *rng.Source) ([]sim.Ag
 		return nil, fmt.Errorf("algo: quality needs a non-empty environment")
 	}
 	agents := make([]sim.Agent, n)
+	key := src.Key()
 	for i := range agents {
-		agents[i] = NewQualityAnt(n, src.Split(uint64(i)))
+		agents[i] = NewQualityAnt(n, key, i)
 	}
 	return agents, nil
 }

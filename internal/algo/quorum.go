@@ -33,8 +33,8 @@ import (
 // quorum filters them at the cost of time. `go run ./cmd/hhbench -exp E18`
 // measures the trade-off.
 type QuorumAnt struct {
+	antKey
 	n      int
-	src    *rng.Source
 	phase  simplePhase
 	active bool
 
@@ -48,17 +48,21 @@ type QuorumAnt struct {
 	transport  bool
 	docility   float64
 	assessor   nest.Assessor
+	// scratch is the Source the assessor draws from, reseeded from the
+	// ant's DrawAssess word before every call.
+	scratch rng.Source
 }
 
 var _ sim.Agent = (*QuorumAnt)(nil)
 
-// NewQuorumAnt builds one quorum-transport ant. multiplier scales the ant's
+// NewQuorumAnt builds ant id of an n-ant quorum-transport colony whose draws
+// are keyed by key. multiplier scales the ant's
 // initially observed population into its quorum threshold (values <= 1 mean
 // the default 1.5); carry is the transport capacity (values < 1 mean 3);
 // docility is the probability a transporter submits to being carried away
 // (values outside (0,1] mean the default 0.25); assessor may be nil for
 // exact assessment.
-func NewQuorumAnt(n int, src *rng.Source, multiplier float64, carry int, docility float64, assessor nest.Assessor) *QuorumAnt {
+func NewQuorumAnt(n int, key rng.Key, id int, multiplier float64, carry int, docility float64, assessor nest.Assessor) *QuorumAnt {
 	if multiplier <= 1 {
 		multiplier = 1.5
 	}
@@ -72,13 +76,13 @@ func NewQuorumAnt(n int, src *rng.Source, multiplier float64, carry int, docilit
 		assessor = nest.ExactAssessor{}
 	}
 	return &QuorumAnt{
-		n: n, src: src, phase: simpleSearch, active: true,
+		antKey: antKey{key, id}, n: n, phase: simpleSearch, active: true,
 		multiplier: multiplier, carry: carry, docility: docility, assessor: assessor,
 	}
 }
 
 // Act implements sim.Agent.
-func (a *QuorumAnt) Act(int) sim.Action {
+func (a *QuorumAnt) Act(round int) sim.Action {
 	switch a.phase {
 	case simpleSearch:
 		return sim.Search()
@@ -86,10 +90,7 @@ func (a *QuorumAnt) Act(int) sim.Action {
 		if a.transport {
 			return sim.Transport(a.nest, a.carry)
 		}
-		b := false
-		if a.active {
-			b = a.src.Bernoulli(float64(a.count) / float64(a.n))
-		}
+		b := a.active && a.coin(round, rng.DrawRecruit, float64(a.count)/float64(a.n))
 		return sim.Recruit(b, a.nest)
 	default:
 		return sim.Goto(a.nest)
@@ -97,12 +98,12 @@ func (a *QuorumAnt) Act(int) sim.Action {
 }
 
 // Observe implements sim.Agent.
-func (a *QuorumAnt) Observe(_ int, out sim.Outcome) {
+func (a *QuorumAnt) Observe(round int, out sim.Outcome) {
 	switch a.phase {
 	case simpleSearch:
 		a.nest = out.Nest
 		a.count = out.Count
-		a.quality = a.assessor.Assess(out.Quality, a.src)
+		a.quality = a.assessor.Assess(out.Quality, a.reseed(&a.scratch, round, rng.DrawAssess))
 		if a.quality <= 0.5 {
 			a.active = false
 		}
@@ -128,7 +129,7 @@ func (a *QuorumAnt) Observe(_ int, out sim.Outcome) {
 			// demote to canvassers of the new nest. Without some docility,
 			// two nests that both pass quorum would split the colony forever;
 			// with it, the larger transporter camp absorbs the smaller.
-			submit := !a.transport || a.src.Bernoulli(a.docility)
+			submit := !a.transport || a.coin(round, rng.DrawDocility, a.docility)
 			if submit {
 				if out.Nest != a.nest {
 					a.transport = false
@@ -206,8 +207,9 @@ func (q Quorum) Build(n int, env sim.Environment, src *rng.Source) ([]sim.Agent,
 		return nil, fmt.Errorf("algo: quorum docility %v outside [0,1]", q.Docility)
 	}
 	agents := make([]sim.Agent, n)
+	key := src.Key()
 	for i := range agents {
-		agents[i] = NewQuorumAnt(n, src.Split(uint64(i)), q.Multiplier, q.Carry, q.Docility, q.Assessor)
+		agents[i] = NewQuorumAnt(n, key, i, q.Multiplier, q.Carry, q.Docility, q.Assessor)
 	}
 	return agents, nil
 }

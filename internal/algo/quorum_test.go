@@ -50,7 +50,7 @@ func TestQuorumTransportSpeedsFinish(t *testing.T) {
 
 func TestQuorumAntPromotion(t *testing.T) {
 	t.Parallel()
-	a := NewQuorumAnt(100, testSrc(1), 2.0, 3, 0, nil)
+	a := NewQuorumAnt(100, testKey(1), 0, 2.0, 3, 0, nil)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 5, Quality: 1})
 	// Self-calibrated threshold: 2.0 × 5 = 10 ants.
@@ -84,7 +84,7 @@ func TestQuorumPassiveNeverTransportsAlone(t *testing.T) {
 	t.Parallel()
 	// An ant on a bad nest stays passive; even a crowded bad nest must not
 	// trigger transport (only canvassers promote).
-	a := NewQuorumAnt(100, testSrc(2), 1.5, 3, 0, nil)
+	a := NewQuorumAnt(100, testKey(2), 0, 1.5, 3, 0, nil)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 2, Count: 50, Quality: 0})
 	a.Act(2)
@@ -139,7 +139,7 @@ func TestQuorumBuilderValidation(t *testing.T) {
 // threshold−1 must not transport and a population of exactly threshold must.
 func TestQuorumThresholdExactBoundary(t *testing.T) {
 	t.Parallel()
-	a := NewQuorumAnt(100, testSrc(11), 2.0, 3, 0, nil)
+	a := NewQuorumAnt(100, testKey(11), 0, 2.0, 3, 0, nil)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 5, Quality: 1})
 	if a.threshold != 10 {
@@ -168,14 +168,14 @@ func TestQuorumThresholdExactBoundary(t *testing.T) {
 func TestQuorumThresholdGrowthFloor(t *testing.T) {
 	t.Parallel()
 	// 1.5 × 2 = 3 < 2 + 2: floored to 4.
-	a := NewQuorumAnt(100, testSrc(12), 1.5, 3, 0, nil)
+	a := NewQuorumAnt(100, testKey(12), 0, 1.5, 3, 0, nil)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 2, Quality: 1})
 	if a.threshold != 4 {
 		t.Fatalf("threshold = %d, want the floor initial count + 2 = 4", a.threshold)
 	}
 	// 1.5 × 4 = 6 = 4 + 2: the multiplier value stands exactly at the floor.
-	b := NewQuorumAnt(100, testSrc(13), 1.5, 3, 0, nil)
+	b := NewQuorumAnt(100, testKey(13), 0, 1.5, 3, 0, nil)
 	b.Act(1)
 	b.Observe(1, sim.Outcome{Nest: 1, Count: 4, Quality: 1})
 	if b.threshold != 6 {
@@ -191,7 +191,7 @@ func TestQuorumThresholdGrowthFloor(t *testing.T) {
 func TestQuorumTransporterCaptureSemantics(t *testing.T) {
 	t.Parallel()
 	build := func(seed uint64) *QuorumAnt {
-		a := NewQuorumAnt(100, testSrc(seed), 2.0, 3, 1, nil)
+		a := NewQuorumAnt(100, testKey(seed), 0, 2.0, 3, 1, nil)
 		a.Act(1)
 		a.Observe(1, sim.Outcome{Nest: 1, Count: 3, Quality: 1})
 		a.Act(2)
@@ -282,7 +282,7 @@ func TestApproxNBuilderValidation(t *testing.T) {
 	if _, err := (ApproxN{}).Build(0, env, testSrc(1)); err == nil {
 		t.Fatal("zero colony accepted")
 	}
-	if _, err := NewApproxNAnt(0, testSrc(1)); err == nil {
+	if _, err := NewApproxNAnt(0, testKey(1), 0); err == nil {
 		t.Fatal("zero estimate accepted")
 	}
 }
@@ -292,7 +292,7 @@ func TestApproxNBuilderValidation(t *testing.T) {
 // mode with the given docility.
 func buildTransporter(t *testing.T, seed uint64, docility float64) *QuorumAnt {
 	t.Helper()
-	a := NewQuorumAnt(100, testSrc(seed), 2.0, 3, docility, nil)
+	a := NewQuorumAnt(100, testKey(seed), 0, 2.0, 3, docility, nil)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 3, Quality: 1})
 	a.Act(2)
@@ -305,59 +305,45 @@ func buildTransporter(t *testing.T, seed uint64, docility float64) *QuorumAnt {
 	return a
 }
 
-// TestQuorumDocilityBoundaries pins the docility Bernoulli at its endpoints.
-// A captured transporter with docility exactly 1 always submits, one with
-// docility exactly 0 never does — and both endpoints are draw-free, because
-// rng.Source's Bernoulli short-circuits at p <= 0 and p >= 1. The compiled
-// batch program relies on that draw-freeness for stream alignment, so the
-// endpoints are pinned here at the scalar source of truth. (The public
-// builder defaults docility 0 to 0.25; the field is set directly to reach
-// the boundary.)
+// TestQuorumDocilityBoundaries pins the docility coin at its endpoints. A
+// captured transporter with docility exactly 1 always submits and one with
+// docility exactly 0 never does, whatever its keyed word: the coin rejects
+// at p <= 0 and accepts at p >= 1. (The public builder defaults docility 0
+// to 0.25; the field is set directly to reach the boundary.)
 func TestQuorumDocilityBoundaries(t *testing.T) {
 	t.Parallel()
+	for seed := uint64(41); seed < 241; seed++ {
+		always := buildTransporter(t, seed, 0.5)
+		always.docility = 1
+		always.Act(4)
+		always.Observe(4, sim.Outcome{Nest: 2, Recruited: true})
+		if always.Transporting() || always.nest != 2 || !always.active {
+			t.Fatalf("seed %d: docility-1 transporter did not submit: transport=%v nest=%d active=%v",
+				seed, always.Transporting(), always.nest, always.active)
+		}
 
-	always := buildTransporter(t, 41, 0.5)
-	always.docility = 1
-	before := always.src.State()
-	always.Act(4)
-	always.Observe(4, sim.Outcome{Nest: 2, Recruited: true})
-	if always.Transporting() || always.nest != 2 || !always.active {
-		t.Fatalf("docility-1 transporter did not submit: transport=%v nest=%d active=%v",
-			always.Transporting(), always.nest, always.active)
-	}
-	if always.src.State() != before {
-		t.Fatal("docility 1 consumed randomness; Bernoulli(1) must be draw-free")
-	}
-
-	never := buildTransporter(t, 42, 0.5)
-	never.docility = 0
-	before = never.src.State()
-	never.Act(4)
-	never.Observe(4, sim.Outcome{Nest: 2, Recruited: true})
-	if !never.Transporting() || never.nest != 1 {
-		t.Fatalf("docility-0 transporter submitted: transport=%v nest=%d",
-			never.Transporting(), never.nest)
-	}
-	if never.src.State() != before {
-		t.Fatal("docility 0 consumed randomness; Bernoulli(0) must be draw-free")
+		never := buildTransporter(t, seed, 0.5)
+		never.docility = 0
+		never.Act(4)
+		never.Observe(4, sim.Outcome{Nest: 2, Recruited: true})
+		if !never.Transporting() || never.nest != 1 {
+			t.Fatalf("seed %d: docility-0 transporter submitted: transport=%v nest=%d",
+				seed, never.Transporting(), never.nest)
+		}
 	}
 }
 
 // TestQuorumTransporterSelfCaptureExclusion pins the self-pair exclusion: a
 // transporter whose recruit round self-paired (SelfPaired and Succeeded set,
 // Recruited clear — the matcher drew the ant itself) was NOT captured, so it
-// keeps transporting and, critically, draws no docility Bernoulli. The batch
-// engine's capturedBy[slot] == slot convention encodes the same exclusion.
+// keeps transporting to its own nest. The batch engine's capturedBy[slot] ==
+// slot convention encodes the same exclusion.
 func TestQuorumTransporterSelfCaptureExclusion(t *testing.T) {
 	t.Parallel()
 	a := buildTransporter(t, 43, 0.25)
-	before := a.src.State()
 	a.Act(4)
 	a.Observe(4, sim.Outcome{Nest: 1, Count: 60, SelfPaired: true, Succeeded: true})
 	if !a.Transporting() || a.nest != 1 {
 		t.Fatalf("self-paired transporter changed state: transport=%v nest=%d", a.Transporting(), a.nest)
-	}
-	if a.src.State() != before {
-		t.Fatal("self-pair consumed the docility draw; only capture may draw")
 	}
 }

@@ -46,8 +46,8 @@ const (
 //	              if nest_t ≠ nest then state := active; nest := nest_t
 //	              count := go(nest)
 type SimpleAnt struct {
+	antKey
 	n      int
-	src    *rng.Source
 	phase  simplePhase
 	active bool
 
@@ -58,21 +58,19 @@ type SimpleAnt struct {
 
 var _ sim.Agent = (*SimpleAnt)(nil)
 
-// NewSimpleAnt builds one Algorithm 3 ant for a colony of n ants.
-func NewSimpleAnt(n int, src *rng.Source) *SimpleAnt {
-	return &SimpleAnt{n: n, src: src, phase: simpleSearch, active: true}
+// NewSimpleAnt builds ant id of an n-ant Algorithm 3 colony whose draws are
+// keyed by key.
+func NewSimpleAnt(n int, key rng.Key, id int) *SimpleAnt {
+	return &SimpleAnt{antKey: antKey{key, id}, n: n, phase: simpleSearch, active: true}
 }
 
 // Act implements sim.Agent.
-func (a *SimpleAnt) Act(int) sim.Action {
+func (a *SimpleAnt) Act(round int) sim.Action {
 	switch a.phase {
 	case simpleSearch:
 		return sim.Search()
 	case simpleRecruit:
-		b := false
-		if a.active {
-			b = a.src.Bernoulli(float64(a.count) / float64(a.n))
-		}
+		b := a.active && a.coin(round, rng.DrawRecruit, float64(a.count)/float64(a.n))
 		return sim.Recruit(b, a.nest)
 	default: // simpleAssess
 		return sim.Goto(a.nest)
@@ -132,8 +130,33 @@ func (Simple) Build(n int, env sim.Environment, src *rng.Source) ([]sim.Agent, e
 		return nil, fmt.Errorf("algo: simple needs a non-empty environment")
 	}
 	agents := make([]sim.Agent, n)
+	key := src.Key()
 	for i := range agents {
-		agents[i] = NewSimpleAnt(n, src.Split(uint64(i)))
+		agents[i] = NewSimpleAnt(n, key, i)
 	}
 	return agents, nil
+}
+
+// antKey names one ant's keyed draws: the colony's agent key (the first
+// word of the Source a builder receives) and the ant's index. Every draw an
+// agent makes is key.AntWord(id, round, index) for the logical round its Act
+// or Observe receives, which is exactly the word a batch lane computes for
+// the same ant, so the two engines run identical executions.
+type antKey struct {
+	key rng.Key
+	id  int
+}
+
+// coin is true with probability p on the ant's word for draw d of round:
+// the recruit coin (DrawRecruit) or Quorum's docility coin (DrawDocility).
+func (a antKey) coin(round int, d rng.AntDraw, p float64) bool {
+	return rng.WordFloat64(a.key.AntWord(a.id, round, d)) < p
+}
+
+// reseed seeds scratch from the ant's word for draw d of round
+// (rng.Key.ReseedAnt), so a perception hook's draws are a pure function of
+// (ant, round, d) too.
+func (a antKey) reseed(scratch *rng.Source, round int, d rng.AntDraw) *rng.Source {
+	a.key.ReseedAnt(scratch, a.id, round, d)
+	return scratch
 }

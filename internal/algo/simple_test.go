@@ -97,7 +97,7 @@ func TestSimpleAntPhaseCycle(t *testing.T) {
 	t.Parallel()
 	// Unit-level: the ant alternates search → (recruit ↔ assess) regardless of
 	// the round numbers passed in.
-	a := NewSimpleAnt(10, testSrc(1))
+	a := NewSimpleAnt(10, testKey(1), 0)
 	if got := a.Act(1); got.Kind != sim.ActionSearch {
 		t.Fatalf("first act = %+v, want search", got)
 	}
@@ -117,7 +117,7 @@ func TestSimpleAntPhaseCycle(t *testing.T) {
 
 func TestSimpleAntPassiveActivation(t *testing.T) {
 	t.Parallel()
-	a := NewSimpleAnt(10, testSrc(2))
+	a := NewSimpleAnt(10, testKey(2), 0)
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 2, Quality: 0}) // bad nest → passive
 	if a.Active() {
@@ -157,10 +157,10 @@ func TestSimpleRecruitProbabilityMatchesCount(t *testing.T) {
 	// Statistical unit test of the core §5 rule: an active ant with count c
 	// recruits with probability exactly c/n.
 	const n, count, trials = 100, 37, 20000
-	src := testSrc(3)
+	key := testKey(3)
 	active := 0
 	for i := 0; i < trials; i++ {
-		a := NewSimpleAnt(n, src.Split(uint64(i)))
+		a := NewSimpleAnt(n, key, i)
 		a.Act(1)
 		a.Observe(1, sim.Outcome{Nest: 1, Count: count, Quality: 1})
 		if act := a.Act(2); act.Active {

@@ -19,7 +19,6 @@ import (
 // bound: no house-hunting algorithm can beat this process, because solving
 // the problem requires informing every ant of the winner's identity.
 type SpreaderAnt struct {
-	src      *rng.Source
 	target   sim.NestID
 	informed bool
 	searcher bool
@@ -29,8 +28,8 @@ var _ sim.Agent = (*SpreaderAnt)(nil)
 
 // NewSpreaderAnt builds one spreading-process ant. searcher ants search while
 // ignorant; non-searchers wait at home.
-func NewSpreaderAnt(src *rng.Source, target sim.NestID, searcher bool) *SpreaderAnt {
-	return &SpreaderAnt{src: src, target: target, searcher: searcher}
+func NewSpreaderAnt(target sim.NestID, searcher bool) *SpreaderAnt {
+	return &SpreaderAnt{target: target, searcher: searcher}
 }
 
 // Act implements sim.Agent.
@@ -99,7 +98,7 @@ func (s Spreader) Build(n int, env sim.Environment, src *rng.Source) ([]sim.Agen
 	}
 	agents := make([]sim.Agent, n)
 	for i := range agents {
-		agents[i] = NewSpreaderAnt(src.Split(uint64(i)), good[0], s.SearchAll || i < seeds)
+		agents[i] = NewSpreaderAnt(good[0], s.SearchAll || i < seeds)
 	}
 	return agents, nil
 }

@@ -11,7 +11,7 @@ import (
 
 func TestNewJitterValidation(t *testing.T) {
 	t.Parallel()
-	inner := algo.NewSimpleAnt(10, rng.New(1))
+	inner := algo.NewSimpleAnt(10, rng.New(1).Key(), 0)
 	if _, err := NewJitter(nil, 0.1, rng.New(2)); err == nil {
 		t.Fatal("nil inner accepted")
 	}
@@ -28,7 +28,7 @@ func TestNewJitterValidation(t *testing.T) {
 
 func TestPhaseShiftHoldsThenRuns(t *testing.T) {
 	t.Parallel()
-	inner := algo.NewSimpleAnt(10, rng.New(3))
+	inner := algo.NewSimpleAnt(10, rng.New(3).Key(), 0)
 	j := &Jitter{inner: inner, initialHolds: 2}
 	// Two held rounds: uncommitted inner → passive wait at home.
 	for r := 1; r <= 2; r++ {
@@ -56,7 +56,7 @@ func TestPhaseShiftHoldsThenRuns(t *testing.T) {
 
 func TestJitterHoldUsesCommittedNest(t *testing.T) {
 	t.Parallel()
-	inner := algo.NewSimpleAnt(10, rng.New(4))
+	inner := algo.NewSimpleAnt(10, rng.New(4).Key(), 0)
 	j := &Jitter{inner: inner}
 	j.Act(1)
 	j.Observe(1, sim.Outcome{Nest: 3, Count: 1, Quality: 1})
@@ -76,7 +76,7 @@ func TestJitterHoldUsesCommittedNest(t *testing.T) {
 
 func TestJitterHoldFrequency(t *testing.T) {
 	t.Parallel()
-	inner := algo.NewSimpleAnt(10, rng.New(5))
+	inner := algo.NewSimpleAnt(10, rng.New(5).Key(), 0)
 	j, err := NewJitter(inner, 0.3, rng.New(6))
 	if err != nil {
 		t.Fatal(err)

@@ -51,8 +51,9 @@ type Algorithm interface {
 	// Name identifies the algorithm in tables and CLIs.
 	Name() string
 	// Build returns n agents for the given environment. src is the root
-	// randomness for the colony; implementations split per-ant streams from
-	// it. The returned agents must implement Committer.
+	// randomness for the colony; the compiled algorithms take its first word
+	// as the agent key (src.Key()) and key every ant's draws on it. The
+	// returned agents must implement Committer.
 	Build(n int, env sim.Environment, src *rng.Source) ([]sim.Agent, error)
 }
 

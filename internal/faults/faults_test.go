@@ -21,7 +21,7 @@ func sleepVictim(inner sim.Agent, wakeAt int) *schedAnt {
 
 func TestCrashAntTransparentUntilCrash(t *testing.T) {
 	t.Parallel()
-	inner := algo.NewSimpleAnt(10, rng.New(2))
+	inner := algo.NewSimpleAnt(10, rng.New(2).Key(), 0)
 	c := crashVictim(inner, 3)
 	if c.Faulty() {
 		t.Fatal("faulty before crash round")
@@ -50,7 +50,7 @@ func TestCrashAntTransparentUntilCrash(t *testing.T) {
 
 func TestCrashAntWithoutKnownNest(t *testing.T) {
 	t.Parallel()
-	inner := algo.NewSimpleAnt(10, rng.New(3))
+	inner := algo.NewSimpleAnt(10, rng.New(3).Key(), 0)
 	c := crashVictim(inner, 1) // crashes before ever searching
 	act := c.Act(1)
 	if act.Kind != sim.ActionRecruit || act.Active || act.Nest != sim.Home {

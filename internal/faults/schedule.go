@@ -34,7 +34,8 @@ type schedAnt struct {
 	status sim.AntStatus
 	// base is the inner agent's clock offset: Act/Observe forward round-base,
 	// so a woken or restarted inner agent sees round 1 first — the batch
-	// engine's initial program state.
+	// engine's initial program state — and keys its draws on that logical
+	// round, as the batch lane's clock-offset column does.
 	base int
 	// Static fault plan (from FaultSpec.Assign): wakeAt > 0 schedules the
 	// wake, crashAt > 0 the crash. Zero disables either.
@@ -224,11 +225,11 @@ func (c *schedCtrl) hook(e *sim.Engine, round int) error {
 
 	// Apply in order, validating eligibility exactly like the batch lane's
 	// applySchedule. A restart adopts a pristine agent from a fresh rebuild
-	// of the colony at the replicate seed: per-ant streams are split (never
-	// consumed) off the builder root, so pristine[i]'s stream is bit-for-bit
-	// the stream ant i was born with — which is exactly how the batch lane
-	// re-seeds the restarted ant's stream. The rebuild is amortized once per
-	// hook invocation that restarts anything.
+	// of the colony at the replicate seed, under the same agent key, and
+	// restarts its clock: its keyed draws at logical rounds 1, 2, … replay
+	// the ones ant i was born with — which is exactly what the batch lane's
+	// clock offset does. The rebuild is amortized once per hook invocation
+	// that restarts anything.
 	var pristine []sim.Agent
 	for _, op := range ops {
 		i := int(op.Ant)

@@ -48,10 +48,10 @@ type Spec struct {
 	ScheduleSalt uint64
 	// Rebuild rebuilds the pristine colony for the replicate seed, for
 	// schedules that restart crashed ants: a restarted ant adopts
-	// Rebuild(seed)[i] as its fresh inner agent, whose per-ant stream is
-	// bit-identical to the one ant i was born with (builder streams are
-	// split, never consumed, off the builder root). Scalar-only — the batch
-	// lane re-seeds restarted ants from its own columns — and required only
+	// Rebuild(seed)[i] as its fresh inner agent, built under the agent key
+	// ant i was born with; its clock restarts at logical round 1, so its
+	// keyed draws replay its birth draws. Scalar-only — the batch lane
+	// resets restarted ants from its own columns — and required only
 	// when the schedule emits FaultRestart ops; leaving it nil makes a
 	// restart a run error. Typically cfg's algorithm builder closed over the
 	// run's n and environment.

@@ -95,7 +95,7 @@ func TestCrashDeciderForwardsVerdict(t *testing.T) {
 	}
 
 	// A non-deciding inner agent must NOT gain the method.
-	plain := crashVictim(algo.NewSimpleAnt(10, rng.New(1)), 5).agent()
+	plain := crashVictim(algo.NewSimpleAnt(10, rng.New(1).Key(), 0), 5).agent()
 	if _, ok := plain.(interface{ Decided() bool }); ok {
 		t.Fatal("wrapping a non-deciding agent fabricated a Decided method")
 	}
@@ -113,7 +113,7 @@ func TestSleepDeciderForwardsVerdict(t *testing.T) {
 	if !d.Decided() {
 		t.Fatal("verdict not forwarded through the sleep wrapper")
 	}
-	plain := sleepVictim(algo.NewSimpleAnt(10, rng.New(2)), 3).agent()
+	plain := sleepVictim(algo.NewSimpleAnt(10, rng.New(2).Key(), 0), 3).agent()
 	if _, ok := plain.(interface{ Decided() bool }); ok {
 		t.Fatal("wrapping a non-deciding agent fabricated a Decided method")
 	}

@@ -4,7 +4,10 @@
 // order, under the same conditions, or replicate results silently
 // diverge.
 //
-// Four rules:
+// Since per-ant draws became keyed, few streams remain: the matcher's
+// matchSrc (one word per round), the fault and adversary streams, and the
+// scratch Sources a lane reseeds from an ant's keyed word before each
+// perception-hook call. Four rules police them:
 //
 //	SD1 — in //hh:hotpath functions, a draw call (any rng.Source /
 //	      rng.Threshold draw method, or any call handing a *rng.Source to
@@ -17,26 +20,30 @@
 //
 //	SD2 — inside loops ranging over state buckets (an expression rooted
 //	      at an identifier containing "bkt", "bucket", or "members"),
-//	      draws must come from per-ant streams (an indexed source like
-//	      antSrc[i]); a draw from a shared stream consumes in bucket
-//	      order, not ant order, and is flagged unless the range is
-//	      annotated //hh:antorder <why>.
+//	      every draw must come from a Source reseeded earlier in the same
+//	      loop body (src.Reseed, or key.ReseedAnt(src, …), which seeds a
+//	      scratch Source from the ant's keyed word);
+//	      a draw from any other stream consumes in bucket order, not ant
+//	      order, and is flagged unless the range is annotated
+//	      //hh:antorder <why>.
 //
 //	SD3 — every Emit*/Observe* opcode constant (type EmitOp/ObserveOp)
 //	      must carry a //hh:draws <spec> scalar=<name> contract naming
-//	      its per-round draw count and the scalar counterpart that
-//	      consumes the identical draws.
+//	      its per-round draws and the scalar counterpart that makes the
+//	      identical draws.
 //
 //	SD4 — a //hh:hotpath function that performs draws must carry a
 //	      //hh:draws <spec> doc contract summarizing its draw order.
 //
-// Keyed draws (rng.KeyedUint64n, rng.KeyedDraws32) are outside all four
-// rules: each value is a pure function of (key, stream, draw index) and
-// consumes no stream, so a keyed draw may be guarded, reordered, sharded or
-// made ahead of need without moving any other draw. The Algorithm 1 matcher
-// relies on this: it takes one key word per call from the matching stream,
-// shuffles its candidates on a local stream seeded by the key, and keys
-// every target. What remains policed there is the one key draw.
+// Keyed draws (rng.Key.AntWord and AntRow, rng.Key.AntIntn,
+// rng.KeyedUint64n, rng.KeyedDraws32) are outside all four rules: each
+// value is a pure function of its key and counters and consumes no stream,
+// so a keyed draw may be guarded, reordered, sharded, skipped or made ahead
+// of need without moving any other draw. Every per-ant draw and search
+// destination of both engines is keyed, and so are the Algorithm 1
+// matcher's targets: it takes one key word per call from the matching
+// stream, shuffles its candidates on a local stream seeded by the key, and
+// keys every target. What remains policed there is the one key draw.
 //
 // The rng package itself is exempt: discipline governs consumers.
 package streamdiscipline
@@ -52,26 +59,29 @@ import (
 )
 
 // Sentinels are the documented draw-free guard identifiers: conditions on
-// these values gate draws identically in the scalar and batch engines
-// (see README.md "Stream discipline").
+// these values gate draws identically in the scalar and batch engines (see
+// README.md "Stream discipline"). active is a matcher's recruit-bit column,
+// which both engines hand it identically; nR is the recruiting-slot count
+// both engines skip the matcher on when it is zero; ThresholdNever is the
+// fixed-point bound that rejects without drawing. An ant's own guards (its
+// quality register, its active flag) gate keyed words, which no rule
+// polices, so they are not sentinels.
 var Sentinels = map[string]bool{
-	"quality":         true,
-	"active":          true,
-	"anyActive":       true,
-	"nR":              true,
-	"ThresholdAlways": true,
-	"ThresholdNever":  true,
+	"active":         true,
+	"nR":             true,
+	"ThresholdNever": true,
 }
 
 // drawMethods are the rng.Source methods that advance the stream.
 // Split/SplitInto/Reseed derive or seed streams without consuming the
 // parent's draw sequence and are deliberately absent, as are the keyed
-// draws, which are package functions and consume no stream.
+// draws, which are not Source methods and consume no stream. Key draws
+// the stream's next word as a key, so it counts as a draw.
 var drawMethods = map[string]bool{
 	"Uint64": true, "Uint64n": true, "Intn": true,
 	"Float64": true, "Bernoulli": true, "PermInto32": true,
 	"Shuffle": true, "Shuffle32": true,
-	"Binomial": true, "NormFloat64": true,
+	"Binomial": true, "NormFloat64": true, "Key": true,
 }
 
 var Analyzer = &analysis.Analyzer{
@@ -98,12 +108,19 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// bucketLoop is one enclosing bucket-order range and the Sources reseeded
+// so far in its body, by expression.
+type bucketLoop struct {
+	rng      *ast.RangeStmt
+	reseeded map[string]bool
+}
+
 // checkHotFunc walks one hot function tracking the enclosing if and
 // bucket-range context, applying SD1, SD2, and SD4.
 func checkHotFunc(pass *analysis.Pass, annots *hhannot.Map, fd *ast.FuncDecl) {
 	drew := false
-	var walk func(n ast.Node, ifs []*ast.IfStmt, buckets []*ast.RangeStmt)
-	walk = func(n ast.Node, ifs []*ast.IfStmt, buckets []*ast.RangeStmt) {
+	var walk func(n ast.Node, ifs []*ast.IfStmt, buckets []*bucketLoop)
+	walk = func(n ast.Node, ifs []*ast.IfStmt, buckets []*bucketLoop) {
 		switch n := n.(type) {
 		case nil:
 			return
@@ -121,7 +138,7 @@ func checkHotFunc(pass *analysis.Pass, annots *hhannot.Map, fd *ast.FuncDecl) {
 		case *ast.RangeStmt:
 			inner := buckets
 			if isBucketRange(n) {
-				inner = append(buckets, n)
+				inner = append(buckets, &bucketLoop{rng: n, reseeded: map[string]bool{}})
 			}
 			walk(n.Body, ifs, inner)
 			return
@@ -131,6 +148,9 @@ func checkHotFunc(pass *analysis.Pass, annots *hhannot.Map, fd *ast.FuncDecl) {
 			walk(n.Body, nil, nil)
 			return
 		case *ast.CallExpr:
+			if recv, ok := reseedCall(pass, n); ok && len(buckets) > 0 {
+				buckets[len(buckets)-1].reseeded[types.ExprString(recv)] = true
+			}
 			if recv, ok := drawCall(pass, n); ok {
 				drew = true
 				checkGuards(pass, annots, n, ifs)
@@ -182,17 +202,39 @@ func guardJustified(pass *analysis.Pass, annots *hhannot.Map, ifStmt *ast.IfStmt
 	return ok
 }
 
-// checkAntOrder is SD2: in bucket-order loops, draws must come from an
-// indexed per-ant stream.
-func checkAntOrder(pass *analysis.Pass, annots *hhannot.Map, call *ast.CallExpr, recv ast.Expr, buckets []*ast.RangeStmt) {
-	if len(buckets) == 0 || recv == nil || containsIndex(recv) {
+// checkAntOrder is SD2: in bucket-order loops, draws must come from a
+// Source reseeded earlier in the loop body.
+func checkAntOrder(pass *analysis.Pass, annots *hhannot.Map, call *ast.CallExpr, recv ast.Expr, buckets []*bucketLoop) {
+	if len(buckets) == 0 || recv == nil {
 		return
 	}
-	rng := buckets[len(buckets)-1]
-	if annots.Has(rng, "antorder") {
+	loop := buckets[len(buckets)-1]
+	if loop.reseeded[types.ExprString(recv)] || annots.Has(loop.rng, "antorder") {
 		return
 	}
-	pass.Reportf(call.Pos(), "shared-stream draw inside a bucket-order loop consumes draws out of ant order; use a per-ant stream (antSrc[i]) or annotate the range //hh:antorder <why>")
+	pass.Reportf(call.Pos(), "stream draw inside a bucket-order loop consumes draws out of ant order; reseed the Source from the ant's keyed word first, or annotate the range //hh:antorder <why>")
+}
+
+// reseedCall reports whether call reseeds an rng.Source — src.Reseed(…) or
+// key.ReseedAnt(src, …) — returning the reseeded expression.
+func reseedCall(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, false
+	}
+	s, ok := pass.TypesInfo.Selections[sel]
+	if !ok {
+		return nil, false
+	}
+	switch name, pkg := namedRecv(s.Recv()); {
+	case pkg != "rng":
+		return nil, false
+	case name == "Source" && sel.Sel.Name == "Reseed":
+		return sel.X, true
+	case name == "Key" && sel.Sel.Name == "ReseedAnt" && len(call.Args) > 0:
+		return call.Args[0], true
+	}
+	return nil, false
 }
 
 // drawCall reports whether call consumes from an rng stream, returning

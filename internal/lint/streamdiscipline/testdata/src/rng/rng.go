@@ -10,10 +10,23 @@ func (s *Source) Uint64n(n uint64) uint64  { return s.Uint64() % n }
 func (s *Source) Intn(n int) int           { return int(s.Uint64n(uint64(n))) }
 func (s *Source) Bernoulli(p float64) bool { return p > 0 && s.Uint64() < 1<<52 }
 func (s *Source) Split() Source            { return Source{s: s.s} }
+func (s *Source) Reseed(seed uint64)       { s.s = seed }
 
 // KeyedUint64n stands in for the keyed draw: a package function of its
 // arguments, consuming no stream.
 func KeyedUint64n(key, i, j, n uint64) uint64 { return (key ^ i ^ j) % n }
+
+// Key stands in for the per-ant keyed lattice: AntWord is a pure function
+// of its arguments, consuming no stream.
+type Key struct{ origin uint64 }
+
+func (k Key) AntWord(ant, round int, d uint64) uint64 {
+	return k.origin ^ uint64(ant) ^ uint64(round)<<32 ^ d
+}
+
+func (k Key) ReseedAnt(src *Source, ant, round int, d uint64) {
+	src.Reseed(k.AntWord(ant, round, d))
+}
 
 type Threshold uint64
 

@@ -55,10 +55,22 @@ func guardedKeyed(key uint64, ready bool) uint64 {
 // guardedSentinel gates its draw on a documented sentinel identifier.
 //
 //hh:hotpath
-//hh:draws one word when quality is positive
-func guardedSentinel(src *rng.Source, quality float64) uint64 {
-	if quality > 0 {
+//hh:draws one word when some slot recruits
+func guardedSentinel(src *rng.Source, nR int) uint64 {
+	if nR > 0 {
 		return src.Uint64()
+	}
+	return 0
+}
+
+// guardedRetired gates a stream draw on an ant's quality register, which is
+// not a sentinel: the engines gate keyed words on it, not stream draws.
+//
+//hh:hotpath
+//hh:draws one word when quality is positive
+func guardedRetired(src *rng.Source, quality float64) uint64 {
+	if quality > 0 {
+		return src.Uint64() // want "draw guarded by undocumented condition"
 	}
 	return 0
 }
@@ -106,16 +118,26 @@ func thresholdGuard(t rng.Threshold, src *rng.Source, cheap bool) bool {
 	return false
 }
 
-// bucketDraws ranges a state bucket: shared streams consume out of ant
-// order, indexed per-ant streams are fine, and an annotation overrides.
+// bucketDraws ranges a state bucket: a stream draw consumes out of ant
+// order — from a per-ant stream column too — while a scratch Source
+// reseeded from the ant's keyed word in the loop body, and keyed words
+// themselves, are fine; an annotation overrides.
 //
 //hh:hotpath
-//hh:draws one word per member
-func bucketDraws(members []int32, src *rng.Source, antSrc []rng.Source) uint64 {
+//hh:draws one word per member from the reseeded scratch
+func bucketDraws(members []int32, src, scratch *rng.Source, antSrc []rng.Source, key rng.Key, hook func(*rng.Source) uint64) uint64 {
 	var acc uint64
 	for _, i := range members {
-		acc += src.Uint64() // want "shared-stream draw inside a bucket-order loop"
-		acc += antSrc[int(i)].Uint64()
+		acc += src.Uint64()            // want "stream draw inside a bucket-order loop"
+		acc += antSrc[int(i)].Uint64() // want "stream draw inside a bucket-order loop"
+		acc += hook(scratch)           // want "stream draw inside a bucket-order loop"
+		scratch.Reseed(key.AntWord(int(i), 1, 2))
+		acc += hook(scratch)
+		acc += scratch.Uint64()
+		acc += key.AntWord(int(i), 1, 0)
+		acc += hook(src) // want "stream draw inside a bucket-order loop"
+		key.ReseedAnt(src, int(i), 1, 3)
+		acc += hook(src)
 	}
 	//hh:antorder the scalar engine consumes this shared stream in the same bucket order
 	for range members {
@@ -142,6 +164,6 @@ func coldDraw(src *rng.Source, ready bool) uint64 {
 	return 0
 }
 
-var _ = []any{guardedBad, guardedSentinel, guardedAnnotated, hookTransfer,
+var _ = []any{guardedBad, guardedSentinel, guardedRetired, guardedAnnotated, hookTransfer,
 	thresholdGuard, bucketDraws, missingContract, coldDraw, EmitBad, EmitNoScalar,
 	EmitNoSpec, EmitGood, internalOp, ObserveBad, ObserveGood}

@@ -5,10 +5,7 @@
 //     modeling the paper's remark that individual assessments are imprecise
 //     and occasionally irrational [25]),
 //   - noisy population estimators, including the encounter-rate mechanism
-//     Temnothorax uses for quorum sensing (Pratt 2005, the paper's [22]),
-//   - a Buffon's-needle area estimator: ants estimate nest area by random
-//     walking and counting self-intersections (Mallon & Franks 2000, the
-//     paper's [20]).
+//     Temnothorax uses for quorum sensing (Pratt 2005, the paper's [22]).
 //
 // The §6 "approximate counting, nest assessment" extension of the paper is
 // built from these pieces: algorithms swap the exact environment values for
@@ -174,10 +171,16 @@ func (e EncounterRateCounter) Name() string {
 	return fmt.Sprintf("encounter(probes=%d,vol=%g)", e.Probes, e.Volume)
 }
 
-// roundCount rounds a perceived population to the nearest integer,
-// saturating: NaN and values at or below zero read 0, and values beyond the
-// int range read MaxInt. Go leaves the conversion of an out-of-range float to
-// int to the platform.
+// roundCount rounds a perceived population to the nearest integer, halves
+// up, as math.Round does for positive values, saturating: NaN and values at
+// or below zero read 0, and values beyond the int range read MaxInt. Go
+// leaves the conversion of an out-of-range float to int to the platform.
+//
+// It rounds with math.Floor and one compare instead of math.Round, which Go
+// implements in software: the noisy count hook calls it once per ant per
+// reading. v - f is exact (f = 0 below 1, and Sterbenz's lemma above), so
+// the compare sees the true fraction; Floor(v+0.5) would not, because the
+// sum rounds 0.49999999999999994 up to 1.
 func roundCount(v float64) int {
 	switch {
 	case !(v > 0):
@@ -185,5 +188,10 @@ func roundCount(v float64) int {
 	case v >= math.MaxInt:
 		return math.MaxInt
 	}
-	return int(math.Round(v))
+	f := math.Floor(v)
+	n := int(f)
+	if v-f >= 0.5 {
+		n++
+	}
+	return n
 }

@@ -167,6 +167,40 @@ func TestCountEstimatesSaturate(t *testing.T) {
 	}
 }
 
+// TestRoundCountMatchesMathRound pins roundCount to int(math.Round(v)) on
+// every positive value inside the int range where rounding is delicate: each
+// k+0.5 and the floats on either side of it, the largest float below 0.5,
+// both sides of 2^52 where the spacing reaches 1, 2^53, and the floats
+// near MaxInt, plus saturation above it and 0 for NaN and non-positive
+// readings.
+func TestRoundCountMatchesMathRound(t *testing.T) {
+	t.Parallel()
+	var vs []float64
+	for _, k := range []float64{0, 1, 2, 3, 7, 100, 1023, 1 << 20, 1 << 40, 1 << 51} {
+		h := k + 0.5
+		vs = append(vs, k, h, math.Nextafter(h, 0), math.Nextafter(h, math.Inf(1)))
+	}
+	vs = append(vs,
+		0.49999999999999994, math.SmallestNonzeroFloat64, 0.5, 1.5, 2.5,
+		1<<52-0.5, 1<<52, 1<<52+1, 1<<53, 1<<53+2,
+		math.Nextafter(math.MaxInt, 0), math.Nextafter(math.Nextafter(math.MaxInt, 0), 0))
+	for _, v := range vs {
+		if got, want := roundCount(v), int(math.Round(v)); got != want {
+			t.Errorf("roundCount(%v) = %d, math.Round gives %d", v, got, want)
+		}
+	}
+	for _, v := range []float64{math.MaxInt, math.Nextafter(math.MaxInt, math.Inf(1)), math.Inf(1)} {
+		if got := roundCount(v); got != math.MaxInt {
+			t.Errorf("roundCount(%v) = %d, want MaxInt", v, got)
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -0.5, -1e300, math.Inf(-1), math.NaN()} {
+		if got := roundCount(v); got != 0 {
+			t.Errorf("roundCount(%v) = %d, want 0", v, got)
+		}
+	}
+}
+
 func TestEncounterRateDefaults(t *testing.T) {
 	t.Parallel()
 	src := rng.New(8)
@@ -176,115 +210,5 @@ func TestEncounterRateDefaults(t *testing.T) {
 	}
 	if c.Name() == "" {
 		t.Fatal("empty name")
-	}
-}
-
-func TestBuffonEstimatorConcentratesNearTruth(t *testing.T) {
-	t.Parallel()
-	src := rng.New(9)
-	b := BuffonAreaEstimator{TrailLength: 30, SegmentLength: 0.25}
-	const trials = 300
-	for _, area := range []float64{4, 16} {
-		var sum float64
-		for i := 0; i < trials; i++ {
-			est, err := b.EstimateArea(area, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += est
-		}
-		mean := sum / trials
-		// Buffon sampling in a bounded square is biased low relative to the
-		// ideal chord formula (edge effects shorten effective needles); accept
-		// a factor-2 band, which is what the biology reports too.
-		if mean < area/2 || mean > area*2 {
-			t.Fatalf("Buffon mean estimate %v for true area %v outside factor-2 band", mean, area)
-		}
-	}
-}
-
-// TestBuffonEstimatorUsesLaidTrailLength is the regression test for the
-// laid-length bias: dropTrail rounds the trail up to whole needles, laying
-// ceil(trail/segLen)·segLen of path per visit, and the estimator formula must
-// use that actual length. Two configurations that round to the same needle
-// count drop identical segments under the same seed, so after the fix they
-// must produce identical estimates; before it, the nominal trail length
-// biased the non-multiple configuration low by (1.3/1.5)².
-func TestBuffonEstimatorUsesLaidTrailLength(t *testing.T) {
-	t.Parallel()
-	const area = 4.0
-	nonMultiple := BuffonAreaEstimator{TrailLength: 1.3, SegmentLength: 0.5} // lays 3 needles = 1.5
-	multiple := BuffonAreaEstimator{TrailLength: 1.5, SegmentLength: 0.5}    // lays 3 needles = 1.5
-	for seed := uint64(1); seed <= 20; seed++ {
-		a, err := nonMultiple.EstimateArea(area, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := multiple.EstimateArea(area, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("seed %d: same laid trail, different estimates: %v (trail 1.3) vs %v (trail 1.5)", seed, a, b)
-		}
-	}
-
-	// (A statistical band at a high-rounding setting would not isolate the
-	// bug: making the rounding excess large forces needles comparable to the
-	// cavity side, where edge effects and the convexity of 1/X dominate the
-	// mean regardless of which length the formula uses. The per-seed equality
-	// above is the sharp check — it fails under the nominal-length formula
-	// for every seed.)
-}
-
-func TestBuffonEstimatorErrors(t *testing.T) {
-	t.Parallel()
-	src := rng.New(10)
-	var b BuffonAreaEstimator
-	if _, err := b.EstimateArea(0, src); err == nil {
-		t.Fatal("zero area accepted")
-	}
-	if _, err := b.EstimateArea(-3, src); err == nil {
-		t.Fatal("negative area accepted")
-	}
-}
-
-func TestBuffonLargerAreaFewerCrossings(t *testing.T) {
-	t.Parallel()
-	src := rng.New(11)
-	b := BuffonAreaEstimator{TrailLength: 20, SegmentLength: 0.25}
-	const trials = 300
-	avg := func(area float64) float64 {
-		var sum float64
-		for i := 0; i < trials; i++ {
-			est, err := b.EstimateArea(area, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += est
-		}
-		return sum / trials
-	}
-	small, large := avg(2), avg(32)
-	if small >= large {
-		t.Fatalf("Buffon estimates not ordered: small-area %v >= large-area %v", small, large)
-	}
-}
-
-func TestSegmentIntersects(t *testing.T) {
-	t.Parallel()
-	cross1 := segment{0, 0, 2, 2}
-	cross2 := segment{0, 2, 2, 0}
-	if !cross1.intersects(cross2) {
-		t.Fatal("crossing segments not detected")
-	}
-	parallel1 := segment{0, 0, 1, 0}
-	parallel2 := segment{0, 1, 1, 1}
-	if parallel1.intersects(parallel2) {
-		t.Fatal("parallel segments detected as crossing")
-	}
-	disjoint := segment{5, 5, 6, 6}
-	if cross1.intersects(disjoint) {
-		t.Fatal("disjoint segments detected as crossing")
 	}
 }

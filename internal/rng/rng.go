@@ -1,14 +1,16 @@
 // Package rng provides the deterministic pseudo-random number generation
 // substrate used by every stochastic component of the simulator.
 //
-// All randomness in an execution flows from a single 64-bit seed. The seed is
-// expanded with splitmix64 into independent xoshiro256** streams: one for the
-// environment (search destinations), one for the recruitment matcher, and one
-// per ant. Because streams are split deterministically by index rather than
-// drawn on demand, the scalar and batch engines observe identical random
-// choices, which makes whole executions reproducible byte-for-byte. Keyed
-// draws (KeyedUint64n, KeyedDraws32) go further: each value is a pure
-// function of a key and a counter, so it has no place in any stream at all.
+// All randomness in an execution flows from a single 64-bit seed. A Source is
+// a SplitMix64 stream; the root Source splits into independent child streams
+// by index: one for the matcher's round keys, one whose first word keys the
+// environment's search draws, one whose first word keys every ant's draws,
+// and salted ones for fault plans and adversaries. Per-ant draws and search
+// destinations are keyed draws (Key.AntWord): each value is a pure function
+// of a key, the ant, its logical round and a fixed draw index, so it has no
+// place in any stream at all, and the scalar and batch engines compute the
+// same values in whatever order and on whatever core suits them. That is what
+// makes whole executions reproducible byte-for-byte on both engines.
 //
 // The package is self-contained (stdlib only) and allocation-free on the hot
 // paths. It is not cryptographically secure and must never be used for
@@ -20,26 +22,32 @@ import (
 	"math/bits"
 )
 
-// Source is a deterministic xoshiro256** pseudo-random number generator.
+// Source is a deterministic SplitMix64 pseudo-random number generator
+// (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number Generators",
+// OOPSLA 2014): a 64-bit counter that advances by splitmixGamma per draw,
+// each output the counter passed through mix64. It is 8 bytes, and Reseed
+// costs one mix, so a perception hook's Source can be reseeded from a keyed
+// word on every call.
 //
-// The zero value is not a valid source (xoshiro must not have an all-zero
-// state); construct one with New or Split. Source is not safe for concurrent
-// use; give each goroutine its own stream via Split.
+// Every state is valid, the zero value included; New, Split and Reseed are
+// the usual ways to seed one. Source is not safe for concurrent use; give
+// each goroutine its own stream via Split.
 type Source struct {
-	s0, s1, s2, s3 uint64
+	x uint64
 }
 
 // splitmixGamma is splitmix64's increment, the odd integer nearest 2^64/φ.
 const splitmixGamma = 0x9e3779b97f4a7c15
 
-// splitmix64 advances x by splitmixGamma and returns the mixed output. It is used only for seeding: it guarantees a well-distributed,
-// never-all-zero xoshiro state from any 64-bit seed.
-//
-//hh:hotpath
-func splitmix64(x *uint64) uint64 {
-	*x += splitmixGamma
-	return mix64(*x)
-}
+// reseedFlip is the bit Reseed flips in its mixed seed. A key's keyed words
+// sit on the lattice mix64(key) + c·splitmixGamma; a Source reseeded with
+// the same key starts at mix64(key) XOR 2^63, which is 2^63·splitmixGamma
+// away on that lattice (2^63 times an odd number is 2^63 mod 2^64). Its t-th
+// word is then the lattice's word at counter t + 2^63, above every counter
+// a keyed draw uses, so the stream never repeats a keyed word of its own
+// seed. The Algorithm 1 matcher relies on this: it keys its targets and
+// seeds its shuffle with the same round key.
+const reseedFlip = 1 << 63
 
 // New returns a Source seeded from the given 64-bit seed. Two sources built
 // from the same seed produce identical output streams.
@@ -50,44 +58,34 @@ func New(seed uint64) *Source {
 }
 
 // Reseed resets the source to the stream defined by seed, as if it had just
-// been constructed with New(seed).
+// been constructed with New(seed). It costs one mix64.
 //
 //hh:hotpath
 func (s *Source) Reseed(seed uint64) {
-	sm := seed
-	s.s0 = splitmix64(&sm)
-	s.s1 = splitmix64(&sm)
-	s.s2 = splitmix64(&sm)
-	s.s3 = splitmix64(&sm)
+	s.x = mix64(seed) ^ reseedFlip
 }
 
 // State captures the current internal state, so a test can pin how many
 // draws a stream consumed.
-func (s *Source) State() [4]uint64 {
-	return [4]uint64{s.s0, s.s1, s.s2, s.s3}
+func (s *Source) State() uint64 {
+	return s.x
 }
 
 // Uint64 returns the next 64 bits of the stream.
 //
 //hh:hotpath
 func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s1*5, 7) * 9
-
-	t := s.s1 << 17
-	s.s2 ^= s.s0
-	s.s3 ^= s.s1
-	s.s1 ^= s.s2
-	s.s0 ^= s.s3
-	s.s2 ^= t
-	s.s3 = bits.RotateLeft64(s.s3, 45)
-
-	return result
+	s.x += splitmixGamma
+	return mix64(s.x)
 }
 
-// Split derives an independent child stream from this source's seed material
-// and the given index. Splitting is a pure function of (current state, index):
-// it does NOT advance the parent stream, so the same parent can deterministically
-// derive any number of children (e.g. one per ant, keyed by ant index).
+// splitStep spreads the Split indices apart before Reseed mixes them in.
+const splitStep = 0xd1342543de82ef95
+
+// Split derives an independent child stream from this source's state and
+// the given index. Splitting is a pure function of (current state, index):
+// it does NOT advance the parent stream, so the same parent can
+// deterministically derive any number of children.
 func (s *Source) Split(index uint64) *Source {
 	var child Source
 	s.SplitInto(index, &child)
@@ -95,15 +93,11 @@ func (s *Source) Split(index uint64) *Source {
 }
 
 // SplitInto derives the same child stream as Split directly into dst,
-// avoiding the allocation; the batch engine uses it to re-seed thousands of
-// per-ant streams per replicate without garbage.
+// avoiding the allocation.
 //
 //hh:hotpath
 func (s *Source) SplitInto(index uint64, dst *Source) {
-	// Mix the parent state with the index through splitmix64 so that children
-	// with adjacent indices are decorrelated.
-	mix := s.s0 ^ bits.RotateLeft64(s.s2, 19) ^ (index * 0xd1342543de82ef95)
-	dst.Reseed(mix)
+	dst.Reseed(s.x ^ index*splitStep)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, matching the
@@ -163,13 +157,14 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Bernoulli returns true with probability p. Values of p <= 0 always return
-// false and values >= 1 always return true.
+// Bernoulli returns true with probability p. Values of p <= 0 and NaN
+// always return false and values >= 1 always return true, all without
+// drawing.
 //
 //hh:hotpath
-//hh:floatok float fallback path above batchTableMaxN; fixed-point callers use Threshold.Draw
+//hh:floatok the float form of a stream coin; fixed-point callers use Threshold.Draw
 func (s *Source) Bernoulli(p float64) bool {
-	if p <= 0 {
+	if !(p > 0) {
 		return false
 	}
 	if p >= 1 {
@@ -232,20 +227,18 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Binomial returns a sample from Binomial(n, p) by direct simulation for
-// small n and by inversion of the normal approximation with continuity
-// correction rejected against exact tails for large n. The direct path is
-// exact; the approximation keeps the error far below the statistical noise of
-// any experiment in this repository.
+// Binomial returns a sample from Binomial(n, p), exactly. Up to 64 trials it
+// simulates each one (one Float64 per trial). Above that it sums geometric
+// skips: the gap to the next success is floor(log U / log(1-p)) failures for
+// a uniform U, so a call draws one word per success plus one, O(np) expected.
+// p <= 0 and NaN return 0 and p >= 1 returns n, without drawing.
 func (s *Source) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
+	if n <= 0 || !(p > 0) {
 		return 0
 	}
 	if p >= 1 {
 		return n
 	}
-	// For the colony sizes used here (n up to ~10^6, but binomial draws only on
-	// small slices), direct simulation up to a threshold is fast and exact.
 	const directThreshold = 64
 	if n <= directThreshold {
 		k := 0
@@ -256,32 +249,23 @@ func (s *Source) Binomial(n int, p float64) int {
 		}
 		return k
 	}
-	// BTRS-free fallback: sum of geometric skips (exact, O(np) expected).
-	// For np moderately large this is still fine for our workloads.
 	k := 0
 	i := 0
-	lq := logOnePminus(p)
+	// log1p keeps log(1-p) negative for a p so small that 1-p rounds to 1.
+	lq := math.Log1p(-p)
 	for {
-		// Skip = floor(log(U)/log(1-p)) failures before next success.
 		u := s.Float64()
 		if u <= 0 {
 			u = 1e-300
 		}
-		skip := int(math.Log(u) / lq)
-		i += skip + 1
-		if i > n {
+		// The skip is compared as a float, before any conversion: for a tiny
+		// p it can exceed the int range.
+		skip := math.Log(u) / lq
+		if skip >= float64(n-i) {
 			break
 		}
+		i += int(skip) + 1
 		k++
 	}
 	return k
-}
-
-// logOnePminus returns log(1-p) guarding against p == 1.
-func logOnePminus(p float64) float64 {
-	q := 1 - p
-	if q <= 0 {
-		q = 1e-300
-	}
-	return math.Log(q)
 }

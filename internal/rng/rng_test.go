@@ -54,7 +54,7 @@ func TestStateRoundTrip(t *testing.T) {
 		s.Uint64()
 	}
 	st := s.State()
-	clone := &Source{s0: st[0], s1: st[1], s2: st[2], s3: st[3]}
+	clone := &Source{x: st}
 	for i := 0; i < 100; i++ {
 		if got, want := clone.Uint64(), s.Uint64(); got != want {
 			t.Fatalf("draw %d: restored source diverged", i)
@@ -278,6 +278,11 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 }
 
+// TestBinomialMoments checks the mean and the variance of Binomial on both
+// of its paths: direct simulation up to 64 trials ({10, 0.5}, {50, 0.1}) and
+// geometric skips above ({200, 0.3}, {1000, 0.02}, {5000, 0.001}). Each
+// bound is 6 standard errors, so the ten checks together false-alarm with
+// probability below 2e-8.
 func TestBinomialMoments(t *testing.T) {
 	t.Parallel()
 	s := New(41)
@@ -300,9 +305,18 @@ func TestBinomialMoments(t *testing.T) {
 		}
 		mean := sum / draws
 		wantMean := float64(tc.n) * tc.p
-		sigma := math.Sqrt(float64(tc.n) * tc.p * (1 - tc.p))
+		pq := tc.p * (1 - tc.p)
+		wantVar := float64(tc.n) * pq
+		sigma := math.Sqrt(wantVar)
 		if math.Abs(mean-wantMean) > 6*sigma/math.Sqrt(draws) {
 			t.Errorf("Binomial(%d,%v): mean %v, want %v", tc.n, tc.p, mean, wantMean)
+		}
+		// The sample variance's standard error is sqrt((μ4 - σ⁴)/draws),
+		// with the binomial's fourth central moment μ4 = npq(1 + 3(n-2)pq).
+		variance := sumSq/draws - mean*mean
+		mu4 := wantVar * (1 + 3*float64(tc.n-2)*pq)
+		if se := math.Sqrt((mu4 - wantVar*wantVar) / draws); math.Abs(variance-wantVar) > 6*se {
+			t.Errorf("Binomial(%d,%v): variance %v, want %v (6 standard errors: %v)", tc.n, tc.p, variance, wantVar, 6*se)
 		}
 	}
 }
@@ -321,6 +335,14 @@ func TestBinomialEdges(t *testing.T) {
 	}
 	if got := s.Binomial(-5, 0.5); got != 0 {
 		t.Fatalf("Binomial(-5, .5) = %d, want 0", got)
+	}
+	// A skip beyond the int range must end the skip path, not wrap.
+	if got := s.Binomial(100, 1e-300); got != 0 {
+		t.Fatalf("Binomial(100, 1e-300) = %d, want 0", got)
+	}
+	before := s.State()
+	if got := s.Binomial(100, math.NaN()); got != 0 || s.State() != before {
+		t.Fatalf("Binomial(100, NaN) = %d (state moved %v), want 0 without drawing", got, s.State() != before)
 	}
 }
 

@@ -7,15 +7,18 @@ import (
 
 // assertThresholdEquivalence drives NewThreshold(p).Draw and Source.Bernoulli(p)
 // from identical stream positions for `draws` consecutive samples and demands
-// bit-identical decisions AND bit-identical stream consumption — the contract
-// the batch engine's fixed-point kernels rest on. Probabilities at or outside
-// the [0, 1] boundary (and NaN) exercise the draw-free (and draw-and-reject)
-// sentinels, whose consumption must match Bernoulli's exactly too.
+// bit-identical decisions AND bit-identical stream consumption, and checks
+// that Accept on each word of a third stream decides exactly as
+// WordFloat64(w) < p — the contracts the batch engine's fixed-point kernels
+// rest on. Probabilities at or outside the [0, 1] boundary (and NaN)
+// exercise the draw-free sentinels, whose consumption must match
+// Bernoulli's exactly too.
 func assertThresholdEquivalence(t *testing.T, p float64, seed uint64, draws int) {
 	t.Helper()
 	thr := NewThreshold(p)
 	a := New(seed)
 	b := New(seed)
+	words := New(^seed)
 	for d := 0; d < draws; d++ {
 		want := a.Bernoulli(p)
 		got := thr.Draw(b)
@@ -25,11 +28,15 @@ func assertThresholdEquivalence(t *testing.T, p float64, seed uint64, draws int)
 		if a.State() != b.State() {
 			t.Fatalf("p=%v (threshold %d) draw %d: stream positions diverged (consumption differs)", p, thr, d)
 		}
+		w := words.Uint64()
+		if got, want := thr.Accept(w), WordFloat64(w) < p; got != want {
+			t.Fatalf("p=%v (threshold %d) word %#x: Accept=%v, WordFloat64 < p is %v", p, thr, w, got, want)
+		}
 	}
 }
 
 // TestThresholdBoundaryProbabilities covers the sentinel and extreme regions:
-// p <= 0 and p >= 1 (draw-free), NaN (draw-and-reject), subnormals, the
+// p <= 0, NaN and p >= 1 (draw-free), subnormals, the
 // smallest and largest in-(0,1) representables, and values straddling 2⁻⁵³
 // where the ceiling in the derivation matters most.
 func TestThresholdBoundaryProbabilities(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 
 // Batch executes R replicate colonies of n ants each, all running one
 // compiled Program, as a struct-of-arrays sweep: per-ant state (PFSM state
-// id, register file, RNG stream, location) lives in flat slices rather than
+// id, register file, location) lives in flat slices rather than
 // heap-allocated agent objects, and a round resolves with plain switches over
 // opcodes — no interface dispatch, no map lookups and no per-round
 // allocations on the hot path. Replicates are fanned out across a worker
@@ -42,19 +42,20 @@ import (
 // is bit-identical to rng.Source.Bernoulli by construction (see
 // rng.Threshold and rng.Recip).
 //
-// Within one replicate the O(n) phases — regrouping, per-ant draws, emit and
-// observe folds, register init — can additionally be sharded across worker
-// goroutines (see Run's worker budget and WithBatchShards). Sharding never
-// moves a draw between streams or reorders draws within a stream: the shared
-// envSrc stream is consumed only in sequential ant-order passes, the matcher
-// takes its draws from matchSrc in the one sequential call per round (the
-// Algorithm 1 matcher takes exactly one word there, the round key, and keys
-// its shuffle and targets on it), parallel loops draw exclusively from
-// per-ant streams (which are stream-disjoint, so shard order is
-// immaterial), the lockstep capture fold splits the matcher's capture list
-// into disjoint per-shard chunks, and cross-ant reductions (population
-// tallies, commitment deltas, the recruiting-slot prefix) are deterministic
-// sums — so results are bit-identical for every shard count, a property the
+// Within one replicate the O(n) phases — regrouping, search and recruit
+// draws, emit and observe folds, register init — can additionally be sharded
+// across worker goroutines (see Run's worker budget and WithBatchShards).
+// Every per-ant draw and search destination is a keyed draw
+// (rng.Key.AntWord): a pure function of the replicate's agent key (the
+// environment key for searches), the ant, its logical round and a fixed draw
+// index, so it lands the same on any shard and in any order, and the lanes
+// hold no per-ant RNG state. The one stream a round consumes is matchSrc, in
+// the matcher's one sequential call (the Algorithm 1 matcher takes exactly
+// one word there, the round key, and keys its shuffle and targets on it).
+// The lockstep capture fold splits the matcher's capture list into disjoint
+// per-shard chunks, and cross-ant reductions (population tallies,
+// commitment deltas, the recruiting-slot prefix) are deterministic sums — so
+// results are bit-identical for every shard count, a property the
 // differential harness pins.
 //
 // The recruitment pairing defaults to the paper's Algorithm 1 and can be
@@ -70,12 +71,12 @@ import (
 // the §6 extensions, including the carry-matched quorum-transport strategy and
 // the hook-driven noisy-perception model — and for every stock matcher by the
 // randomized cross-engine differential harness in internal/algo).
-// That holds because the batch engine derives exactly the same RNG streams —
-// envSrc = root.Split(0), matchSrc = root.Split(1), ant i = root.Split(2).
-// Split(i) — and consumes them in the same order as Engine.Step: per-ant
-// draws are stream-disjoint from environment draws, search draws happen in
-// ant order, and the matcher receives the recruiting slots in ant order, so
-// fusing the emit and move loops preserves every sequence.
+// That holds because the batch engine derives exactly the same keys and
+// streams — the environment key from root.Split(0), matchSrc =
+// root.Split(1), the agent key from root.Split(2), the Source an algorithm's
+// Build receives — and computes the same keyed words as the scalar agents
+// and Engine.resolve, for the same (ant, logical round, draw index), while
+// the matcher receives the recruiting slots in ant order as in Engine.Step.
 //
 // A Batch is reusable and safe for concurrent Run calls; all mutable state
 // lives in per-worker lanes.
@@ -431,6 +432,13 @@ func (e *lanePanic) Unwrap() error {
 // to recruiters in ant order, so slot t is the t-th recruiting ant exactly as
 // in Engine.resolve, and matching draws consume matchSrc in the scalar
 // engine's order.
+//
+// The lane holds no per-ant RNG state. Its per-ant draws are keyed words of
+// agentKey and its search destinations keyed words of envKey, at each ant's
+// logical round: the lane round, minus the ant's clock offset in base when
+// the lane has one (see base). A perception hook draws from its shard's
+// scratch Source in shSrc, reseeded from the ant's keyed word before each
+// call.
 type lane struct {
 	prog Program
 	env  Environment
@@ -439,10 +447,20 @@ type lane struct {
 
 	lockstep bool
 	decides  bool
-	antRNG   bool
 
-	envSrc, matchSrc rng.Source
-	antSrc           []rng.Source // one stream per ant, stored by value
+	envKey, agentKey rng.Key
+	matchSrc         rng.Source
+	// shSrc holds one scratch Source per shard for the perception hooks,
+	// padded to a cache line so shards never share one; nil unless the
+	// program draws per-ant randomness.
+	shSrc []paddedSource
+	// base is each ant's clock offset: ant i's logical round is
+	// round - base[i], the clock a scalar schedAnt hands its inner agent.
+	// Only a lane with sleepers or a schedule has one: a sleeper wakes at
+	// base = wake round - 1 and a restarted ant at base = the restart round,
+	// so either re-enters at logical round 1 with the draws it was born
+	// with. Every other ant's logical round is the lane round.
+	base []int32
 
 	// Register file (struct of arrays); every nest column holds ids 0..k in
 	// one byte (k <= MaxBatchNests). state is not allocated on the lockstep
@@ -532,8 +550,8 @@ type lane struct {
 	phMode      uint8
 	phCountHome int32
 	phDecay     float64
-	phAgents    rng.Source
 
+	fnSearch   func(int)
 	fnDraw     func(int)
 	fnLockFold func(int)
 	fnHist     func(int)
@@ -546,8 +564,7 @@ type lane struct {
 	// Fault lanes (nil/zero unless prog.Params.Faults is enabled). The four
 	// synthetic states live after the program's own in the padded tables:
 	// numExec = len(prog.States) + batchSyntheticStates, and sleepSt..crashSt
-	// name them. round counts this replicate's rounds for the pre-round fault
-	// pass; alive is the census total (n minus Byzantine ants minus fired
+	// name them. alive is the census total (n minus Byzantine ants minus fired
 	// crashes); lastNest tracks each crash-fated ant's last known candidate
 	// nest — maintained every round, before and after the crash, exactly
 	// like the scalar fault wrapper's Observe. crashAnts/crashAt and
@@ -560,7 +577,6 @@ type lane struct {
 	byzSrchSt  uint8
 	byzRecrSt  uint8
 	crashSt    uint8
-	round      int
 	alive      int
 	lastNest   []uint8
 	crashAnts  []int32
@@ -591,13 +607,22 @@ type lane struct {
 	rcp  rng.Recip
 	docT rng.Threshold
 
+	// round is the replicate's current round, set by runReplicate before
+	// each step: the shard phases read it for the keyed draws, and the
+	// schedule's view reports it.
+	round int
+
 	// The dense state table and Final flags, padded to the full uint8 index
-	// range so per-ant dispatch indexes with no bounds checks. searches
-	// marks the states whose emit is EmitSearch, for the scatter pass's
-	// in-ant-order environment draws.
-	states   [256]ProgramState
-	final    [256]uint8
-	searches [256]uint8
+	// range so per-ant dispatch indexes with no bounds checks.
+	states [256]ProgramState
+	final  [256]uint8
+}
+
+// paddedSource is a scratch Source alone on its cache line, so the shards
+// reseeding their own never write to a line another shard reads.
+type paddedSource struct {
+	rng.Source
+	_ [56]byte
 }
 
 func newLane(b *Batch, shards int) *lane {
@@ -617,7 +642,6 @@ func newLane(b *Batch, shards int) *lane {
 		k:        k,
 		lockstep: b.lockstep,
 		decides:  b.decides,
-		antRNG:   b.antRNG,
 		nest:     make([]uint8, n),
 		count:    make([]int32, n),
 		quality:  make([]float64, n),
@@ -635,17 +659,14 @@ func newLane(b *Batch, shards int) *lane {
 		if st.Final {
 			ln.final[i] = 1
 		}
-		if st.Emit == EmitSearch {
-			ln.searches[i] = 1
-		}
 	}
 	ln.numExec = len(b.prog.States)
 	if b.faulted {
 		// Append the engine-owned synthetic fault states after the program's.
 		// Three of the four reuse the generic emit loops verbatim: a sleeping
 		// ant recruits passively at home (its nest register stays Home while
-		// it sleeps), a searching Byzantine ant draws search destinations in
-		// ant order via the searches flag, and a luring Byzantine ant actively
+		// it sleeps), a searching Byzantine ant draws its search destinations
+		// as any searcher does, and a luring Byzantine ant actively
 		// recruits for the bad nest latched in its nest register. Only the
 		// crashed state's emit (goto last known nest / idle at home) and the
 		// Byzantine search fold (latch the first BAD nest, without touching
@@ -664,7 +685,6 @@ func newLane(b *Batch, shards int) *lane {
 		ln.states[ln.byzSrchSt] = ProgramState{Emit: EmitSearch, Observe: ObserveNone, Next: ln.byzSrchSt}
 		ln.states[ln.byzRecrSt] = ProgramState{Emit: EmitRecruitBit, Arg: 1, Observe: ObserveNone, Next: ln.byzRecrSt}
 		ln.states[ln.crashSt] = ProgramState{Emit: EmitRecruitBit, Arg: 0, Observe: ObserveNone, Next: ln.crashSt}
-		ln.searches[ln.byzSrchSt] = 1
 		ln.numExec += batchSyntheticStates
 		ln.lastNest = make([]uint8, n)
 		ln.crashAnts = make([]int32, 0, n)
@@ -680,6 +700,9 @@ func newLane(b *Batch, shards int) *lane {
 			// amortized in applySchedule if a schedule ever asks for more;
 			// steady-state rounds then allocate nothing.
 			ln.schedOps = make([]FaultOp, 0, 64)
+		}
+		if f := b.prog.Params.Faults; f.SleepFraction > 0 || f.NewSchedule != nil {
+			ln.base = make([]int32, n)
 		}
 	}
 	if !b.lockstep {
@@ -701,7 +724,6 @@ func newLane(b *Batch, shards int) *lane {
 		ln.actBit = make([]uint8, n)
 		ln.preState = make([]uint8, n)
 		ln.slotNest = make([]uint8, n)
-		ln.shCounts = make([]int, shards*(k+1))
 		ln.shNRecr = make([]int32, shards)
 		ln.shSlotBase = make([]int32, shards)
 		ln.shFinals = make([]int32, shards)
@@ -712,15 +734,17 @@ func newLane(b *Batch, shards int) *lane {
 		ln.shErrNest = make([]uint8, shards)
 	}
 	// Shard scaffolding shared by both paths: even ant-range bounds, the
-	// commitment-delta slabs, the phase functions (bound once, so per-round
-	// dispatch allocates nothing) and — only when the lane actually splits —
-	// the helper pool.
+	// population and commitment-delta slabs, the phase functions (bound
+	// once, so per-round dispatch allocates nothing) and — only when the
+	// lane actually splits — the helper pool.
 	ln.shardLo = make([]int32, shards+1)
 	for sh := 0; sh <= shards; sh++ {
 		lo, _ := shardSpan(n, sh, shards)
 		ln.shardLo[sh] = int32(lo)
 	}
+	ln.shCounts = make([]int, shards*(k+1))
 	ln.shCommit = make([]int, shards*(k+1))
+	ln.fnSearch = ln.searchShard
 	ln.fnDraw = ln.drawActiveShard
 	ln.fnLockFold = ln.lockFoldShard
 	ln.fnHist = ln.histShard
@@ -738,7 +762,7 @@ func newLane(b *Batch, shards int) *lane {
 	// panics leaves no helper goroutines behind.
 	ln.pool = newShardPool(shards)
 	if b.antRNG {
-		ln.antSrc = make([]rng.Source, n)
+		ln.shSrc = make([]paddedSource, shards)
 	}
 	if b.needI {
 		ln.paramI = make([]int32, n)
@@ -759,27 +783,22 @@ func (ln *lane) close() {
 	}
 }
 
-// reset re-seeds the lane for a fresh replicate, deriving the same streams
-// the scalar stack does: the engine splits {0: environment, 1: matcher} and
-// the algorithm builder splits {2} then per-ant substreams. Per-ant streams
-// are only materialized when the program draws ant randomness (programs
-// without drawn-recruit opcodes never touch them, so seeding n streams would
-// be wasted work — and the scalar agents' unused sources draw nothing either).
-// The float parameter column is seeded here because the scalar ApproxN
-// builder draws each ant's ñ from the ant's own stream before any round runs;
-// doing the same keeps the subsequent Bernoulli sequences aligned. A fault
-// schedule factory that returns nil is an error, as it is on the scalar
-// engine.
+// reset re-seeds the lane for a fresh replicate, deriving the same keys and
+// streams the scalar stack does: the engine splits {0: environment key, 1:
+// matcher} and the algorithm builder takes its agent key from split {2}. A
+// fault schedule factory that returns nil is an error, as it is on the
+// scalar engine.
 func (ln *lane) reset(seed uint64) error {
 	root := rng.New(seed)
-	root.SplitInto(0, &ln.envSrc)
+	var keySrc rng.Source
+	root.SplitInto(0, &keySrc)
+	ln.envKey = keySrc.Key()
 	root.SplitInto(1, &ln.matchSrc)
-	if ln.antRNG {
-		root.SplitInto(2, &ln.phAgents)
-	}
-	// Per-ant seeding and register init shard cleanly: SplitInto never
-	// advances the parent stream, the ñ draws come from each ant's own
-	// already-seeded stream, and every other write is a per-ant constant.
+	root.SplitInto(2, &keySrc)
+	ln.agentKey = keySrc.Key()
+	ln.round = 0
+	// Register init shards cleanly: ApproxN's ñ is a keyed word, and every
+	// other write is a per-ant constant.
 	ln.pool.run(ln.fnReset)
 	split := ln.prog.InitSplit
 	ln.alive = ln.n
@@ -793,7 +812,6 @@ func (ln *lane) reset(seed uint64) error {
 		var faultSrc rng.Source
 		root.SplitInto(ln.prog.Params.Faults.Salt, &faultSrc)
 		ln.prog.Params.Faults.Assign(ln.n, &faultSrc, ln.crashRound, ln.wakeRound, ln.byz, ln.permScrat)
-		ln.round = 0
 		ln.nCrashed = 0
 		if ns := ln.prog.Params.Faults.NewSchedule; ns != nil {
 			// A fresh schedule per replicate (stateful schedules restart) and
@@ -848,19 +866,13 @@ func (ln *lane) resetShard(sh int) {
 	ln.resetRange(int(ln.shardLo[sh]), int(ln.shardLo[sh+1]))
 }
 
-// resetRange puts ants lo..hi-1 in their replicate-start state: stream
-// seeding, parameter-column init (including ApproxN's ñ draw from the ant's
-// own stream, matching the scalar builder's order), and the register file.
-// Reset runs it per shard and restartAnt per revived ant: SplitInto never
-// advances the parent, so the re-seeded stream is bit for bit the one the
-// ant was born with.
+// resetRange puts ants lo..hi-1 in their replicate-start state: the
+// parameter columns (ApproxN's ñ is the ant's keyed ApproxNEstimate, as the
+// scalar builder computes it), the register file and the clock offsets.
+// Reset runs it per shard and restartAnt per revived ant, which therefore
+// gets back the ñ it was born with; its draws replay its birth draws once
+// restartAnt sets its clock offset.
 func (ln *lane) resetRange(lo, hi int) {
-	if ln.antRNG {
-		agents := &ln.phAgents
-		for i := lo; i < hi; i++ {
-			agents.SplitInto(uint64(i), &ln.antSrc[i])
-		}
-	}
 	if ln.paramI != nil {
 		for i := lo; i < hi; i++ {
 			ln.paramI[i] = 0
@@ -868,12 +880,13 @@ func (ln *lane) resetRange(lo, hi int) {
 	}
 	if ln.paramF != nil {
 		delta := ln.prog.Params.NEstDelta
-		nF := float64(ln.n)
 		for i := lo; i < hi; i++ {
-			ln.paramF[i] = nF
-			if delta > 0 {
-				ln.paramF[i] = nF * (1 + (2*ln.antSrc[i].Float64()-1)*delta)
-			}
+			ln.paramF[i] = ApproxNEstimate(ln.n, delta, ln.agentKey, i)
+		}
+	}
+	if ln.base != nil {
+		for i := lo; i < hi; i++ {
+			ln.base[i] = 0
 		}
 	}
 	for i := lo; i < hi; i++ {
@@ -906,6 +919,17 @@ func (ln *lane) initState(i int) uint8 {
 		return ln.prog.InitRest
 	}
 	return ln.prog.Init
+}
+
+// antRound is ant i's logical round: the lane round, minus the ant's clock
+// offset on a lane with sleepers or a schedule.
+//
+//hh:hotpath
+func (ln *lane) antRound(i int) int {
+	if ln.base == nil {
+		return ln.round
+	}
+	return ln.round - int(ln.base[i])
 }
 
 // crashAnt crashes ant i: it leaves the census (commitment tally, alive and
@@ -941,6 +965,7 @@ func (ln *lane) runReplicate(rep int, seed uint64, maxRounds, window int, obs La
 	var winner NestID
 	phase := ln.prog.Init
 	for round = 1; round <= maxRounds; round++ {
+		ln.round = round
 		if ln.lockstep {
 			var next uint8
 			next, err = ln.stepLockstep(phase)
@@ -1002,7 +1027,7 @@ func (ln *lane) runReplicate(rep int, seed uint64, maxRounds, window int, obs La
 // shared PFSM state; the returned value is next round's phase.
 //
 //hh:hotpath
-//hh:draws per opcode contract on EmitOp/ObserveOp consts: envSrc search draws in ant order, drawActiveRange per-ant draws (one shard per ant), matchSrc via Match, perception hooks from the observing ant's stream
+//hh:draws matchSrc via Match only; search destinations, recruit coins and perception hooks are keyed per (ant, round)
 func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 	n, k := ln.n, ln.k
 	st := ln.states[phase]
@@ -1010,9 +1035,8 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 	actNest := ln.actNest
 	counts := ln.counts
 
-	// Emit and move, accumulating end-of-round populations as we go. Per-ant
-	// Bernoulli draws and envSrc search draws touch disjoint streams, so
-	// fusing the scalar engine's act/move phases preserves both sequences.
+	// Emit and move, accumulating end-of-round populations as we go. The
+	// search destinations and recruit coins are keyed, so both phases shard.
 	//
 	// act is the outcome-nest column the observe loops read: the freshly
 	// filled actNest for search and recruit rounds, and the nest register
@@ -1022,14 +1046,15 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 	act := actNest
 	switch st.Emit {
 	case EmitSearch:
+		ln.pool.run(ln.fnSearch)
 		for i := range counts {
 			counts[i] = 0
 		}
-		envSrc := &ln.envSrc
-		for i := range actNest {
-			dest := uint8(envSrc.Intn(k) + 1)
-			actNest[i] = dest
-			counts[dest]++
+		k1 := k + 1
+		for sh := 0; sh < ln.shards; sh++ {
+			for j, v := range ln.shCounts[sh*k1 : (sh+1)*k1] {
+				counts[j] += v
+			}
 		}
 	case EmitGotoNest:
 		// Every ant moves to its committed nest, so the end-of-round
@@ -1048,8 +1073,8 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 		copy(counts, commit)
 		act = nest
 	case EmitRecruitPop, EmitRecruitQual, EmitRecruitAdaptive, EmitRecruitApproxN:
-		// The active bits draw only from per-ant streams (stream-disjoint),
-		// so the draw loop shards. The adaptive decay term is hoisted here,
+		// The active bits are keyed coins, so the draw loop shards. The
+		// adaptive decay term is hoisted here,
 		// sequentially: the phase clock is colony-uniform on lockstep
 		// programs, and the draw shards advance paramI as they go.
 		if st.Emit == EmitRecruitAdaptive {
@@ -1088,11 +1113,12 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 // foldCaptureAdopts): each opcode folds the one kind of outcome Validate
 // pairs it with, and ObserveNone folds nothing. Commitment changes go to the
 // shard's delta slab; every other write targets the folding ant's own
-// registers, and the only draws are the noisy perception hooks on the ant's
-// own stream — which is what makes the fold safe to shard.
+// registers, and the only draws are the noisy perception hooks on the
+// shard's scratch Source, reseeded from the ant's keyed word per call —
+// which is what makes the fold safe to shard.
 //
 //hh:hotpath
-//hh:draws noisy perception hooks only, from the observing ant's own stream; every other fold is draw-free
+//hh:draws noisy perception hooks only, each from the shard's scratch Source reseeded with the ant's keyed word; every other fold is draw-free
 func (ln *lane) lockFoldShard(sh int) {
 	lo, hi := int(ln.shardLo[sh]), int(ln.shardLo[sh+1])
 	commit := ln.shCommit[sh*(ln.k+1) : (sh+1)*(ln.k+1)]
@@ -1135,6 +1161,8 @@ func (ln *lane) lockFoldShard(sh int) {
 	case ObserveDiscoverNoisy:
 		countHook, assessHook := ln.prog.Params.Count, ln.prog.Params.Assess
 		threshold := ln.prog.Params.Threshold
+		key, r := ln.agentKey, ln.round
+		src := &ln.shSrc[sh].Source
 		for i := lo; i < hi; i++ {
 			outNest := act[i]
 			if outNest != nest[i] {
@@ -1143,15 +1171,16 @@ func (ln *lane) lockFoldShard(sh int) {
 				nest[i] = outNest
 			}
 			c, q := counts[outNest], qual[outNest]
-			// Perception order matches NoisyAnt's observe: the count estimate
-			// draws first, then the quality assessment, both from the ant's
-			// own stream.
+			// Each hook draws from the scratch Source reseeded with its own
+			// keyed word, as NoisyAnt's observe does.
 			if countHook != nil {
-				c = countHook(c, n, &ln.antSrc[i])
+				key.ReseedAnt(src, i, r, rng.DrawCount)
+				c = countHook(c, n, src)
 			}
 			count[i] = countReg(c)
 			if assessHook != nil {
-				q = assessHook(q, &ln.antSrc[i])
+				key.ReseedAnt(src, i, r, rng.DrawAssess)
+				q = assessHook(q, src)
 			}
 			if q > threshold {
 				quality[i] = 1
@@ -1161,10 +1190,13 @@ func (ln *lane) lockFoldShard(sh int) {
 		}
 	case ObserveCountNoisy:
 		countHook := ln.prog.Params.Count
+		key, r := ln.agentKey, ln.round
+		src := &ln.shSrc[sh].Source
 		for i := lo; i < hi; i++ {
 			c := counts[act[i]]
 			if countHook != nil {
-				c = countHook(c, n, &ln.antSrc[i])
+				key.ReseedAnt(src, i, r, rng.DrawCount)
+				c = countHook(c, n, src)
 			}
 			count[i] = countReg(c)
 		}
@@ -1254,11 +1286,31 @@ func (m *thresholdMemo) put(q uint64, c int32, t rng.Threshold) rng.Threshold {
 	return t
 }
 
+// searchShard is the fnSearch phase body of a lockstep search round: draw
+// each ant's keyed search destination in one shard's ant range and tally the
+// shard's populations into its slab of shCounts, summed by stepLockstep.
+//
+//hh:hotpath
+func (ln *lane) searchShard(sh int) {
+	lo, hi := int(ln.shardLo[sh]), int(ln.shardLo[sh+1])
+	k := ln.k
+	counts := ln.shCounts[sh*(k+1) : (sh+1)*(k+1)]
+	for j := range counts {
+		counts[j] = 0
+	}
+	key, r := ln.envKey, ln.round
+	actNest := ln.actNest
+	for i := lo; i < hi; i++ {
+		dest := uint8(key.AntIntn(i, r, rng.DrawSearch, k) + 1)
+		actNest[i] = dest
+		counts[dest]++
+	}
+}
+
 // drawActiveShard is the fnDraw phase body: the drawn-recruit loop over one
-// shard's ant range (safe to shard: every draw comes from the drawing ant's
-// own stream, see drawActiveRange), then the range's stretch of the actNest
-// snapshot of the advertised nests. The observe folds read a capturer's
-// nest from the snapshot rather than from nest itself, because a
+// shard's ant range (see drawActiveRange), then the range's stretch of the
+// actNest snapshot of the advertised nests. The observe folds read a
+// capturer's nest from the snapshot rather than from nest itself, because a
 // simultaneous-model capturer can itself be captured and adopt mid-fold.
 //
 //hh:hotpath
@@ -1269,139 +1321,117 @@ func (ln *lane) drawActiveShard(sh int) {
 }
 
 // drawActiveRange fills the active column for ants [lo, hi) of a drawn-recruit
-// round, one specialized loop per opcode. Each loop consumes the per-ant
-// streams exactly as the corresponding scalar ant does: Simple/Adaptive/
-// ApproxN gate the draw on a positive quality register (their active flag),
-// while Quality draws unconditionally — its probability is 0 whenever the
-// scalar ant would be passive, and rng.Source's Bernoulli consumes nothing at
-// p <= 0 or p >= 1, so both formulations touch the streams identically.
+// round, one specialized loop per opcode. Every ant's coin is its keyed
+// DrawRecruit word of the round, accepted or rejected by the ant's
+// threshold, and the loops are branch-free: a passive ant (quality register
+// not positive, the scalar ants' active flag) gets ThresholdNever, which
+// rejects every word, so its word is computed and ignored. A stream draw
+// could not be skipped that way, because skipping it would shift every
+// later draw of the stream.
 //
-// Every draw but ApproxN's is the fixed-point kernel — one integer compare
-// against a bound that is either tabled (count-ratio below the crossover) or
-// memoized per call (thresholdMemo: count-ratio above the crossover,
-// quality-weighted at every size, and the adaptive c/(c+decay)) — at any
-// colony size. The table path guards on a count-range check because the
-// noisy estimators can report counts outside [0, n]; out-of-range counts
-// resolve draw-free exactly like Bernoulli at p outside (0, 1), and the
-// memoized kernels fold the same resolution in via their sentinel thresholds.
+// Every coin but ApproxN's compares against a fixed-point threshold that is
+// either tabled (count-ratio below the crossover; the count is clamped to
+// [0, n], whose end rows reject and accept exactly as an out-of-range count
+// does) or memoized per call (thresholdMemo: count-ratio above the
+// crossover, quality-weighted at every size, and the adaptive c/(c+decay)).
 //
 //hh:hotpath
-//hh:draws at most one word per ant from its own stream, each ant touched by exactly one shard; draw-free for sentinel thresholds and out-of-range counts
 func (ln *lane) drawActiveRange(op EmitOp, lo, hi int) {
 	n := ln.n
-	quality := ln.quality
-	count := ln.count
-	active := ln.active
-	antSrc := ln.antSrc
+	// Reslicing every column to the range gives the loops one shared length
+	// and no per-column bounds checks; the words come from one AntRow.
+	active := ln.active[lo:hi]
+	quality := ln.quality[lo:hi]
+	quality = quality[:len(active)]
+	count := ln.count[lo:hi]
+	count = count[:len(active)]
+	row := ln.agentKey.AntRow(lo, ln.round, rng.DrawRecruit)
 	switch op {
 	case EmitRecruitPop:
 		if popT := ln.popT; popT != nil {
-			for i := lo; i < hi; i++ {
-				b := false
-				if quality[i] > 0 {
-					//hh:draws out-of-range counts resolve draw-free, exactly like Bernoulli at p outside (0, 1)
-					if c := int(count[i]); uint(c) <= uint(n) {
-						// The wraparound compare picks out the thresholds
-						// that consume one word; the sentinels (0 and n,
-						// plus any zero-probability row) resolve via the
-						// draw-free Draw call. Fused inline because Draw
-						// itself is beyond the inlining budget.
-						if t := popT[c]; t-1 < rng.ThresholdAlways-1 {
-							b = antSrc[i].Uint64()>>11 < uint64(t)
-						} else {
-							b = t.Draw(&antSrc[i])
-						}
-					} else {
-						b = c > 0 // p outside (0, 1): accept or reject draw-free
-					}
+			for j, c := range count {
+				t := popT[min(max(int(c), 0), n)]
+				if !(quality[j] > 0) {
+					t = rng.ThresholdNever
 				}
-				active[i] = b
+				var w uint64
+				w, row = row.Next()
+				active[j] = t.Accept(w)
 			}
 		} else {
+			// Above the table crossover the threshold comes from the memoized
+			// reciprocal, whose sentinels already resolve counts outside
+			// (0, n), so no clamp is needed.
 			var memo thresholdMemo
 			memo.reset()
-			for i := lo; i < hi; i++ {
-				b := false
-				if quality[i] > 0 {
-					// Above the table crossover the threshold comes from the
-					// memoized reciprocal, whose sentinels already resolve
-					// counts outside (0, n) draw-free, so no range guard is
-					// needed.
-					c := count[i]
-					t, ok := memo.find(0, c)
-					if !ok {
-						t = memo.put(0, c, ln.rcp.Threshold(int(c)))
-					}
-					if t-1 < rng.ThresholdAlways-1 {
-						b = antSrc[i].Uint64()>>11 < uint64(t)
-					} else {
-						b = t.Draw(&antSrc[i])
-					}
+			for j, c := range count {
+				t, ok := memo.find(0, c)
+				if !ok {
+					t = memo.put(0, c, ln.rcp.Threshold(int(c)))
 				}
-				active[i] = b
+				if !(quality[j] > 0) {
+					t = rng.ThresholdNever
+				}
+				var w uint64
+				w, row = row.Next()
+				active[j] = t.Accept(w)
 			}
 		}
 	case EmitRecruitQual:
 		var memo thresholdMemo
 		memo.reset()
-		for i := lo; i < hi; i++ {
+		for j, c := range count {
 			// ThresholdMul emulates the scalar expression q·c/n including its
 			// out-of-range and q=0 cases, so the loop has no guards at all.
-			q, c := quality[i], count[i]
+			q := quality[j]
 			qb := math.Float64bits(q)
 			t, ok := memo.find(qb, c)
 			if !ok {
 				t = memo.put(qb, c, ln.rcp.ThresholdMul(q, int(c)))
 			}
-			if t-1 < rng.ThresholdAlways-1 {
-				active[i] = antSrc[i].Uint64()>>11 < uint64(t)
-			} else {
-				active[i] = t.Draw(&antSrc[i])
-			}
+			var w uint64
+			w, row = row.Next()
+			active[j] = t.Accept(w)
 		}
 	case EmitRecruitAdaptive:
 		// The decay was hoisted by stepLockstep (the phase clock is
-		// colony-uniform), so only the count varies per ant. A threshold's
-		// Draw is Bernoulli's at every float p, so noisy out-of-range counts
-		// need no separate float path either.
+		// colony-uniform), so only the count varies per ant. A threshold
+		// decides exactly as the float coin does at every p, so noisy
+		// out-of-range counts need no separate float path either.
 		decay := ln.phDecay
-		paramI := ln.paramI
+		paramI := ln.paramI[lo:hi]
+		paramI = paramI[:len(active)]
 		var memo thresholdMemo
 		memo.reset()
-		for i := lo; i < hi; i++ {
-			b := false
-			if quality[i] > 0 {
-				c := count[i]
-				t, ok := memo.find(0, c)
-				//hh:floatok a miss compiles c/(c+decay), AdaptiveRecruitProbability's exact float expression, once per distinct count per draw call
-				if !ok {
-					cF := float64(c)
-					t = memo.put(0, c, rng.NewThreshold(cF/(cF+decay)))
-				}
-				if t-1 < rng.ThresholdAlways-1 {
-					b = antSrc[i].Uint64()>>11 < uint64(t)
-				} else {
-					b = t.Draw(&antSrc[i])
-				}
+		for j, c := range count {
+			t, ok := memo.find(0, c)
+			//hh:floatok a miss compiles c/(c+decay), AdaptiveRecruitProbability's exact float expression, once per distinct count per draw call
+			if !ok {
+				cF := float64(c)
+				t = memo.put(0, c, rng.NewThreshold(cF/(cF+decay)))
 			}
-			paramI[i]++
-			active[i] = b
+			if !(quality[j] > 0) {
+				t = rng.ThresholdNever
+			}
+			paramI[j]++
+			var w uint64
+			w, row = row.Next()
+			active[j] = t.Accept(w)
 		}
 	case EmitRecruitApproxN:
 		// Per-ant ñ estimates defeat tabling and reciprocals alike (the
-		// kernel would be per ant); the float draw is bit-identical
-		// regardless.
-		paramF := ln.paramF
-		for i := lo; i < hi; i++ {
-			b := false
-			if quality[i] > 0 {
-				p := float64(count[i]) / paramF[i] //hh:floatok per-ant ñ defeats fixed-point kernels; float draw is bit-identical to ApproxNAnt
-				if p > 1 {
-					p = 1
-				}
-				b = antSrc[i].Bernoulli(p)
+		// kernel would be per ant); the float coin decides exactly as
+		// ApproxNAnt's does, and accepts every p >= 1 without a clamp.
+		paramF := ln.paramF[lo:hi]
+		paramF = paramF[:len(active)]
+		for j, c := range count {
+			p := float64(c) / paramF[j] //hh:floatok per-ant ñ defeats fixed-point kernels; the float coin is ApproxNAnt's
+			if !(quality[j] > 0) {
+				p = 0
 			}
-			active[i] = b
+			var w uint64
+			w, row = row.Next()
+			active[j] = rng.WordFloat64(w) < p
 		}
 	}
 }
@@ -1413,30 +1443,27 @@ func (ln *lane) drawActiveRange(op EmitOp, lo, hi int) {
 // the dominant pipeline stall of heterogeneous colonies), and an ant-order
 // pass assembles the recruiting slot table between the two.
 //
-// Every O(n) pass — histogram, scatter, emit, slot assembly, observe — fans
-// out across the lane's shards (contiguous ant ranges, lane.shardLo); the
-// sequential spine between the parallel phases is the O(k·shards) reductions,
-// the environment draws, the matcher, and the sparse capture and fault
-// passes. Sharding is bit-identical to the sequential scan by construction:
+// Every O(n) pass — histogram, scatter, emit (search destinations
+// included), slot assembly, observe — fans out across the lane's shards
+// (contiguous ant ranges, lane.shardLo); the sequential spine between the
+// parallel phases is the O(k·shards) reductions, the matcher, and the sparse
+// capture and fault passes. Sharding is bit-identical to the sequential scan by construction:
 // the bucket of state s is the concatenation of its per-shard segments in
 // shard order (the same ants in the same ascending order), the per-shard
 // population/commitment/finals tallies are order-free integer sums, recruiter
 // slots are assigned from prefix-summed per-shard bases, and the first-error
 // reduce picks by (state, ant) — exactly the sequential scan's first error.
 //
-// Randomness is consumed exactly as Engine.Step/resolve consumes it:
-// environment draws run in a dedicated sequential pass that scans ants in
-// ascending order (envSrc has no jump-ahead and rejection sampling makes its
-// consumption data-dependent, so those draws can never shard); per-ant stream
-// draws are stream-disjoint across ants and each ant is visited by exactly
-// one shard; recruiting ants enter the slot table in ant order via the
-// assembly pass; and the matcher draws from matchSrc in one call, only when the
-// recruiting set is non-empty. Observe folds touch only the observing ant's
-// registers, its own stream, and the order-free commitment deltas, so
-// bucket-order sharded folding is bit-identical too.
+// Randomness matches Engine.Step/resolve: search destinations and per-ant
+// draws are keyed words of the ant's (logical) round, the same on any shard
+// in any order; recruiting ants enter the slot table in ant order via the
+// assembly pass; and the matcher draws from matchSrc in one call, only when
+// the recruiting set is non-empty. Observe folds touch only the observing
+// ant's registers, the shard's reseeded scratch Source, and the order-free
+// commitment deltas, so bucket-order sharded folding is bit-identical too.
 //
 //hh:hotpath
-//hh:draws per opcode contract on EmitOp/ObserveOp consts: envSrc in ant order via the sequential environment pass, per-ant streams in bucket order (stream-disjoint, one shard per ant), matchSrc only when recruiters exist
+//hh:draws matchSrc only when recruiters exist; search destinations, recruit and docility coins and perception hooks are keyed per (ant, logical round)
 func (ln *lane) stepGeneral() error {
 	n, k := ln.n, ln.k
 	states := &ln.states
@@ -1452,11 +1479,10 @@ func (ln *lane) stepGeneral() error {
 	// visible to this round's emit, exactly as the scalar wrapper decides in
 	// Act. Waking restores the ant's initial program state (registers were
 	// never touched while it slept, so it starts fresh like the scalar
-	// wrapper's never-invoked inner agent); crashAnt removes the ant from the
-	// census and parks it in the crashed synthetic state. Both lists are
-	// small — O(victims), not O(n).
+	// wrapper's never-invoked inner agent) and starts its clock at logical
+	// round 1; crashAnt removes the ant from the census and parks it in the
+	// crashed synthetic state. Both lists are small — O(victims), not O(n).
 	if ln.faulted {
-		ln.round++
 		r := int32(ln.round)
 		for idx, i32 := range ln.sleepAnts {
 			if ln.wakeAt[idx] == r {
@@ -1469,6 +1495,7 @@ func (ln *lane) stepGeneral() error {
 					continue
 				}
 				state[i] = ln.initState(i)
+				ln.base[i] = r - 1
 			}
 		}
 		for idx, i32 := range ln.crashAnts {
@@ -1495,10 +1522,8 @@ func (ln *lane) stepGeneral() error {
 	// whether any occupied state searches.
 	ln.pool.run(ln.fnHist)
 	segOff := ln.segOff
-	searches := &ln.searches
 	running := int32(0)
 	sole := -1
-	anySearch := false
 	for s := 0; s < numStates; s++ {
 		total := int32(0)
 		for sh := 0; sh < shards; sh++ {
@@ -1512,14 +1537,9 @@ func (ln *lane) stepGeneral() error {
 		if int(total) == n {
 			sole = s
 		}
-		if total > 0 && searches[s] != 0 {
-			anySearch = true
-		}
 	}
 	segOff[numStates*shards] = running
 	bkt := ln.bktAnts[:n]
-	envSrc := &ln.envSrc
-	//hh:draws shape dispatch only: both arms draw one envSrc destination per searching ant, in ant order, exactly like the scalar per-ant emit
 	if sole >= 0 {
 		// The whole colony occupies one state (common in the converged tail,
 		// where every ant sits in an absorbing recruit state): the bucket IS
@@ -1528,26 +1548,8 @@ func (ln *lane) stepGeneral() error {
 		// precomputed identity and, below, most of the slot-assembly work
 		// degenerates too.
 		bkt = ln.iota32
-		//hh:draws a state's search bit decides whether its ants draw a destination; the scalar emit gates on the same compiled bit
-		if searches[sole] != 0 {
-			for i := 0; i < n; i++ {
-				actNest[i] = uint8(envSrc.Intn(k) + 1)
-			}
-		}
 	} else {
 		ln.pool.run(ln.fnScatter)
-		// Environment draws stay sequential and in ant order — the scalar
-		// engine's order; envSrc cannot shard (see the function comment). The
-		// pass is skipped entirely when no occupied state searches.
-		//hh:draws anySearch only skips the scan when no occupied state has the search bit — no ant would reach the gated draw anyway
-		if anySearch {
-			for i := 0; i < n; i++ {
-				//hh:draws a state's search bit decides whether its ants draw a destination; the scalar emit gates on the same compiled bit
-				if searches[state[i]] != 0 {
-					actNest[i] = uint8(envSrc.Intn(k) + 1)
-				}
-			}
-		}
 	}
 
 	// Emit per occupied segment, sharded (see emitShard). actNest receives
@@ -1686,10 +1688,9 @@ func (ln *lane) stepGeneral() error {
 	// column already holds next round's values) touches a fraction of the
 	// colony. Fold order across captured ants is immaterial: each fold
 	// writes only its own ant's registers (commit tallies are order-free)
-	// and the docility draws come from the captured ant's own stream.
+	// and the docility coins are keyed words of the captured ant.
 	commit := ln.commit
 	quality := ln.quality
-	antSrc := ln.antSrc
 	nestT := ln.nestT
 	isFinal := &ln.final
 	preState := ln.preState
@@ -1742,10 +1743,10 @@ func (ln *lane) stepGeneral() error {
 				}
 				quality[i] = 1
 			case ObserveQuorumTransport:
-				// The docility draw consumes the CAPTURED ant's stream,
+				// The docility coin is the CAPTURED ant's DrawDocility word,
 				// exactly like QuorumAnt's submit check, on the precompiled
 				// fixed-point threshold.
-				if ln.docT.Draw(&antSrc[i]) {
+				if ln.docT.Accept(ln.agentKey.AntWord(i, ln.antRound(i), rng.DrawDocility)) {
 					if outNest != nest[i] {
 						commit[nest[i]]--
 						commit[outNest]++
@@ -1884,10 +1885,11 @@ func (ln *lane) scatterShard(sh int) {
 // segments. For every state the members slice is the shard's own contiguous
 // segment of that state's bucket, so the shard touches exactly its own ants;
 // population tallies, the recruiter count, the transport flag and at most one
-// parked error go to the shard's slabs, reduced sequentially afterwards.
+// parked error go to the shard's slabs, reduced sequentially afterwards. A
+// searcher's destination and a drawn recruit's coin are the ant's keyed
+// words; the coin loops are branch-free like drawActiveRange's.
 //
 //hh:hotpath
-//hh:draws drawn-recruit opcodes consume at most one word from the emitting ant's own stream; every ant is scanned by exactly one shard
 func (ln *lane) emitShard(sh int) {
 	n, k := ln.n, ln.k
 	numStates := ln.numExec
@@ -1899,7 +1901,7 @@ func (ln *lane) emitShard(sh int) {
 	actNest := ln.actNest
 	quality := ln.quality
 	count := ln.count
-	antSrc := ln.antSrc
+	key := ln.agentKey
 	isRecr := ln.isRecr
 	actBit := ln.actBit
 	preState := ln.preState
@@ -1944,11 +1946,14 @@ func (ln *lane) emitShard(sh int) {
 		}
 		switch st.Emit {
 		case EmitSearch:
-			// Destinations were already drawn, in ant order, by the
-			// sequential environment pass.
+			// The environment key and the lane round: search draws are the
+			// environment's, not the ant's, so they need no clock offset.
+			envKey, r := ln.envKey, ln.round
 			for _, i32 := range members {
 				i := int(i32)
-				counts[actNest[i]]++
+				dest := uint8(envKey.AntIntn(i, r, rng.DrawSearch, k) + 1)
+				actNest[i] = dest
+				counts[dest]++
 				isRecr[i] = 0
 			}
 		case EmitGotoNest:
@@ -2030,29 +2035,23 @@ func (ln *lane) emitShard(sh int) {
 			memo.reset()
 			for _, i32 := range members {
 				i := int(i32)
-				b := false
-				if quality[i] > 0 {
+				var t rng.Threshold
+				if popT != nil {
+					t = popT[min(max(int(count[i]), 0), n)]
+				} else {
+					// Above the table crossover the threshold comes from the
+					// memoized reciprocal, whose sentinels resolve c outside
+					// (0, n).
 					c := count[i]
-					var t rng.Threshold
-					//hh:draws out-of-range counts resolve draw-free via the sentinel thresholds, exactly like Bernoulli at p outside (0, 1)
-					if popT != nil && uint(c) <= uint(n) {
-						t = popT[c]
-					} else {
-						// Above the table crossover (or out of range) the
-						// threshold comes from the memoized reciprocal,
-						// whose sentinels resolve c outside (0, n)
-						// draw-free.
-						var ok bool
-						if t, ok = memo.find(0, c); !ok {
-							t = memo.put(0, c, ln.rcp.Threshold(int(c)))
-						}
-					}
-					if t-1 < rng.ThresholdAlways-1 {
-						b = antSrc[i].Uint64()>>11 < uint64(t)
-					} else {
-						b = t.Draw(&antSrc[i])
+					var ok bool
+					if t, ok = memo.find(0, c); !ok {
+						t = memo.put(0, c, ln.rcp.Threshold(int(c)))
 					}
 				}
+				if !(quality[i] > 0) {
+					t = rng.ThresholdNever
+				}
+				b := t.Accept(key.AntWord(i, ln.antRound(i), rng.DrawRecruit))
 				adv := nest[i]
 				if b && adv == homeNest {
 					ln.parkErr(sh, errRecruitHome, s, i, adv)
@@ -2082,12 +2081,7 @@ func (ln *lane) emitShard(sh int) {
 				if !ok {
 					t = memo.put(qb, c, ln.rcp.ThresholdMul(q, int(c)))
 				}
-				var b bool
-				if t-1 < rng.ThresholdAlways-1 {
-					b = antSrc[i].Uint64()>>11 < uint64(t)
-				} else {
-					b = t.Draw(&antSrc[i])
-				}
+				b := t.Accept(key.AntWord(i, ln.antRound(i), rng.DrawRecruit))
 				adv := nest[i]
 				if b && adv == homeNest {
 					ln.parkErr(sh, errRecruitHome, s, i, adv)
@@ -2111,11 +2105,11 @@ func (ln *lane) emitShard(sh int) {
 			paramI := ln.paramI
 			for _, i32 := range members {
 				i := int(i32)
-				b := false
-				if quality[i] > 0 {
-					b = antSrc[i].Bernoulli(AdaptiveRecruitProbability(
-						n, int(count[i]), int(paramI[i]), tau, floorDiv))
+				p := AdaptiveRecruitProbability(n, int(count[i]), int(paramI[i]), tau, floorDiv)
+				if !(quality[i] > 0) {
+					p = 0
 				}
+				b := rng.WordFloat64(key.AntWord(i, ln.antRound(i), rng.DrawRecruit)) < p
 				paramI[i]++
 				adv := nest[i]
 				if b && adv == homeNest {
@@ -2135,14 +2129,11 @@ func (ln *lane) emitShard(sh int) {
 			paramF := ln.paramF
 			for _, i32 := range members {
 				i := int(i32)
-				b := false
-				if quality[i] > 0 {
-					p := float64(count[i]) / paramF[i] //hh:floatok per-ant ñ defeats fixed-point kernels; float draw is bit-identical to ApproxNAnt
-					if p > 1 {
-						p = 1
-					}
-					b = antSrc[i].Bernoulli(p)
+				p := float64(count[i]) / paramF[i] //hh:floatok per-ant ñ defeats fixed-point kernels; the float coin is ApproxNAnt's
+				if !(quality[i] > 0) {
+					p = 0
 				}
+				b := rng.WordFloat64(key.AntWord(i, ln.antRound(i), rng.DrawRecruit)) < p
 				adv := nest[i]
 				if b && adv == homeNest {
 					ln.parkErr(sh, errRecruitHome, s, i, adv)
@@ -2249,10 +2240,11 @@ func (ln *lane) assembleShard(sh int) {
 // the slotNest column here. Commitment changes go to the shard's
 // delta slab and Final-state entries to its finals counter; every other
 // write targets the folding ant's own registers, and the only draws are the
-// noisy perception hooks on the ant's own stream.
+// perception hooks on the shard's scratch Source, reseeded from the ant's
+// keyed word per call.
 //
 //hh:hotpath
-//hh:draws noisy perception hooks only, from the observing ant's own stream; every ant is folded by exactly one shard
+//hh:draws perception hooks only, each from the shard's scratch Source reseeded with the ant's keyed word; every ant is folded by exactly one shard
 func (ln *lane) observeShard(sh int) {
 	n, k := ln.n, ln.k
 	numStates := ln.numExec
@@ -2266,7 +2258,7 @@ func (ln *lane) observeShard(sh int) {
 	counts := ln.counts
 	count := ln.count
 	quality := ln.quality
-	antSrc := ln.antSrc
+	key := ln.agentKey
 	qual := ln.qual
 	nestT := ln.nestT
 	countT := ln.countT
@@ -2431,12 +2423,16 @@ func (ln *lane) observeShard(sh int) {
 				}
 				c := counts[outNest]
 				if countHook != nil {
-					c = countHook(c, n, &antSrc[i])
+					src := &ln.shSrc[sh].Source
+					key.ReseedAnt(src, i, ln.antRound(i), rng.DrawCount)
+					c = countHook(c, n, src)
 				}
 				count[i] = countReg(c)
 				q := qual[outNest]
 				if assessHook != nil {
-					q = assessHook(q, &antSrc[i])
+					src := &ln.shSrc[sh].Source
+					key.ReseedAnt(src, i, ln.antRound(i), rng.DrawAssess)
+					q = assessHook(q, src)
 				}
 				if q > threshold {
 					quality[i] = 1
@@ -2452,7 +2448,9 @@ func (ln *lane) observeShard(sh int) {
 				i := int(i32)
 				c := counts[actNest[i]]
 				if countHook != nil {
-					c = countHook(c, n, &antSrc[i])
+					src := &ln.shSrc[sh].Source
+					key.ReseedAnt(src, i, ln.antRound(i), rng.DrawCount)
+					c = countHook(c, n, src)
 				}
 				count[i] = countReg(c)
 				state[i] = next0
@@ -2473,7 +2471,9 @@ func (ln *lane) observeShard(sh int) {
 				count[i] = outCount
 				q := qual[outNest]
 				if assessHook != nil {
-					q = assessHook(q, &antSrc[i])
+					src := &ln.shSrc[sh].Source
+					key.ReseedAnt(src, i, ln.antRound(i), rng.DrawAssess)
+					q = assessHook(q, src)
 				}
 				if q > 0.5 {
 					quality[i] = 1

@@ -235,10 +235,11 @@ func TestBatchStepAllocationFreeStockMatchers(t *testing.T) {
 // The figure is rounded to whole bytes: the run's fixed allocations (the
 // lane struct, the result, and a few hundred bytes that vary with the
 // runtime's bookkeeping and the race detector) add about 0.1 B/ant. Nest
-// ids take one byte per column, and a lockstep lane allocates none of the
-// general path's state, scratch and slot columns: simple reads 64 B/ant, 99
-// with 8-byte nest ids and every column allocated, and optimal's four nest
-// columns save 7 bytes each against its 86.
+// ids take one byte per column, a lockstep lane allocates none of the
+// general path's state, scratch and slot columns, and no lane holds RNG
+// state per ant: simple reads 32 B/ant (64 with a 32-byte stream per ant,
+// 99 with 8-byte nest ids and every column allocated), and optimal's four
+// nest columns save 7 bytes each against its 86.
 func TestLaneBytesPerAnt(t *testing.T) {
 	const n, k = 1 << 16, 16
 	env, err := Uniform(k, 2)
@@ -251,7 +252,7 @@ func TestLaneBytesPerAnt(t *testing.T) {
 		lockstep bool
 		max      float64
 	}{
-		{"simple", true, 65},
+		{"simple", true, 33},
 		{"optimal", false, 86 - 4*7},
 	} {
 		b, err := NewBatch(env, progs[tc.name], n, WithBatchWorkers(1))

@@ -58,7 +58,6 @@ func memoLane(n int, keys []memoKey, ants int, gate bool, seed uint64) *lane {
 		actNest:    make([]uint8, ants),
 		active:     make([]bool, ants),
 		paramI:     make([]int32, ants),
-		antSrc:     make([]rng.Source, ants),
 		isRecr:     make([]uint8, ants),
 		actBit:     make([]uint8, ants),
 		preState:   make([]uint8, ants),
@@ -72,8 +71,9 @@ func memoLane(n int, keys []memoKey, ants int, gate bool, seed uint64) *lane {
 		segOff:     []int32{0, int32(ants)},
 		phBkt:      make([]int32, ants),
 		rcp:        rng.NewRecip(n),
+		agentKey:   rng.New(seed).Key(),
+		round:      2,
 	}
-	root := rng.New(seed)
 	for i := 0; i < ants; i++ {
 		key := keys[i%len(keys)]
 		ln.quality[i], ln.count[i] = key.q, key.c
@@ -82,16 +82,15 @@ func memoLane(n int, keys []memoKey, ants int, gate bool, seed uint64) *lane {
 		}
 		ln.nest[i] = 1
 		ln.phBkt[i] = int32(i)
-		root.SplitInto(uint64(i), &ln.antSrc[i])
 	}
 	return ln
 }
 
 // TestThresholdMemoCollisions forces the draw-call memo through colliding
-// keys and checks every memoized kernel against per-draw kernel calls: the
-// lockstep active column (drawActiveRange) for the count-ratio, quality and
-// adaptive draws, the general path's recruit bits (emitShard) for the
-// count-ratio and quality draws, and every ant's stream state afterwards.
+// keys and checks every memoized kernel against per-draw kernel calls on
+// each ant's keyed word: the lockstep active column (drawActiveRange) for
+// the count-ratio, quality and adaptive draws, and the general path's
+// recruit bits (emitShard) for the count-ratio and quality draws.
 func TestThresholdMemoCollisions(t *testing.T) {
 	t.Parallel()
 	const (
@@ -107,22 +106,22 @@ func TestThresholdMemoCollisions(t *testing.T) {
 		general bool
 		quals   bool
 		gate    bool
-		want    func(q float64, c int32, src *rng.Source) bool
+		want    func(q float64, c int32, w uint64) bool
 	}{
-		{"pop", EmitRecruitPop, false, false, true, func(_ float64, c int32, src *rng.Source) bool {
-			return rcp.Threshold(int(c)).Draw(src)
+		{"pop", EmitRecruitPop, false, false, true, func(_ float64, c int32, w uint64) bool {
+			return rcp.Threshold(int(c)).Accept(w)
 		}},
-		{"qual", EmitRecruitQual, false, true, false, func(q float64, c int32, src *rng.Source) bool {
-			return rcp.ThresholdMul(q, int(c)).Draw(src)
+		{"qual", EmitRecruitQual, false, true, false, func(q float64, c int32, w uint64) bool {
+			return rcp.ThresholdMul(q, int(c)).Accept(w)
 		}},
-		{"adaptive", EmitRecruitAdaptive, false, false, true, func(_ float64, c int32, src *rng.Source) bool {
-			return src.Bernoulli(AdaptiveRecruitProbability(n, int(c), phases, tau, floorDiv))
+		{"adaptive", EmitRecruitAdaptive, false, false, true, func(_ float64, c int32, w uint64) bool {
+			return rng.WordFloat64(w) < AdaptiveRecruitProbability(n, int(c), phases, tau, floorDiv)
 		}},
-		{"general/pop", EmitRecruitPop, true, false, true, func(_ float64, c int32, src *rng.Source) bool {
-			return rcp.Threshold(int(c)).Draw(src)
+		{"general/pop", EmitRecruitPop, true, false, true, func(_ float64, c int32, w uint64) bool {
+			return rcp.Threshold(int(c)).Accept(w)
 		}},
-		{"general/qual", EmitRecruitQual, true, true, false, func(q float64, c int32, src *rng.Source) bool {
-			return rcp.ThresholdMul(q, int(c)).Draw(src)
+		{"general/qual", EmitRecruitQual, true, true, false, func(q float64, c int32, w uint64) bool {
+			return rcp.ThresholdMul(q, int(c)).Accept(w)
 		}},
 	}
 	for _, tc := range cases {
@@ -131,7 +130,6 @@ func TestThresholdMemoCollisions(t *testing.T) {
 			t.Parallel()
 			keys := memoCollisionKeys(n, tc.quals)
 			ln := memoLane(n, keys, ants, tc.gate, 2015)
-			ref := append([]rng.Source(nil), ln.antSrc...)
 			if tc.general {
 				ln.states[0] = ProgramState{Emit: tc.op}
 				ln.emitShard(0)
@@ -146,7 +144,7 @@ func TestThresholdMemoCollisions(t *testing.T) {
 				q, c := ln.quality[i], ln.count[i]
 				want := false
 				if q > 0 || tc.op == EmitRecruitQual {
-					want = tc.want(q, c, &ref[i])
+					want = tc.want(q, c, ln.agentKey.AntWord(i, ln.round, rng.DrawRecruit))
 				}
 				got := ln.active[i]
 				if tc.general {
@@ -154,9 +152,6 @@ func TestThresholdMemoCollisions(t *testing.T) {
 				}
 				if got != want {
 					t.Fatalf("ant %d (q=%v, c=%d): drew %v, per-draw kernel %v", i, q, c, got, want)
-				}
-				if ln.antSrc[i].State() != ref[i].State() {
-					t.Fatalf("ant %d (q=%v, c=%d): stream state diverged from the per-draw kernel's", i, q, c)
 				}
 			}
 		})

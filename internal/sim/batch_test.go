@@ -24,27 +24,27 @@ func simpleProgram() Program {
 }
 
 // scalarSimpleAnt mirrors the compiled program as a hand-written sim.Agent,
-// drawing randomness exactly as algo.SimpleAnt does. It is the in-package
-// oracle for the batch engine (the cross-package oracle against the real
-// algorithms lives in internal/algo).
+// drawing randomness exactly as algo.SimpleAnt does: its recruit coin is its
+// keyed DrawRecruit word of the round. It is the in-package oracle for the
+// batch engine (the cross-package oracle against the real algorithms lives
+// in internal/algo).
 type scalarSimpleAnt struct {
 	n       int
-	src     *rng.Source
+	key     rng.Key
+	id      int
 	state   int
 	nest    NestID
 	count   int
 	quality float64
 }
 
-func (a *scalarSimpleAnt) Act(int) Action {
+func (a *scalarSimpleAnt) Act(round int) Action {
 	switch a.state {
 	case 0:
 		return Search()
 	case 1:
-		b := false
-		if a.quality > 0 {
-			b = a.src.Bernoulli(float64(a.count) / float64(a.n))
-		}
+		w := a.key.AntWord(a.id, round, rng.DrawRecruit)
+		b := a.quality > 0 && rng.WordFloat64(w) < float64(a.count)/float64(a.n)
 		return Recruit(b, a.nest)
 	default:
 		return Goto(a.nest)
@@ -68,14 +68,14 @@ func (a *scalarSimpleAnt) Observe(_ int, out Outcome) {
 	}
 }
 
-// buildScalarColony wires the scalar oracle colony with the exact stream
-// derivation the core runner uses: engine streams from the root seed, ant i
-// from root.Split(2).Split(i).
+// buildScalarColony wires the scalar oracle colony with the exact key
+// derivation the core runner uses: the agent key is the first word of
+// root.Split(2).
 func buildScalarColony(n int, seed uint64) []Agent {
 	agents := make([]Agent, n)
-	antRoot := rng.New(seed).Split(2)
+	key := rng.New(seed).Split(2).Key()
 	for i := range agents {
-		agents[i] = &scalarSimpleAnt{n: n, src: antRoot.Split(uint64(i)), state: 0}
+		agents[i] = &scalarSimpleAnt{n: n, key: key, id: i, state: 0}
 	}
 	return agents
 }

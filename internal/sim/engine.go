@@ -20,7 +20,7 @@ type Engine struct {
 	agents  []Agent
 	matcher Matcher
 
-	envSrc   *rng.Source // search destinations
+	envKey   rng.Key     // search destinations, keyed by (ant, round)
 	matchSrc *rng.Source // recruitment pairing
 
 	round  int
@@ -59,8 +59,10 @@ type engineConfig struct {
 	reg     *metrics.Registry
 }
 
-// WithSeed sets the root seed for environment and matcher randomness.
-// Default 1. Agent randomness is owned by the agents themselves.
+// WithSeed sets the root seed for environment and matcher randomness: search
+// destinations are keyed by the first word of its Split(0), and the matcher
+// draws from its Split(1). Default 1. Agent randomness is owned by the
+// agents themselves.
 func WithSeed(seed uint64) Option {
 	return func(c *engineConfig) { c.seed = seed }
 }
@@ -108,7 +110,7 @@ func New(env Environment, agents []Agent, opts ...Option) (*Engine, error) {
 		env:        env,
 		agents:     agents,
 		matcher:    cfg.matcher,
-		envSrc:     root.Split(0),
+		envKey:     root.Split(0).Key(),
 		matchSrc:   root.Split(1),
 		loc:        make([]NestID, n),
 		counts:     make([]int, k+1),
@@ -248,7 +250,7 @@ func (e *Engine) resolve() error {
 		e.slotOf[i] = -1
 		switch act.Kind {
 		case ActionSearch:
-			dest := NestID(e.envSrc.Intn(k) + 1)
+			dest := NestID(e.envKey.AntIntn(i, e.round, rng.DrawSearch, k) + 1)
 			e.loc[i] = dest
 			e.visited[i*(k+1)+int(dest)] = true
 			// Stash the destination so the outcome phase does not need a

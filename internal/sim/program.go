@@ -93,23 +93,24 @@ type ProgramParams struct {
 	FloorDiv float64
 	// NEstDelta is EmitRecruitApproxN's maximum relative colony-size error:
 	// each ant's private estimate is ñ = n·(1 + u), u ~ Uniform(−δ, +δ),
-	// drawn from the ant's own stream at replicate start (no draw when 0,
-	// matching the scalar builder). Must lie in [0, 1) when the opcode
-	// appears.
+	// the ant's keyed ApproxNEstimate (exactly n when 0, matching the scalar
+	// builder). Must lie in [0, 1) when the opcode appears.
 	NEstDelta float64
 
 	// Assess is the perception hook applied by ObserveDiscoverNoisy and
-	// ObserveDiscoverQuorum to the outcome quality, drawing any noise from the
-	// observing ant's own stream — the compiled form of a nest.Assessor. Nil
-	// means exact assessment (and consumes no randomness, exactly like
-	// nest.ExactAssessor). Hooks may be called concurrently from different
+	// ObserveDiscoverQuorum to the outcome quality — the compiled form of a
+	// nest.Assessor. It draws any noise from the Source it is handed, which
+	// the lane reseeds from the observing ant's DrawAssess word before every
+	// call, as the scalar agents do. Nil means exact assessment, like
+	// nest.ExactAssessor. Hooks may be called concurrently from different
 	// worker lanes and must be stateless, which every assessor in the nest
 	// package is.
 	Assess func(q float64, src *rng.Source) float64
 	// Count is the perception hook applied by ObserveDiscoverNoisy and
 	// ObserveCountNoisy to the outcome count — the compiled form of a
-	// nest.CountEstimator. Nil means exact counting. The same statelessness
-	// requirement as Assess applies.
+	// nest.CountEstimator — on a Source reseeded from the ant's DrawCount
+	// word. Nil means exact counting. The same statelessness requirement as
+	// Assess applies.
 	Count func(count, n int, src *rng.Source) int
 	// Threshold is ObserveDiscoverNoisy's good/bad classification cut: a
 	// perceived quality <= Threshold classifies the nest as bad (the ant
@@ -125,8 +126,8 @@ type ProgramParams struct {
 	// appears.
 	QuorumCarry int
 	// QuorumDocility is the probability a captured transporter submits to
-	// being carried away (ObserveQuorumTransport), drawn from the captured
-	// ant's stream. Must lie in [0, 1] when that opcode appears.
+	// being carried away (ObserveQuorumTransport), the captured ant's keyed
+	// DrawDocility coin. Must lie in [0, 1] when that opcode appears.
 	QuorumDocility float64
 
 	// Faults injects crash/Byzantine/sleep adversaries into every replicate
@@ -162,7 +163,7 @@ type EmitOp uint8
 
 const (
 	// EmitSearch performs search().
-	//hh:draws none from the ant stream; the environment draws one destination word per searching ant, in ant order scalar=SimpleAnt.Act
+	//hh:draws none from the ant; the destination is the environment key's DrawSearch word of (ant, round) scalar=SimpleAnt.Act
 	EmitSearch EmitOp = iota
 	// EmitGotoNest performs go(nest) on the committed nest register.
 	//hh:draws none scalar=SimpleAnt.Act
@@ -170,10 +171,10 @@ const (
 	// EmitRecruitPop performs recruit(b, nest) with b drawn as
 	// Bernoulli(count/n) when the quality register is positive and b = 0
 	// otherwise — Algorithm 3's population-proportional recruitment. The
-	// Bernoulli draw consumes ant randomness exactly as the scalar
-	// SimpleAnt does (no draw when quality <= 0), which is what
-	// keeps batch and scalar executions bit-identical.
-	//hh:draws one Bernoulli(count/n) word when quality > 0 and the rate is inside (0, 1), none otherwise scalar=SimpleAnt.Act
+	// coin is the ant's keyed DrawRecruit word of its logical round, the
+	// word the scalar SimpleAnt compares, which is what keeps batch and
+	// scalar executions bit-identical.
+	//hh:draws one keyed DrawRecruit word per ant, ignored when quality <= 0 scalar=SimpleAnt.Act
 	EmitRecruitPop
 	// EmitRecruitBit performs recruit(Arg, nest): the active bit is fixed by
 	// the state rather than drawn — Algorithm 2's recruits are all of this
@@ -186,12 +187,10 @@ const (
 	EmitGotoScratch
 	// EmitRecruitQual performs recruit(b, nest) with b drawn as
 	// Bernoulli(quality·count/n) — the §6 non-binary-quality extension's
-	// assessment-weighted rate. The draw is made unconditionally: rng.Source's
-	// Bernoulli consumes no randomness at p <= 0 or p >= 1, which is exactly
-	// how the scalar QualityAnt's active gate behaves (a passive ant always
-	// holds quality 0, so skipping the call and making it at p = 0 are
-	// bit-identical).
-	//hh:draws one Bernoulli(quality*count/n) word when the rate is inside (0, 1), none otherwise scalar=QualityAnt.Act
+	// assessment-weighted rate. The coin needs no gate: a passive ant always
+	// holds quality 0, so its rate rejects every word, exactly as the scalar
+	// QualityAnt's active gate does.
+	//hh:draws one keyed DrawRecruit word per ant scalar=QualityAnt.Act
 	EmitRecruitQual
 	// EmitRecruitAdaptive performs recruit(b, nest) with b drawn as
 	// Bernoulli(AdaptiveRecruitProbability(n, count, phases, Tau, FloorDiv))
@@ -199,14 +198,14 @@ const (
 	// boosted-rate extension. phases is the ant's entry in the lane's integer
 	// parameter column, incremented on every emit (drawn or not), mirroring
 	// the scalar AdaptiveAnt's phase clock.
-	//hh:draws one Bernoulli(b(r)) word when quality > 0 and the boosted rate is inside (0, 1), none otherwise scalar=AdaptiveAnt.Act
+	//hh:draws one keyed DrawRecruit word per ant, ignored when quality <= 0 scalar=AdaptiveAnt.Act
 	EmitRecruitAdaptive
 	// EmitRecruitApproxN performs recruit(b, nest) with b drawn as
 	// Bernoulli(min(1, count/ñ)) when the quality register is positive and
 	// b = 0 otherwise — the §6 approximate-n extension. ñ is the ant's entry
 	// in the lane's float parameter column, initialized from Params.NEstDelta
 	// at replicate start.
-	//hh:draws one Bernoulli word when quality > 0 and the clamped rate min(1, count/nEst) is inside (0, 1), none otherwise scalar=ApproxNAnt.Act
+	//hh:draws one keyed DrawRecruit word per ant, ignored when quality <= 0 scalar=ApproxNAnt.Act
 	EmitRecruitApproxN
 	// EmitRecruitTransport performs recruit(1, nest) with carry capacity
 	// Params.QuorumCarry — the §6 transport extension's direct carrying, as
@@ -233,6 +232,23 @@ func AdaptiveRecruitProbability(n, count, phases, tau int, floorDiv float64) flo
 	c := float64(count)
 	decay := adaptiveDecay(n, phases, tau, floorDiv)
 	return c / (c + decay)
+}
+
+// ApproxNEstimate is ApproxN's private colony-size estimate for ant ant of
+// an n-ant colony: ñ = n·(1 + (2u − 1)·delta), u uniform in [0, 1) from the
+// ant's DrawNEst word at logical round 0 under the agent key, and exactly n
+// unless delta > 0. The scalar ApproxN builder and the batch lane's parameter
+// column both compute it here, so a restarted ant gets its birth estimate
+// back on either engine.
+//
+//hh:floatok the shared scalar/batch estimate definition: float by contract
+func ApproxNEstimate(n int, delta float64, key rng.Key, ant int) float64 {
+	nF := float64(n)
+	if !(delta > 0) {
+		return nF
+	}
+	u := rng.WordFloat64(key.AntWord(ant, 0, rng.DrawNEst))
+	return nF * (1 + (2*u-1)*delta)
 }
 
 // adaptiveDecay computes the schedule's virtual-rival term A(r). It is split
@@ -346,14 +362,15 @@ const (
 	// register loads Params.Count(outcome count) and the quality register
 	// loads 1 when Params.Assess(outcome quality) exceeds Params.Threshold and
 	// 0 otherwise — NoisyAnt's active flag encoded exactly like Simple's
-	// (quality > 0 gates the recruit draw). Both hooks draw from the observing
-	// ant's own stream, count first, then quality, matching NoisyAnt's observe
-	// order. Folds search/go outcomes. Static.
-	//hh:draws whatever Params.Count then Params.Assess draw from the observing ant stream, in that order scalar=NoisyAnt.Observe
+	// (quality > 0 gates the recruit coin). Each hook draws from a Source
+	// reseeded with the observing ant's keyed word, DrawCount for the count
+	// and DrawAssess for the quality, as NoisyAnt's observe does. Folds
+	// search/go outcomes. Static.
+	//hh:draws whatever Params.Count and Params.Assess draw, each from a Source reseeded with the ant's DrawCount or DrawAssess word scalar=NoisyAnt.Observe
 	ObserveDiscoverNoisy
 	// ObserveCountNoisy loads the count register through Params.Count — the
 	// noisy assess visit. Folds search/go outcomes. Static.
-	//hh:draws whatever Params.Count draws from the observing ant stream scalar=NoisyAnt.Observe
+	//hh:draws whatever Params.Count draws from a Source reseeded with the ant's DrawCount word scalar=NoisyAnt.Observe
 	ObserveCountNoisy
 	// ObserveDiscoverQuorum is the quorum-transport discovery fold: adopt the
 	// outcome nest, load the exact count, classify activity by
@@ -361,7 +378,7 @@ const (
 	// canvasser, 0 passive), and self-calibrate the quorum threshold
 	// T = max(⌊QuorumMult·count⌋, count+2) into the countT scratch register —
 	// exactly QuorumAnt's search observe. Folds search/go outcomes. Static.
-	//hh:draws whatever Params.Assess draws from the observing ant stream scalar=QuorumAnt.Observe
+	//hh:draws whatever Params.Assess draws from a Source reseeded with the ant's DrawAssess word scalar=QuorumAnt.Observe
 	ObserveDiscoverQuorum
 	// ObserveQuorumAdopt is the canvasser/passive recruit fold: when the ant
 	// was CAPTURED this round (capture is what QuorumAnt keys on, not a nest
@@ -380,12 +397,12 @@ const (
 	//hh:draws none scalar=QuorumAnt.Observe
 	ObserveQuorumCheck
 	// ObserveQuorumTransport is the transporter recruit fold: a captured
-	// transporter submits with probability Params.QuorumDocility (drawn from
-	// the captured ant's stream); a submitting transporter carried to a
+	// transporter submits with probability Params.QuorumDocility (the captured
+	// ant's keyed DrawDocility coin); a submitting transporter carried to a
 	// DIFFERENT nest demotes to a canvasser of that nest — NextB — while one
 	// carried for its own nest, a resisting one, or an uncaptured one stays in
 	// transport — Next. Folds recruit outcomes.
-	//hh:draws one docility Bernoulli word from the captured transporter stream when QuorumDocility is inside (0, 1), none otherwise scalar=QuorumAnt.Observe
+	//hh:draws one keyed DrawDocility word per captured transporter scalar=QuorumAnt.Observe
 	ObserveQuorumTransport
 	// ObserveInform is the rumor-spreading fold of the §3 lower-bound process:
 	// when the outcome nest is good the ant learns the rumor — it commits to
@@ -507,8 +524,8 @@ func lockstepEmit(op EmitOp) bool {
 	return false
 }
 
-// recruitDrawEmit reports whether op is a recruit whose active bit is drawn
-// from the ant's stream (as opposed to EmitRecruitBit's fixed bit).
+// recruitDrawEmit reports whether op is a recruit whose active bit is a
+// keyed coin (as opposed to EmitRecruitBit's fixed bit).
 func recruitDrawEmit(op EmitOp) bool {
 	switch op {
 	case EmitRecruitPop, EmitRecruitQual, EmitRecruitAdaptive, EmitRecruitApproxN:
@@ -547,12 +564,11 @@ func (p Program) Decides() bool {
 	return false
 }
 
-// observeDrawsRNG reports whether op may draw from the observing ant's stream:
-// the perception observes route values through the (possibly noisy) hooks, and
-// the transporter fold draws the docility Bernoulli. The classification is
-// conservative — exact (nil) hooks draw nothing — so a lane may materialize
-// streams that end up untouched, which is exactly what the scalar agents'
-// unused sources do.
+// observeDrawsRNG reports whether op may draw per-ant randomness: the
+// perception observes route values through the (possibly noisy) hooks, and
+// the transporter fold takes the docility coin. The classification is
+// conservative — exact (nil) hooks draw nothing — so a lane may allocate
+// hook scratch Sources that stay unused.
 func observeDrawsRNG(op ObserveOp) bool {
 	switch op {
 	case ObserveDiscoverNoisy, ObserveCountNoisy,
@@ -563,9 +579,9 @@ func observeDrawsRNG(op ObserveOp) bool {
 }
 
 // NeedsAntRNG reports whether any state draws per-ant randomness (every
-// drawn-recruit opcode does; EmitRecruitApproxN additionally draws each ant's
+// drawn-recruit opcode does; EmitRecruitApproxN additionally keys each ant's
 // ñ estimate at replicate start; the perception and docility observes draw
-// during the fold).
+// during the fold). A lane allocates its hook scratch Sources only then.
 func (p Program) NeedsAntRNG() bool {
 	for _, st := range p.States {
 		if recruitDrawEmit(st.Emit) || observeDrawsRNG(st.Observe) {

@@ -282,15 +282,17 @@ func (ln *lane) applySchedule() error {
 }
 
 // restartAnt revives crashed ant i into its program's initial state through
-// resetRange — the exact streams, registers and parameter columns reset gave
-// it at replicate start (the ApproxN ñ re-draw consumes the same two words
-// the scalar rebuild's builder draws). The ant rejoins the census
-// immediately and emits from the initial state next round, re-entering the
-// algorithm's round-1 clock like a waking sleeper.
+// resetRange — the exact registers and parameter columns reset gave it at
+// replicate start (ApproxN's ñ is the keyed estimate the scalar rebuild's
+// builder computes). The ant rejoins the census immediately and emits from
+// the initial state next round, re-entering the algorithm's round-1 clock
+// like a waking sleeper: its clock offset becomes this round, so its
+// logical rounds, and with them its keyed draws, replay its birth draws.
 //
 //hh:coldpath restart events are sparse — O(requested ops), never O(n) per round, like parkErr's error path
 func (ln *lane) restartAnt(i int) {
 	ln.resetRange(i, i+1)
+	ln.base[i] = int32(ln.round)
 	ln.alive++
 	ln.nCrashed--
 	ln.commit[Home]++

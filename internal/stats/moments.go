@@ -166,6 +166,41 @@ func Summarize(xs []float64, keep bool) Summary {
 	return s
 }
 
+// MeanCI95 returns the two-sided 95% Student-t confidence interval for the
+// mean, Mean ± t(0.975, N-1)·StdErr, which stays honest for the handful of
+// replicates a default-scale experiment row averages. Both ends are NaN
+// below two observations.
+func (s Summary) MeanCI95() (lo, hi float64) {
+	if s.N < 2 {
+		return math.NaN(), math.NaN()
+	}
+	half := tQuantile975(s.N-1) * s.StdErr
+	return s.Mean - half, s.Mean + half
+}
+
+// t975 holds Student's t 0.975-quantiles for 1 to 30 degrees of freedom.
+var t975 = [...]float64{
+	12.706205, 4.302653, 3.182446, 2.776445, 2.570582,
+	2.446912, 2.364624, 2.306004, 2.262157, 2.228139,
+	2.200985, 2.178813, 2.160369, 2.144787, 2.131450,
+	2.119905, 2.109816, 2.100922, 2.093024, 2.085963,
+	2.079614, 2.073873, 2.068658, 2.063899, 2.059539,
+	2.055529, 2.051831, 2.048407, 2.045230, 2.042272,
+}
+
+// tQuantile975 is Student's t 0.975-quantile for df >= 1 degrees of
+// freedom: tabled up to 30, and above that the Cornish-Fisher expansion
+// around the normal quantile, whose first omitted term is below 1e-5 there.
+func tQuantile975(df int) float64 {
+	if df <= len(t975) {
+		return t975[df-1]
+	}
+	const z = 1.959963984540054
+	z3, z5, z7 := z*z*z, z*z*z*z*z, z*z*z*z*z*z*z
+	v := float64(df)
+	return z + (z3+z)/(4*v) + (5*z5+16*z3+3*z)/(96*v*v) + (3*z7+19*z5+17*z3-15*z)/(384*v*v*v)
+}
+
 // Quantile returns the q-quantile (0 <= q <= 1) of an ascending-sorted slice
 // using linear interpolation between closest ranks. It panics on an empty
 // slice: querying a quantile of nothing is a programming error.

@@ -205,3 +205,27 @@ func TestMeanVarianceConvenience(t *testing.T) {
 		t.Fatalf("Variance = %v", got)
 	}
 }
+
+// TestMeanCI95 pins the Student-t interval: a six-point sample against its
+// hand-computed interval, the table's end and the expansion beyond it
+// within 1e-4 of the true quantiles, and NaN below two observations.
+func TestMeanCI95(t *testing.T) {
+	t.Parallel()
+	s := Summarize([]float64{1, 2, 3, 4, 5, 6}, false)
+	lo, hi := s.MeanCI95()
+	half := 2.570582 * math.Sqrt(3.5) / math.Sqrt(6)
+	if math.Abs(lo-(3.5-half)) > 1e-9 || math.Abs(hi-(3.5+half)) > 1e-9 {
+		t.Fatalf("MeanCI95 = [%v, %v], want 3.5 ± %v", lo, hi, half)
+	}
+	for _, tc := range []struct {
+		df   int
+		want float64
+	}{{30, 2.042272}, {31, 2.039513}, {40, 2.021075}, {120, 1.979930}, {1 << 20, 1.959966}} {
+		if got := tQuantile975(tc.df); math.Abs(got-tc.want) > 1e-4 {
+			t.Errorf("tQuantile975(%d) = %v, want %v", tc.df, got, tc.want)
+		}
+	}
+	if lo, hi := Summarize([]float64{7}, false).MeanCI95(); !math.IsNaN(lo) || !math.IsNaN(hi) {
+		t.Fatalf("one observation: [%v, %v], want NaN", lo, hi)
+	}
+}
