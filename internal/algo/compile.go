@@ -56,8 +56,9 @@ import (
 //	                                    snapshot → crash/restart/relocate ops,
 //	                                    dedicated adversary stream
 //	                                    (EffectiveScheduleSalt); restarted ants
-//	                                    re-enter at round 1 on pristine per-ant
-//	                                    streams
+//	                                    re-enter at logical round 1 and replay
+//	                                    their keyed birth draws through their
+//	                                    clock offset
 //	core.WrapFunc / custom   scalar     reason: core.ReasonWrapperScalarOnly
 //
 // Matcher coverage (cfg.NewMatcher × algorithm → engine). The batch engine
@@ -91,9 +92,10 @@ import (
 // Inside the engine a replicate's phase loops — the lockstep capture fold
 // included, one chunk of the capture list per shard — shard across workers
 // (sim.WithBatchWorkers / sim.WithBatchShards, cfg.BatchWorkers /
-// cfg.BatchShards at the runner layer); only per-ant-stream loops
-// parallelize — environment and matcher draws stay in a sequential
-// ant-order pass — so every worker/shard count reproduces the scalar trace
+// cfg.BatchShards at the runner layer); search destinations and every
+// per-ant draw are keyed words, so their loops shard too, and only the
+// matcher's one word per round is drawn sequentially — so every
+// worker/shard count reproduces the scalar trace
 // bit for bit (pinned at n = 2^16 ± ε and beyond by the ceiling-boundary
 // and shard-invariance cells in batch_equiv_test.go).
 

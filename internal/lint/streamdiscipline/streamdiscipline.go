@@ -22,9 +22,11 @@
 //	      at an identifier containing "bkt", "bucket", or "members"),
 //	      every draw must come from a Source reseeded earlier in the same
 //	      loop body (src.Reseed, or key.ReseedAnt(src, …), which seeds a
-//	      scratch Source from the ant's keyed word);
-//	      a draw from any other stream consumes in bucket order, not ant
-//	      order, and is flagged unless the range is annotated
+//	      scratch Source from the ant's keyed word), or go to a function
+//	      of the package that reseeds the Source parameter it is handed
+//	      before each draw from it (in the same block or an enclosing
+//	      one); a draw from any other stream consumes in bucket order, not
+//	      ant order, and is flagged unless the range is annotated
 //	      //hh:antorder <why>.
 //
 //	SD3 — every Emit*/Observe* opcode constant (type EmitOp/ObserveOp)
@@ -95,6 +97,16 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	annots := hhannot.NewMap(pass.Fset, pass.Files)
+	rs := &reseeders{pass: pass, decls: map[*types.Func]*ast.FuncDecl{}, clean: map[types.Object]bool{}}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					rs.decls[fn] = fd
+				}
+			}
+		}
+	}
 	for _, f := range pass.Files {
 		checkOpcodeContracts(pass, annots, f)
 		for _, decl := range f.Decls {
@@ -102,7 +114,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil || !hhannot.DocHas(fd.Doc, "hotpath") {
 				continue
 			}
-			checkHotFunc(pass, annots, fd)
+			checkHotFunc(pass, annots, rs, fd)
 		}
 	}
 	return nil
@@ -117,7 +129,7 @@ type bucketLoop struct {
 
 // checkHotFunc walks one hot function tracking the enclosing if and
 // bucket-range context, applying SD1, SD2, and SD4.
-func checkHotFunc(pass *analysis.Pass, annots *hhannot.Map, fd *ast.FuncDecl) {
+func checkHotFunc(pass *analysis.Pass, annots *hhannot.Map, rs *reseeders, fd *ast.FuncDecl) {
 	drew := false
 	var walk func(n ast.Node, ifs []*ast.IfStmt, buckets []*bucketLoop)
 	walk = func(n ast.Node, ifs []*ast.IfStmt, buckets []*bucketLoop) {
@@ -154,7 +166,7 @@ func checkHotFunc(pass *analysis.Pass, annots *hhannot.Map, fd *ast.FuncDecl) {
 			if recv, ok := drawCall(pass, n); ok {
 				drew = true
 				checkGuards(pass, annots, n, ifs)
-				checkAntOrder(pass, annots, n, recv, buckets)
+				checkAntOrder(pass, annots, rs, n, recv, buckets)
 			}
 		}
 		// Generic traversal of children, preserving context.
@@ -203,16 +215,103 @@ func guardJustified(pass *analysis.Pass, annots *hhannot.Map, ifStmt *ast.IfStmt
 }
 
 // checkAntOrder is SD2: in bucket-order loops, draws must come from a
-// Source reseeded earlier in the loop body.
-func checkAntOrder(pass *analysis.Pass, annots *hhannot.Map, call *ast.CallExpr, recv ast.Expr, buckets []*bucketLoop) {
+// Source reseeded earlier in the loop body, or go to a callee that reseeds
+// the Source it is handed before drawing from it.
+func checkAntOrder(pass *analysis.Pass, annots *hhannot.Map, rs *reseeders, call *ast.CallExpr, recv ast.Expr, buckets []*bucketLoop) {
 	if len(buckets) == 0 || recv == nil {
 		return
 	}
 	loop := buckets[len(buckets)-1]
-	if loop.reseeded[types.ExprString(recv)] || annots.Has(loop.rng, "antorder") {
+	if loop.reseeded[types.ExprString(recv)] || annots.Has(loop.rng, "antorder") || rs.reseedsArg(call, recv) {
 		return
 	}
 	pass.Reportf(call.Pos(), "stream draw inside a bucket-order loop consumes draws out of ant order; reseed the Source from the ant's keyed word first, or annotate the range //hh:antorder <why>")
+}
+
+// reseeders answers SD2's question about a call that hands a Source to a
+// function of the package: does the callee reseed that parameter before it
+// draws from it? Answers are memoized per parameter.
+type reseeders struct {
+	pass  *analysis.Pass
+	decls map[*types.Func]*ast.FuncDecl
+	clean map[types.Object]bool
+}
+
+// reseedsArg reports whether call hands arg to a package function whose
+// matching parameter is reseeded before every draw from it.
+func (rs *reseeders) reseedsArg(call *ast.CallExpr, arg ast.Expr) bool {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return false
+	}
+	fn, _ := rs.pass.TypesInfo.Uses[id].(*types.Func)
+	fd := rs.decls[fn]
+	if fd == nil {
+		return false
+	}
+	var params []*ast.Ident
+	for _, field := range fd.Type.Params.List {
+		params = append(params, field.Names...)
+	}
+	for j, a := range call.Args {
+		if a == arg && j < len(params) {
+			return rs.reseedsParam(fd, rs.pass.TypesInfo.Defs[params[j]])
+		}
+	}
+	return false
+}
+
+// reseedsParam reports whether every draw from param in fd's body follows a
+// reseed of it earlier in the same block or an enclosing one: a reseed
+// inside a branch covers only the draws in that branch.
+func (rs *reseeders) reseedsParam(fd *ast.FuncDecl, param types.Object) bool {
+	if param == nil {
+		return false
+	}
+	if ok, seen := rs.clean[param]; seen {
+		return ok
+	}
+	rs.clean[param] = false // a recursive call reaching here is not clean
+	isParam := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && rs.pass.TypesInfo.Uses[id] == param
+	}
+	clean := true
+	var walk func(n ast.Node, reseeded *bool)
+	walk = func(n ast.Node, reseeded *bool) {
+		switch n := n.(type) {
+		case nil:
+			return
+		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
+			scoped := *reseeded
+			children(n, func(c ast.Node) { walk(c, &scoped) })
+			return
+		case *ast.FuncLit:
+			return
+		case *ast.CallExpr:
+			children(n, func(c ast.Node) { walk(c, reseeded) })
+			if recv, ok := reseedCall(rs.pass, n); ok {
+				if isParam(recv) {
+					*reseeded = true
+				}
+				return
+			}
+			if recv, ok := drawCall(rs.pass, n); ok && isParam(recv) && !*reseeded && !rs.reseedsArg(n, recv) {
+				clean = false
+			}
+			return
+		}
+		children(n, func(c ast.Node) { walk(c, reseeded) })
+	}
+	reseeded := false
+	walk(fd.Body, &reseeded)
+	rs.clean[param] = clean
+	return clean
 }
 
 // reseedCall reports whether call reseeds an rng.Source — src.Reseed(…) or

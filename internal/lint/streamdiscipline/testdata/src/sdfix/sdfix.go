@@ -118,9 +118,46 @@ func thresholdGuard(t rng.Threshold, src *rng.Source, cheap bool) bool {
 	return false
 }
 
+// reseedHelper reseeds the Source it is handed from the ant's keyed word
+// before the hook draws from it, so a bucket loop may hand it any Source.
+//
+//hh:hotpath
+//hh:draws whatever the hook draws, from src reseeded with the ant's keyed word
+func reseedHelper(key rng.Key, src *rng.Source, i int, hook func(*rng.Source) uint64) uint64 {
+	if hook != nil {
+		key.ReseedAnt(src, i, 1, 3)
+		return hook(src)
+	}
+	return 0
+}
+
+// drawHelper draws from the Source it is handed without reseeding it.
+//
+//hh:hotpath
+//hh:draws one word from src
+func drawHelper(src *rng.Source) uint64 {
+	return src.Uint64()
+}
+
+// reseedAfter reseeds its Source only after drawing from it.
+func reseedAfter(key rng.Key, src *rng.Source, i int) uint64 {
+	v := src.Uint64()
+	key.ReseedAnt(src, i, 1, 3)
+	return v
+}
+
+// reseedInBranch reseeds its Source in a branch the draw is not in.
+func reseedInBranch(key rng.Key, src *rng.Source, i int, hook func(*rng.Source) uint64) uint64 {
+	if hook == nil {
+		key.ReseedAnt(src, i, 1, 3)
+	}
+	return src.Uint64()
+}
+
 // bucketDraws ranges a state bucket: a stream draw consumes out of ant
-// order — from a per-ant stream column too — while a scratch Source
-// reseeded from the ant's keyed word in the loop body, and keyed words
+// order — from a per-ant stream column too, or inside a callee that does
+// not reseed the Source first — while a scratch Source reseeded from the
+// ant's keyed word in the loop body or in the callee, and keyed words
 // themselves, are fine; an annotation overrides.
 //
 //hh:hotpath
@@ -131,6 +168,10 @@ func bucketDraws(members []int32, src, scratch *rng.Source, antSrc []rng.Source,
 		acc += src.Uint64()            // want "stream draw inside a bucket-order loop"
 		acc += antSrc[int(i)].Uint64() // want "stream draw inside a bucket-order loop"
 		acc += hook(scratch)           // want "stream draw inside a bucket-order loop"
+		acc += reseedHelper(key, scratch, int(i), hook)
+		acc += drawHelper(scratch)                        // want "stream draw inside a bucket-order loop"
+		acc += reseedAfter(key, scratch, int(i))          // want "stream draw inside a bucket-order loop"
+		acc += reseedInBranch(key, scratch, int(i), hook) // want "stream draw inside a bucket-order loop"
 		scratch.Reseed(key.AntWord(int(i), 1, 2))
 		acc += hook(scratch)
 		acc += scratch.Uint64()
@@ -165,5 +206,6 @@ func coldDraw(src *rng.Source, ready bool) uint64 {
 }
 
 var _ = []any{guardedBad, guardedSentinel, guardedRetired, guardedAnnotated, hookTransfer,
-	thresholdGuard, bucketDraws, missingContract, coldDraw, EmitBad, EmitNoScalar,
+	thresholdGuard, reseedHelper, drawHelper, reseedAfter, reseedInBranch, bucketDraws,
+	missingContract, coldDraw, EmitBad, EmitNoScalar,
 	EmitNoSpec, EmitGood, internalOp, ObserveBad, ObserveGood}

@@ -134,10 +134,13 @@ func TestFoldCaptureAdoptsScan(t *testing.T) {
 // lockstep path admits and Validate accepts, inside a Simple-shaped cycle
 // (search, then the pair, a recruit and a go round), on both stepping paths at
 // 1 and 3 shards: each round, every register, the populations and the census
-// must equal the single-shard general path's. A lockstep-admitted opcode that
-// lockFoldShard does not fold shows up here as a diverging register: the
-// lockstep path once admitted ObserveNestLatch and ObserveRecruitNest and
-// dropped their captures.
+// must equal the single-shard general path's, and so must the round's error.
+// A lockstep-admitted opcode that lockFoldShard does not fold shows up here
+// as a diverging register: the lockstep path once admitted ObserveNestLatch
+// and ObserveRecruitNest and dropped their captures. A second cycle opens
+// with a search that does not commit, so ants recruit or go from home and
+// both paths must report the same emit error: the lockstep path once let an
+// ant actively recruit for the home nest.
 func TestLockstepPairsMatchGeneralPath(t *testing.T) {
 	t.Parallel()
 	env := MustEnvironment([]float64{1, 0, 0.6, 0})
@@ -154,76 +157,96 @@ func TestLockstepPairsMatchGeneralPath(t *testing.T) {
 			return q
 		},
 	}
+	// snapshot is one round's registers, populations and census, or the
+	// round's error (the registers of an erring round are not compared).
 	type snapshot struct {
 		nest           []uint8
 		count          []int32
 		quality        []float64
 		counts, commit []int
+		err            string
 	}
-	pairs := 0
-	for e := EmitSearch; e <= EmitRecruitTransport; e++ {
-		for o := ObserveDiscovery; o <= ObserveInform; o++ {
-			prog := Program{
-				Algorithm: "pair",
-				States: []ProgramState{
-					{Emit: EmitSearch, Observe: ObserveDiscovery, Next: 1},
-					{Emit: e, Observe: o, Next: 2},
-					{Emit: EmitRecruitPop, Observe: ObserveAdopt, Next: 3},
-					{Emit: EmitGotoNest, Observe: ObserveCount, Next: 1},
-				},
-				Params: params,
-			}
-			if !prog.Lockstep() || prog.Validate() != nil {
-				continue
-			}
-			pairs++
-			t.Run(e.String()+"/"+o.String(), func(t *testing.T) {
-				run := func(lockstep bool, shards int) []snapshot {
-					b, err := NewBatch(env, prog, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b.lockstep = lockstep
-					ln := newLane(b, shards)
-					defer ln.close()
-					if err := ln.reset(5); err != nil {
-						t.Fatal(err)
-					}
-					phase := prog.Init
-					out := make([]snapshot, rounds)
-					for r := range out {
-						if lockstep {
-							phase, err = ln.stepLockstep(phase)
-						} else {
-							err = ln.stepGeneral()
-						}
+	cycles := []struct {
+		name  string
+		first ProgramState
+	}{
+		{"", ProgramState{Emit: EmitSearch, Observe: ObserveDiscovery, Next: 1}},
+		{"nodiscover/", ProgramState{Emit: EmitSearch, Observe: ObserveCountQual, Next: 1}},
+	}
+	for _, cy := range cycles {
+		pairs := 0
+		for e := EmitSearch; e <= EmitRecruitTransport; e++ {
+			for o := ObserveDiscovery; o <= ObserveInform; o++ {
+				prog := Program{
+					Algorithm: "pair",
+					States: []ProgramState{
+						cy.first,
+						{Emit: e, Observe: o, Next: 2},
+						{Emit: EmitRecruitPop, Observe: ObserveAdopt, Next: 3},
+						{Emit: EmitGotoNest, Observe: ObserveCount, Next: 1},
+					},
+					Params: params,
+				}
+				if !prog.Lockstep() || prog.Validate() != nil {
+					continue
+				}
+				pairs++
+				t.Run(cy.name+e.String()+"/"+o.String(), func(t *testing.T) {
+					run := func(lockstep bool, shards int) []snapshot {
+						b, err := NewBatch(env, prog, n)
 						if err != nil {
-							t.Fatalf("lockstep=%v shards=%d round %d: %v", lockstep, shards, r+1, err)
+							t.Fatal(err)
 						}
-						out[r] = snapshot{slices.Clone(ln.nest), slices.Clone(ln.count), slices.Clone(ln.quality),
-							slices.Clone(ln.counts), slices.Clone(ln.commit)}
+						b.lockstep = lockstep
+						ln := newLane(b, shards)
+						defer ln.close()
+						if err := ln.reset(5); err != nil {
+							t.Fatal(err)
+						}
+						phase := prog.Init
+						var out []snapshot
+						for r := 1; r <= rounds; r++ {
+							ln.round = r
+							if lockstep {
+								phase, err = ln.stepLockstep(phase)
+							} else {
+								err = ln.stepGeneral()
+							}
+							if err != nil {
+								return append(out, snapshot{err: err.Error()})
+							}
+							out = append(out, snapshot{nest: slices.Clone(ln.nest), count: slices.Clone(ln.count),
+								quality: slices.Clone(ln.quality), counts: slices.Clone(ln.counts), commit: slices.Clone(ln.commit)})
+						}
+						return out
 					}
-					return out
-				}
-				want := run(false, 1)
-				for _, c := range []struct {
-					lockstep bool
-					shards   int
-				}{{false, 3}, {true, 1}, {true, 3}} {
-					got := run(c.lockstep, c.shards)
-					for r := range want {
-						if !reflect.DeepEqual(got[r], want[r]) {
-							t.Fatalf("lockstep=%v shards=%d round %d: registers or census differ from the general path",
-								c.lockstep, c.shards, r+1)
+					want := run(false, 1)
+					for _, c := range []struct {
+						lockstep bool
+						shards   int
+					}{{false, 3}, {true, 1}, {true, 3}} {
+						got := run(c.lockstep, c.shards)
+						for r := range min(len(got), len(want)) {
+							if got[r].err != want[r].err {
+								t.Fatalf("lockstep=%v shards=%d round %d: error %q, general path's %q",
+									c.lockstep, c.shards, r+1, got[r].err, want[r].err)
+							}
+							if !reflect.DeepEqual(got[r], want[r]) {
+								t.Fatalf("lockstep=%v shards=%d round %d: registers or census differ from the general path",
+									c.lockstep, c.shards, r+1)
+							}
+						}
+						if len(got) != len(want) {
+							t.Fatalf("lockstep=%v shards=%d ran %d rounds, the general path %d", c.lockstep, c.shards, len(got), len(want))
 						}
 					}
-				}
-			})
+				})
+			}
 		}
-	}
-	// Search and go × six search/go folds, four drawn recruits × three
-	// recruit folds.
-	if pairs != 24 {
-		t.Fatalf("ran %d lockstep pairs, want 24", pairs)
+		// Search and go × six search/go folds, four drawn recruits × three
+		// recruit folds.
+		if pairs != 24 {
+			t.Fatalf("%sran %d lockstep pairs, want 24", cy.name, pairs)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func memoLane(n int, keys []memoKey, ants int, gate bool, seed uint64) *lane {
 		active:     make([]bool, ants),
 		paramI:     make([]int32, ants),
 		isRecr:     make([]uint8, ants),
-		actBit:     make([]uint8, ants),
+		actBit:     make([]bool, ants),
 		preState:   make([]uint8, ants),
 		shCounts:   make([]int, 2),
 		shNRecr:    make([]int32, 1),
@@ -67,7 +67,6 @@ func memoLane(n int, keys []memoKey, ants int, gate bool, seed uint64) *lane {
 		shErrKind:  make([]uint8, 1),
 		shErrState: make([]int32, 1),
 		shErrAnt:   make([]int32, 1),
-		shErrNest:  make([]uint8, 1),
 		segOff:     []int32{0, int32(ants)},
 		phBkt:      make([]int32, ants),
 		rcp:        rng.NewRecip(n),
@@ -148,7 +147,7 @@ func TestThresholdMemoCollisions(t *testing.T) {
 				}
 				got := ln.active[i]
 				if tc.general {
-					got = ln.actBit[i] != 0
+					got = ln.actBit[i]
 				}
 				if got != want {
 					t.Fatalf("ant %d (q=%v, c=%d): drew %v, per-draw kernel %v", i, q, c, got, want)

@@ -209,33 +209,85 @@ func TestBatchDecidedGatesConvergence(t *testing.T) {
 	}
 }
 
-// TestBatchGeneralPathReportsProgramErrors covers the general path's protocol
-// validation: dereferencing an unset scratch nest and actively recruiting for
-// the home nest both surface clean errors.
+// TestBatchGeneralPathReportsProgramErrors pins the message of every emit
+// error the general path can reach. Each program splits the colony across two
+// erring states: ants 0..7 start in the higher state and ants 8..11 in the
+// lower one, so at 3 shards the first error in (state, ant) order sits in the
+// last shard while the first two shards park errors of the other state. The
+// reduce must pick ant 8 at every shard count, as the sequential scan does.
 func TestBatchGeneralPathReportsProgramErrors(t *testing.T) {
 	t.Parallel()
 	env := MustEnvironment([]float64{1})
-	cases := map[string]Program{
-		"goto scratch unset": {
-			Algorithm: "broken-scratch",
-			States: []ProgramState{
-				{Emit: EmitGotoScratch, Observe: ObserveCompareR2, Next: 0, NextB: 0, NextC: 0},
-			},
-		},
-		"active recruit for home": {
-			Algorithm: "broken-recruit",
-			States: []ProgramState{
-				{Emit: EmitRecruitBit, Arg: 1, Observe: ObserveFinalEq, Next: 0, NextB: 0},
-			},
-		},
-	}
-	for name, prog := range cases {
-		b, err := NewBatch(env, prog, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	const n, split = 12, 8
+	// twoStates builds a program whose ants 0..split-1 start in state 1 and
+	// the rest in state 0; both states run st, with successors redirected to
+	// themselves (offset by lead, the index of the first of the two).
+	twoStates := func(name string, lead []ProgramState, st ProgramState, params ProgramParams) Program {
+		states := append([]ProgramState(nil), lead...)
+		base := uint8(len(lead))
+		for s := uint8(0); s < 2; s++ {
+			st := st
+			st.Next, st.NextB, st.NextC = base+s, base+s, base+s
+			states = append(states, st)
 		}
-		if _, err := b.Run([]uint64{1}, 10, 1); err == nil {
-			t.Errorf("%s: expected a protocol error", name)
+		init, rest := uint8(1), uint8(0)
+		if len(lead) > 0 {
+			// The lead states hand each half on to its own erring state.
+			states[0].Next, states[1].Next = base, base+1
+		} else {
+			init, rest = base+1, base
+		}
+		return Program{Algorithm: name, Init: init, InitSplit: split, InitRest: rest, States: states, Params: params}
+	}
+	// search loads a count and a quality but leaves the nest register at
+	// Home: with one nest every ant counts the whole colony, so every drawn
+	// recruit coin of the next round accepts.
+	search := []ProgramState{
+		{Emit: EmitSearch, Observe: ObserveCountQual},
+		{Emit: EmitSearch, Observe: ObserveCountQual},
+	}
+	const recruitHome = "ant 8: recruit(1,0): cannot actively recruit for the home nest"
+	cases := []struct {
+		name string
+		prog Program
+		want string
+	}{
+		{"goto nest", twoStates("go-home", nil,
+			ProgramState{Emit: EmitGotoNest, Observe: ObserveCount}, ProgramParams{}),
+			"round 1: ant 8: go(0): nest out of range 1..1"},
+		{"goto scratch", twoStates("go-scratch", nil,
+			ProgramState{Emit: EmitGotoScratch, Observe: ObserveCompareR2}, ProgramParams{}),
+			"round 1: ant 8: go(0): scratch nest out of range 1..1"},
+		{"recruit bit", twoStates("recruit-bit", nil,
+			ProgramState{Emit: EmitRecruitBit, Arg: 1, Observe: ObserveFinalEq}, ProgramParams{}),
+			"round 1: " + recruitHome},
+		{"recruit pop", twoStates("recruit-pop", search,
+			ProgramState{Emit: EmitRecruitPop, Observe: ObserveAdopt}, ProgramParams{}),
+			"round 2: " + recruitHome},
+		{"recruit qual", twoStates("recruit-qual", search,
+			ProgramState{Emit: EmitRecruitQual, Observe: ObserveAdopt}, ProgramParams{}),
+			"round 2: " + recruitHome},
+		{"recruit approxn", twoStates("recruit-approxn", search,
+			ProgramState{Emit: EmitRecruitApproxN, Observe: ObserveAdopt}, ProgramParams{}),
+			"round 2: " + recruitHome},
+		{"transport", twoStates("transport", nil,
+			ProgramState{Emit: EmitRecruitTransport, Observe: ObserveQuorumTransport},
+			ProgramParams{QuorumCarry: 2, QuorumDocility: 1}),
+			"round 1: ant 8: transport(0): nest out of range 1..1"},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 3} {
+			b, err := NewBatch(env, c.prog, n, WithBatchShards(shards))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if b.lockstep {
+				t.Fatalf("%s: program runs on the lockstep path", c.name)
+			}
+			_, err = b.Run([]uint64{1}, 10, 1)
+			if want := "sim: batch replicate 0 (seed 1): " + c.want; err == nil || err.Error() != want {
+				t.Errorf("%s at %d shards: err = %v, want %q", c.name, shards, err, want)
+			}
 		}
 	}
 }
@@ -435,22 +487,52 @@ func TestBatchSolvesAndReportsCensus(t *testing.T) {
 	}
 }
 
-// TestBatchReportsProgramErrors ensures a program that emits an invalid call
-// surfaces a clean error instead of corrupting memory.
+// TestBatchReportsProgramErrors pins the lockstep path's emit errors, which
+// carry the general path's messages: go(nest) in the initial state
+// dereferences the zero nest register, and a colony that searches without
+// committing actively recruits from home (ant 0 draws passive here, so the
+// lowest active ant at home is ant 1). Each error names the same ant at every
+// shard count.
 func TestBatchReportsProgramErrors(t *testing.T) {
 	t.Parallel()
-	env := MustEnvironment([]float64{1})
-	// go(nest) in the initial state dereferences the zero nest register.
-	prog := Program{
-		Algorithm: "broken",
-		States:    []ProgramState{{Emit: EmitGotoNest, Observe: ObserveCount, Next: 0}},
+	cases := []struct {
+		name  string
+		quals []float64
+		n     int
+		seed  uint64
+		prog  Program
+		want  string
+	}{
+		{"goto nest", []float64{1}, 12, 1, Program{
+			Algorithm: "broken",
+			States:    []ProgramState{{Emit: EmitGotoNest, Observe: ObserveCount, Next: 0}},
+		}, "sim: batch replicate 0 (seed 1): round 1: ant 0: go(0): nest out of range 1..1"},
+		{"recruit from home", []float64{1, 0}, 64, 3, Program{
+			Algorithm: "recruit-home",
+			States: []ProgramState{
+				{Emit: EmitSearch, Observe: ObserveCountQual, Next: 1},
+				{Emit: EmitRecruitPop, Observe: ObserveAdopt, Next: 1},
+			},
+		}, "sim: batch replicate 0 (seed 3): round 2: ant 1: recruit(1,0): cannot actively recruit for the home nest"},
 	}
-	b, err := NewBatch(env, prog, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Run([]uint64{1}, 10, 1); err == nil {
-		t.Fatal("expected an error from go on the zero nest register")
+	for _, c := range cases {
+		for _, shards := range []int{1, 3} {
+			b, err := NewBatch(MustEnvironment(c.quals), c.prog, c.n, WithBatchShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !b.lockstep {
+				t.Fatalf("%s: program runs on the general path", c.name)
+			}
+			_, err = b.Run([]uint64{c.seed}, 10, 1)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s at %d shards: err = %v, want %q", c.name, shards, err, c.want)
+			}
+			b.lockstep = false
+			if _, err := b.Run([]uint64{c.seed}, 10, 1); err == nil || err.Error() != c.want {
+				t.Errorf("%s at %d shards on the general path: err = %v, want %q", c.name, shards, err, c.want)
+			}
+		}
 	}
 }
 

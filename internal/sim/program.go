@@ -503,7 +503,7 @@ func staticObserve(op ObserveOp) bool {
 }
 
 // lockstepObserve reports whether the lockstep fast path implements op: the
-// opcodes lockFoldShard folds, plus ObserveNone, which folds nothing. Every
+// opcodes lockFoldShard (lockstep.go) folds, plus ObserveNone, which folds nothing. Every
 // other opcode, static or not, runs on the general path.
 func lockstepObserve(op ObserveOp) bool {
 	switch op {
@@ -526,6 +526,8 @@ func lockstepEmit(op EmitOp) bool {
 
 // recruitDrawEmit reports whether op is a recruit whose active bit is a
 // keyed coin (as opposed to EmitRecruitBit's fixed bit).
+//
+//hh:hotpath
 func recruitDrawEmit(op EmitOp) bool {
 	switch op {
 	case EmitRecruitPop, EmitRecruitQual, EmitRecruitAdaptive, EmitRecruitApproxN:
