@@ -268,7 +268,10 @@ func (rs *reseeders) reseedsArg(call *ast.CallExpr, arg ast.Expr) bool {
 
 // reseedsParam reports whether every draw from param in fd's body follows a
 // reseed of it earlier in the same block or an enclosing one: a reseed
-// inside a branch covers only the draws in that branch.
+// inside a branch covers only the draws in that branch. Every use of param
+// must be such a reseed or draw; any other use — inside a closure, copied
+// to a variable, stored or returned — could draw unseen, so it makes the
+// callee unclean.
 func (rs *reseeders) reseedsParam(fd *ast.FuncDecl, param types.Object) bool {
 	if param == nil {
 		return false
@@ -277,9 +280,15 @@ func (rs *reseeders) reseedsParam(fd *ast.FuncDecl, param types.Object) bool {
 		return ok
 	}
 	rs.clean[param] = false // a recursive call reaching here is not clean
+	// accounted holds the uses of param that are a reseed or a draw.
+	accounted := map[*ast.Ident]bool{}
 	isParam := func(e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && rs.pass.TypesInfo.Uses[id] == param
+		if ok && rs.pass.TypesInfo.Uses[id] == param {
+			accounted[id] = true
+			return true
+		}
+		return false
 	}
 	clean := true
 	var walk func(n ast.Node, reseeded *bool)
@@ -310,6 +319,12 @@ func (rs *reseeders) reseedsParam(fd *ast.FuncDecl, param types.Object) bool {
 	}
 	reseeded := false
 	walk(fd.Body, &reseeded)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && rs.pass.TypesInfo.Uses[id] == param && !accounted[id] {
+			clean = false
+		}
+		return clean
+	})
 	rs.clean[param] = clean
 	return clean
 }

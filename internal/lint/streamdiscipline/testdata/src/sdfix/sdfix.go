@@ -154,6 +154,31 @@ func reseedInBranch(key rng.Key, src *rng.Source, i int, hook func(*rng.Source) 
 	return src.Uint64()
 }
 
+// closureHelper reseeds its Source, but a closure draws from it too.
+func closureHelper(key rng.Key, src *rng.Source, i int) uint64 {
+	f := func() uint64 { return src.Uint64() }
+	key.ReseedAnt(src, i, 1, 3)
+	return f()
+}
+
+// aliasHelper reseeds its Source, then draws through a copy of it.
+func aliasHelper(key rng.Key, src *rng.Source, i int) uint64 {
+	s := src
+	key.ReseedAnt(src, i, 1, 3)
+	return s.Uint64()
+}
+
+// srcHolder keeps a Source for later draws.
+type srcHolder struct{ src *rng.Source }
+
+// storeHelper reseeds its Source and stores it where later draws escape
+// the check.
+func storeHelper(key rng.Key, src *rng.Source, i int, h *srcHolder) uint64 {
+	key.ReseedAnt(src, i, 1, 3)
+	h.src = src
+	return h.src.Uint64()
+}
+
 // bucketDraws ranges a state bucket: a stream draw consumes out of ant
 // order — from a per-ant stream column too, or inside a callee that does
 // not reseed the Source first — while a scratch Source reseeded from the
@@ -164,6 +189,7 @@ func reseedInBranch(key rng.Key, src *rng.Source, i int, hook func(*rng.Source) 
 //hh:draws one word per member from the reseeded scratch
 func bucketDraws(members []int32, src, scratch *rng.Source, antSrc []rng.Source, key rng.Key, hook func(*rng.Source) uint64) uint64 {
 	var acc uint64
+	var holder srcHolder
 	for _, i := range members {
 		acc += src.Uint64()            // want "stream draw inside a bucket-order loop"
 		acc += antSrc[int(i)].Uint64() // want "stream draw inside a bucket-order loop"
@@ -172,6 +198,9 @@ func bucketDraws(members []int32, src, scratch *rng.Source, antSrc []rng.Source,
 		acc += drawHelper(scratch)                        // want "stream draw inside a bucket-order loop"
 		acc += reseedAfter(key, scratch, int(i))          // want "stream draw inside a bucket-order loop"
 		acc += reseedInBranch(key, scratch, int(i), hook) // want "stream draw inside a bucket-order loop"
+		acc += closureHelper(key, scratch, int(i))        // want "stream draw inside a bucket-order loop"
+		acc += aliasHelper(key, scratch, int(i))          // want "stream draw inside a bucket-order loop"
+		acc += storeHelper(key, scratch, int(i), &holder) // want "stream draw inside a bucket-order loop"
 		scratch.Reseed(key.AntWord(int(i), 1, 2))
 		acc += hook(scratch)
 		acc += scratch.Uint64()
@@ -206,6 +235,7 @@ func coldDraw(src *rng.Source, ready bool) uint64 {
 }
 
 var _ = []any{guardedBad, guardedSentinel, guardedRetired, guardedAnnotated, hookTransfer,
-	thresholdGuard, reseedHelper, drawHelper, reseedAfter, reseedInBranch, bucketDraws,
+	thresholdGuard, reseedHelper, drawHelper, reseedAfter, reseedInBranch, closureHelper,
+	aliasHelper, storeHelper, bucketDraws,
 	missingContract, coldDraw, EmitBad, EmitNoScalar,
 	EmitNoSpec, EmitGood, internalOp, ObserveBad, ObserveGood}

@@ -166,12 +166,15 @@ func TestLockstepPairsMatchGeneralPath(t *testing.T) {
 		counts, commit []int
 		err            string
 	}
+	// The discovery cycle must run every round without error on every path;
+	// only the cycle that does not commit may stop on an emit error.
 	cycles := []struct {
 		name  string
 		first ProgramState
+		errs  bool
 	}{
-		{"", ProgramState{Emit: EmitSearch, Observe: ObserveDiscovery, Next: 1}},
-		{"nodiscover/", ProgramState{Emit: EmitSearch, Observe: ObserveCountQual, Next: 1}},
+		{"", ProgramState{Emit: EmitSearch, Observe: ObserveDiscovery, Next: 1}, false},
+		{"nodiscover/", ProgramState{Emit: EmitSearch, Observe: ObserveCountQual, Next: 1}, true},
 	}
 	for _, cy := range cycles {
 		pairs := 0
@@ -221,6 +224,9 @@ func TestLockstepPairsMatchGeneralPath(t *testing.T) {
 						return out
 					}
 					want := run(false, 1)
+					if last := want[len(want)-1]; !cy.errs && last.err != "" {
+						t.Fatalf("lockstep=false shards=1 round %d: %s", len(want), last.err)
+					}
 					for _, c := range []struct {
 						lockstep bool
 						shards   int

@@ -463,9 +463,6 @@ func (ln *lane) emitShard(sh int) {
 	ln.shErrKind[sh] = errNone
 	ln.shTrans[sh] = 0
 	nRecr := 0
-	// One memo per call, declared once so that recruit buckets that do not
-	// use it pay no zeroing; the memoized draws reset it per bucket.
-	var memo thresholdMemo
 	for s := 0; s < numStates; s++ {
 		members := bkt[segOff[s*shards+sh]:segOff[s*shards+sh+1]]
 		if len(members) == 0 {
@@ -530,73 +527,90 @@ func (ln *lane) emitShard(sh int) {
 			// Every recruit advertises its nest register. recruit(b) and
 			// transport fix the active bit; a drawn recruit accepts the ant's
 			// keyed DrawRecruit word by a threshold — tabled, or memoized per
-			// call above the table crossover and for the quality-weighted
+			// bucket above the table crossover and for the quality-weighted
 			// draw, whose kernel emulates q·c/n including q = 0 — or, where
 			// per-ant phase clocks or ñ estimates defeat the kernels, by the
 			// scalar ant's float coin. A passive ant (quality not positive)
-			// never accepts. The loop-invariant switch picks the coin, and one
-			// classification serves every recruit.
+			// never accepts. One coin loop per opcode writes the active bits,
+			// then one classification serves every recruit.
 			nRecr += len(members)
-			drawn := recruitDrawEmit(op)
-			recr, errKind, bit := uint8(1), errRecruitHome, st.Arg == 1
-			if op == EmitRecruitTransport {
-				recr, errKind, bit = 2, errTransport, true
-				ln.shTrans[sh] = 1
-			}
-			popT := ln.popT
-			tau, floorDiv := ln.prog.Params.Tau, ln.prog.Params.FloorDiv
-			paramI, paramF := ln.paramI, ln.paramF
-			if op == EmitRecruitQual || op == EmitRecruitPop && popT == nil {
+			recr, errKind := uint8(1), errRecruitHome
+			switch op {
+			case EmitRecruitBit, EmitRecruitTransport:
+				bit := st.Arg == 1
+				if op == EmitRecruitTransport {
+					recr, errKind, bit = 2, errTransport, true
+					ln.shTrans[sh] = 1
+				}
+				for _, i32 := range members {
+					actBit[i32] = bit
+				}
+			case EmitRecruitPop:
+				popT := ln.popT
+				var memo thresholdMemo
 				memo.reset()
+				for _, i32 := range members {
+					i := int(i32)
+					c := count[i]
+					var t rng.Threshold
+					if popT != nil {
+						t = popT[min(max(int(c), 0), n)]
+					} else {
+						var ok bool
+						if t, ok = memo.find(0, c); !ok {
+							t = memo.put(0, c, ln.rcp.Threshold(int(c)))
+						}
+					}
+					if !(quality[i] > 0) {
+						t = rng.ThresholdNever
+					}
+					actBit[i] = t.Accept(key.AntWord(i, ln.antRound(i), rng.DrawRecruit))
+				}
+			case EmitRecruitQual:
+				var memo thresholdMemo
+				memo.reset()
+				for _, i32 := range members {
+					i := int(i32)
+					q, c := quality[i], count[i]
+					qb := math.Float64bits(q)
+					t, ok := memo.find(qb, c)
+					if !ok {
+						t = memo.put(qb, c, ln.rcp.ThresholdMul(q, int(c)))
+					}
+					actBit[i] = t.Accept(key.AntWord(i, ln.antRound(i), rng.DrawRecruit))
+				}
+			case EmitRecruitAdaptive:
+				tau, floorDiv := ln.prog.Params.Tau, ln.prog.Params.FloorDiv
+				paramI := ln.paramI
+				for _, i32 := range members {
+					i := int(i32)
+					p := AdaptiveRecruitProbability(n, int(count[i]), int(paramI[i]), tau, floorDiv)
+					paramI[i]++
+					if !(quality[i] > 0) {
+						p = 0
+					}
+					actBit[i] = rng.WordFloat64(key.AntWord(i, ln.antRound(i), rng.DrawRecruit)) < p
+				}
+			case EmitRecruitApproxN:
+				paramF := ln.paramF
+				for _, i32 := range members {
+					i := int(i32)
+					p := float64(count[i]) / paramF[i] //hh:floatok per-ant ñ defeats fixed-point kernels; the float coin is ApproxNAnt's
+					if !(quality[i] > 0) {
+						p = 0
+					}
+					actBit[i] = rng.WordFloat64(key.AntWord(i, ln.antRound(i), rng.DrawRecruit)) < p
+				}
 			}
 			for _, i32 := range members {
 				i := int(i32)
-				b := bit
-				if drawn {
-					q, c := quality[i], count[i]
-					w := key.AntWord(i, ln.antRound(i), rng.DrawRecruit)
-					switch op {
-					case EmitRecruitPop:
-						var t rng.Threshold
-						var ok bool
-						if popT != nil {
-							t = popT[min(max(int(c), 0), n)]
-						} else if t, ok = memo.find(0, c); !ok {
-							t = memo.put(0, c, ln.rcp.Threshold(int(c)))
-						}
-						if !(q > 0) {
-							t = rng.ThresholdNever
-						}
-						b = t.Accept(w)
-					case EmitRecruitQual:
-						qb := math.Float64bits(q)
-						t, ok := memo.find(qb, c)
-						if !ok {
-							t = memo.put(qb, c, ln.rcp.ThresholdMul(q, int(c)))
-						}
-						b = t.Accept(w)
-					default:
-						var p float64
-						if op == EmitRecruitAdaptive {
-							p = AdaptiveRecruitProbability(n, int(c), int(paramI[i]), tau, floorDiv)
-							paramI[i]++
-						} else {
-							p = float64(c) / paramF[i] //hh:floatok per-ant ñ defeats fixed-point kernels; the float coin is ApproxNAnt's
-						}
-						if !(q > 0) {
-							p = 0
-						}
-						b = rng.WordFloat64(w) < p
-					}
-				}
 				adv := nest[i]
-				if b && adv == homeNest {
+				if actBit[i] && adv == homeNest {
 					ln.parkErr(sh, errKind, s, i)
 					continue
 				}
 				actNest[i] = adv
 				isRecr[i] = recr
-				actBit[i] = b
 				preState[i] = uint8(s)
 			}
 		}

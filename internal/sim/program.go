@@ -503,8 +503,8 @@ func staticObserve(op ObserveOp) bool {
 }
 
 // lockstepObserve reports whether the lockstep fast path implements op: the
-// opcodes lockFoldShard (lockstep.go) folds, plus ObserveNone, which folds nothing. Every
-// other opcode, static or not, runs on the general path.
+// opcodes lockFoldShard (lockstep.go) folds, plus ObserveNone, which folds
+// nothing. Every other opcode, static or not, runs on the general path.
 func lockstepObserve(op ObserveOp) bool {
 	switch op {
 	case ObserveDiscovery, ObserveAdopt, ObserveCount, ObserveNone,
@@ -526,8 +526,6 @@ func lockstepEmit(op EmitOp) bool {
 
 // recruitDrawEmit reports whether op is a recruit whose active bit is a
 // keyed coin (as opposed to EmitRecruitBit's fixed bit).
-//
-//hh:hotpath
 func recruitDrawEmit(op EmitOp) bool {
 	switch op {
 	case EmitRecruitPop, EmitRecruitQual, EmitRecruitAdaptive, EmitRecruitApproxN:
