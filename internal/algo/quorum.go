@@ -165,9 +165,6 @@ func (a *QuorumAnt) Committed() (sim.NestID, bool) {
 // visit, since the winning nest's population is far above threshold.)
 func (a *QuorumAnt) Decided() bool { return a.transport }
 
-// Transporting exposes the transport flag for tests and experiments.
-func (a *QuorumAnt) Transporting() bool { return a.transport }
-
 // Quorum is the core.Algorithm builder for the quorum-transport strategy.
 // Multiplier scales an ant's initially observed population into its quorum
 // threshold (default 1.5; must exceed 1 when set); Carry is the transport

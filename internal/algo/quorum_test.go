@@ -54,7 +54,7 @@ func TestQuorumAntPromotion(t *testing.T) {
 	a.Act(1)
 	a.Observe(1, sim.Outcome{Nest: 1, Count: 5, Quality: 1})
 	// Self-calibrated threshold: 2.0 × 5 = 10 ants.
-	if a.Transporting() {
+	if a.transport {
 		t.Fatal("transporting below quorum")
 	}
 	if a.Decided() {
@@ -64,14 +64,14 @@ func TestQuorumAntPromotion(t *testing.T) {
 	a.Observe(2, sim.Outcome{Nest: 1})
 	a.Act(3)
 	a.Observe(3, sim.Outcome{Nest: 1, Count: 9}) // below 10: no quorum yet
-	if a.Transporting() {
+	if a.transport {
 		t.Fatal("transporting below the calibrated threshold")
 	}
 	a.Act(4)
 	a.Observe(4, sim.Outcome{Nest: 1})
 	a.Act(5)
 	a.Observe(5, sim.Outcome{Nest: 1, Count: 12}) // quorum reached at assess
-	if !a.Transporting() || !a.Decided() {
+	if !a.transport || !a.Decided() {
 		t.Fatal("quorum at assess did not promote to transport")
 	}
 	act := a.Act(6)
@@ -91,7 +91,7 @@ func TestQuorumPassiveNeverTransportsAlone(t *testing.T) {
 	a.Observe(2, sim.Outcome{Nest: 2})
 	a.Act(3)
 	a.Observe(3, sim.Outcome{Nest: 2, Count: 90}) // above threshold but passive
-	if a.Transporting() {
+	if a.transport {
 		t.Fatal("passive ant transporting")
 	}
 	act := a.Act(2)
@@ -152,11 +152,11 @@ func TestQuorumThresholdExactBoundary(t *testing.T) {
 		a.Observe(round+1, sim.Outcome{Nest: 1, Count: count})
 	}
 	cycle(2, 9) // one below: no quorum
-	if a.Transporting() {
+	if a.transport {
 		t.Fatal("transporting at threshold − 1")
 	}
 	cycle(4, 10) // exactly at threshold: quorum
-	if !a.Transporting() {
+	if !a.transport {
 		t.Fatal("population equal to the threshold did not reach quorum")
 	}
 }
@@ -198,7 +198,7 @@ func TestQuorumTransporterCaptureSemantics(t *testing.T) {
 		a.Observe(2, sim.Outcome{Nest: 1})
 		a.Act(3)
 		a.Observe(3, sim.Outcome{Nest: 1, Count: 50}) // far above quorum
-		if !a.Transporting() {
+		if !a.transport {
 			t.Fatal("setup: ant did not reach quorum")
 		}
 		return a
@@ -207,22 +207,22 @@ func TestQuorumTransporterCaptureSemantics(t *testing.T) {
 	a := build(21)
 	a.Act(4)
 	a.Observe(4, sim.Outcome{Nest: 1, Count: 40}) // recruit outcome, not captured
-	if !a.Transporting() || a.nest != 1 {
-		t.Fatalf("uncaptured transporter changed state: transport=%v nest=%d", a.Transporting(), a.nest)
+	if !a.transport || a.nest != 1 {
+		t.Fatalf("uncaptured transporter changed state: transport=%v nest=%d", a.transport, a.nest)
 	}
 
 	b := build(22)
 	b.Act(4)
 	b.Observe(4, sim.Outcome{Nest: 1, Recruited: true}) // carried to its own nest
-	if !b.Transporting() || !b.active {
+	if !b.transport || !b.active {
 		t.Fatalf("transporter carried to its own nest: transport=%v active=%v, want still transporting",
-			b.Transporting(), b.active)
+			b.transport, b.active)
 	}
 
 	c := build(23)
 	c.Act(4)
 	c.Observe(4, sim.Outcome{Nest: 2, Recruited: true}) // carried to a rival nest
-	if c.Transporting() {
+	if c.transport {
 		t.Fatal("docile transporter kept transporting after adoption")
 	}
 	if c.nest != 2 || !c.active {
@@ -299,7 +299,7 @@ func buildTransporter(t *testing.T, seed uint64, docility float64) *QuorumAnt {
 	a.Observe(2, sim.Outcome{Nest: 1})
 	a.Act(3)
 	a.Observe(3, sim.Outcome{Nest: 1, Count: 50})
-	if !a.Transporting() {
+	if !a.transport {
 		t.Fatal("setup: ant did not reach quorum")
 	}
 	return a
@@ -317,18 +317,18 @@ func TestQuorumDocilityBoundaries(t *testing.T) {
 		always.docility = 1
 		always.Act(4)
 		always.Observe(4, sim.Outcome{Nest: 2, Recruited: true})
-		if always.Transporting() || always.nest != 2 || !always.active {
+		if always.transport || always.nest != 2 || !always.active {
 			t.Fatalf("seed %d: docility-1 transporter did not submit: transport=%v nest=%d active=%v",
-				seed, always.Transporting(), always.nest, always.active)
+				seed, always.transport, always.nest, always.active)
 		}
 
 		never := buildTransporter(t, seed, 0.5)
 		never.docility = 0
 		never.Act(4)
 		never.Observe(4, sim.Outcome{Nest: 2, Recruited: true})
-		if !never.Transporting() || never.nest != 1 {
+		if !never.transport || never.nest != 1 {
 			t.Fatalf("seed %d: docility-0 transporter submitted: transport=%v nest=%d",
-				seed, never.Transporting(), never.nest)
+				seed, never.transport, never.nest)
 		}
 	}
 }
@@ -343,7 +343,7 @@ func TestQuorumTransporterSelfCaptureExclusion(t *testing.T) {
 	a := buildTransporter(t, 43, 0.25)
 	a.Act(4)
 	a.Observe(4, sim.Outcome{Nest: 1, Count: 60, SelfPaired: true, Succeeded: true})
-	if !a.Transporting() || a.nest != 1 {
-		t.Fatalf("self-paired transporter changed state: transport=%v nest=%d", a.Transporting(), a.nest)
+	if !a.transport || a.nest != 1 {
+		t.Fatalf("self-paired transporter changed state: transport=%v nest=%d", a.transport, a.nest)
 	}
 }

@@ -117,10 +117,6 @@ func (j *Jitter) Faulty() bool {
 	return false
 }
 
-// LogicalRound reports how many rounds the inner protocol has executed —
-// instrumentation for drift measurements.
-func (j *Jitter) LogicalRound() int { return j.logical }
-
 // Plan wraps a whole colony with independent jitter, for core.RunConfig.Wrap.
 // Delay staggers wake-up: ant i is additionally held for a uniform number of
 // rounds in [0, MaxDelay].

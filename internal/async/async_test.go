@@ -38,16 +38,16 @@ func TestPhaseShiftHoldsThenRuns(t *testing.T) {
 		}
 		j.Observe(r, sim.Outcome{Nest: sim.Home})
 	}
-	if j.LogicalRound() != 0 {
-		t.Fatalf("inner advanced during holds: logical = %d", j.LogicalRound())
+	if j.logical != 0 {
+		t.Fatalf("inner advanced during holds: logical = %d", j.logical)
 	}
 	// Round 3: inner wakes up and performs its logical round 1 = search.
 	if act := j.Act(3); act.Kind != sim.ActionSearch {
 		t.Fatalf("post-delay act = %+v, want search", act)
 	}
 	j.Observe(3, sim.Outcome{Nest: 2, Count: 1, Quality: 1})
-	if j.LogicalRound() != 1 {
-		t.Fatalf("logical round = %d, want 1", j.LogicalRound())
+	if j.logical != 1 {
+		t.Fatalf("logical round = %d, want 1", j.logical)
 	}
 	if nestID, ok := j.Committed(); !ok || nestID != 2 {
 		t.Fatalf("commitment not delegated: %v %v", nestID, ok)
@@ -67,9 +67,9 @@ func TestJitterHoldUsesCommittedNest(t *testing.T) {
 		t.Fatalf("held act = %+v, want go(3)", act)
 	}
 	// The held outcome must not reach the inner protocol.
-	before := j.LogicalRound()
+	before := j.logical
 	j.Observe(2, sim.Outcome{Nest: 3, Count: 5})
-	if j.LogicalRound() != before {
+	if j.logical != before {
 		t.Fatal("held observe advanced the inner clock")
 	}
 }
@@ -86,7 +86,7 @@ func TestJitterHoldFrequency(t *testing.T) {
 		j.Act(r)
 		j.Observe(r, sim.Outcome{Nest: 1, Count: 1, Quality: 1})
 	}
-	passRate := float64(j.LogicalRound()) / rounds
+	passRate := float64(j.logical) / rounds
 	if passRate < 0.65 || passRate > 0.75 {
 		t.Fatalf("pass-through rate %v, want ~0.7 for p=0.3", passRate)
 	}

@@ -67,14 +67,14 @@ func TestJitterScriptedInterleaving(t *testing.T) {
 			t.Fatalf("call %d = %+v, want %+v (full sequence %v)", i, probe.calls[i], w, probe.calls)
 		}
 	}
-	if j.LogicalRound() != 4 {
-		t.Fatalf("logical round = %d, want 4", j.LogicalRound())
+	if j.logical != 4 {
+		t.Fatalf("logical round = %d, want 4", j.logical)
 	}
 }
 
 // TestJitterClockContiguousUnderRandomHolds runs a long random hold pattern
 // and asserts the structural invariants of the interleaving: the inner clock
-// is exactly 1..LogicalRound with no gaps, duplicates or reordering, and
+// is exactly 1..j.logical with no gaps, duplicates or reordering, and
 // every Act/Observe pair shares one logical round.
 func TestJitterClockContiguousUnderRandomHolds(t *testing.T) {
 	t.Parallel()
@@ -88,9 +88,9 @@ func TestJitterClockContiguousUnderRandomHolds(t *testing.T) {
 		j.Act(r)
 		j.Observe(r, sim.Outcome{Nest: 1})
 	}
-	if len(probe.calls) != 2*j.LogicalRound() {
+	if len(probe.calls) != 2*j.logical {
 		t.Fatalf("inner saw %d calls, want %d (an act+observe per logical round)",
-			len(probe.calls), 2*j.LogicalRound())
+			len(probe.calls), 2*j.logical)
 	}
 	for i := 0; i < len(probe.calls); i += 2 {
 		logical := i/2 + 1

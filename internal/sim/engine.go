@@ -176,20 +176,6 @@ func (e *Engine) Counts() []int {
 	return append([]int(nil), e.counts...)
 }
 
-// Location returns ant a's location at the end of the last round.
-func (e *Engine) Location(a int) NestID { return e.loc[a] }
-
-// Visited reports whether ant a has visited (or been recruited to) nest i.
-func (e *Engine) Visited(a int, i NestID) bool {
-	if i == Home {
-		return true
-	}
-	if i < 0 || int(i) > e.env.K() {
-		return false
-	}
-	return e.visited[a*(e.env.K()+1)+int(i)]
-}
-
 // Outcome returns ant a's outcome from the last completed round. It is only
 // meaningful after at least one Step.
 func (e *Engine) Outcome(a int) Outcome { return e.outcomes[a] }

@@ -64,13 +64,10 @@ func TestInitialState(t *testing.T) {
 		t.Fatalf("everyone should start at home: %v", e.Counts())
 	}
 	for a := 0; a < 3; a++ {
-		if e.Location(a) != Home {
+		if e.loc[a] != Home {
 			t.Fatalf("ant %d not at home initially", a)
 		}
-		if !e.Visited(a, Home) {
-			t.Fatal("home should count as visited")
-		}
-		if e.Visited(a, 1) || e.Visited(a, 2) {
+		if e.visited[a*3+1] || e.visited[a*3+2] {
 			t.Fatal("candidate nests should start unvisited")
 		}
 	}
@@ -120,7 +117,7 @@ func TestSearchMovesAndCounts(t *testing.T) {
 		if out.Count != counts[out.Nest] {
 			t.Fatalf("ant %d search count %d != end-of-round %d", a, out.Count, counts[out.Nest])
 		}
-		if !e.Visited(a, out.Nest) {
+		if !e.visited[a*(e.K()+1)+int(out.Nest)] {
 			t.Fatalf("ant %d did not mark searched nest visited", a)
 		}
 	}
@@ -232,8 +229,8 @@ func TestRecruitmentTeachesNest(t *testing.T) {
 	if err := e.Step(); err != nil {
 		t.Fatalf("go after recruitment rejected: %v", err)
 	}
-	if e.Location(1) != passive.nest {
-		t.Fatalf("ant 1 at %d, want %d", e.Location(1), passive.nest)
+	if e.loc[1] != passive.nest {
+		t.Fatalf("ant 1 at %d, want %d", e.loc[1], passive.nest)
 	}
 }
 

@@ -100,8 +100,8 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 				out := e.Outcome(i)
 				switch act.Kind {
 				case ActionSearch, ActionGo:
-					if e.Location(i) != out.Nest {
-						t.Logf("ant %d moved to %d but outcome says %d", i, e.Location(i), out.Nest)
+					if e.loc[i] != out.Nest {
+						t.Logf("ant %d moved to %d but outcome says %d", i, e.loc[i], out.Nest)
 						return false
 					}
 					if out.Count != e.Count(out.Nest) {
@@ -109,7 +109,7 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 						return false
 					}
 				case ActionRecruit:
-					if e.Location(i) != Home {
+					if e.loc[i] != Home {
 						t.Logf("recruiter %d not at home", i)
 						return false
 					}
@@ -124,7 +124,7 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 							t.Logf("ant %d recruited to unadvertised nest %d", i, out.Nest)
 							return false
 						}
-						if !e.Visited(i, out.Nest) {
+						if !e.visited[i*(e.K()+1)+int(out.Nest)] {
 							t.Logf("recruited ant %d did not learn nest %d", i, out.Nest)
 							return false
 						}

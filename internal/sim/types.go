@@ -228,23 +228,6 @@ func (e Environment) GoodNests() []NestID {
 	return out
 }
 
-// BestNests returns the ids of the maximum-quality nests in ascending order.
-func (e Environment) BestNests() []NestID {
-	best := 0.0
-	for i := 1; i <= e.K(); i++ {
-		if q := e.Quality(NestID(i)); q > best {
-			best = q
-		}
-	}
-	var out []NestID
-	for i := 1; i <= e.K(); i++ {
-		if e.Quality(NestID(i)) == best {
-			out = append(out, NestID(i))
-		}
-	}
-	return out
-}
-
 // Qualities returns a copy of the candidate qualities indexed 1..K (index 0
 // is the home nest's 0).
 func (e Environment) Qualities() []float64 {

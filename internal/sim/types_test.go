@@ -54,10 +54,6 @@ func TestEnvironmentAccessors(t *testing.T) {
 	if len(good) != 2 || good[0] != 2 || good[1] != 3 {
 		t.Fatalf("GoodNests = %v", good)
 	}
-	best := env.BestNests()
-	if len(best) != 1 || best[0] != 2 {
-		t.Fatalf("BestNests = %v", best)
-	}
 }
 
 func TestEnvironmentZeroValue(t *testing.T) {

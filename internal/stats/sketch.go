@@ -82,13 +82,7 @@ func (s *QuantileSketch) index(x float64) int {
 }
 
 // Add incorporates one observation.
-func (s *QuantileSketch) Add(x float64) { s.AddN(x, 1) }
-
-// AddN incorporates count observations of the same value.
-func (s *QuantileSketch) AddN(x float64, count uint64) {
-	if count == 0 {
-		return
-	}
+func (s *QuantileSketch) Add(x float64) {
 	if s.n == 0 {
 		s.min, s.max = x, x
 	} else {
@@ -99,12 +93,12 @@ func (s *QuantileSketch) AddN(x float64, count uint64) {
 			s.max = x
 		}
 	}
-	s.n += count
+	s.n++
 	if x <= 0 {
-		s.zero += count
+		s.zero++
 		return
 	}
-	s.bump(s.index(x), count)
+	s.bump(s.index(x), 1)
 }
 
 // bump adds count to bucket idx, growing the dense window to cover it.

@@ -27,14 +27,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row built from Sprintf formats, one per cell.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.rows = append(t.rows, strings.Split(fmt.Sprintf(format, args...), "\t"))
-}
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with a title line, a header rule, and aligned
 // columns, in the style of the experiment tables hhbench prints.
 func (t *Table) String() string {

@@ -44,19 +44,6 @@ func TestTableShortAndLongRows(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	t.Parallel()
-	tb := NewTable("t", "n", "rate")
-	tb.AddRowf("%d\t%.2f", 128, 0.875)
-	if tb.NumRows() != 1 {
-		t.Fatalf("NumRows = %d, want 1", tb.NumRows())
-	}
-	out := tb.String()
-	if !strings.Contains(out, "128") || !strings.Contains(out, "0.88") {
-		t.Fatalf("AddRowf cells missing from render:\n%s", out)
-	}
-}
-
 func TestTableEmpty(t *testing.T) {
 	t.Parallel()
 	var tb Table

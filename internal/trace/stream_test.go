@@ -141,8 +141,8 @@ func TestReadJSONValidatesShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.PopulationSeries(1); err != nil {
-		t.Fatal(err)
+	if got := tr.Rounds()[0].Populations[1]; got != 4 {
+		t.Fatalf("population of nest 1 = %d, want 4", got)
 	}
 }
 

@@ -70,19 +70,6 @@ func (t *Trace) Len() int { return len(t.rounds) }
 // backing array; callers must treat it as read-only.
 func (t *Trace) Rounds() []Round { return t.rounds }
 
-// PopulationSeries returns nest's population trajectory across recorded
-// rounds (nest 0 = home).
-func (t *Trace) PopulationSeries(nest int) ([]float64, error) {
-	if nest < 0 || nest > t.numNests {
-		return nil, fmt.Errorf("trace: nest %d out of range [0,%d]", nest, t.numNests)
-	}
-	out := make([]float64, len(t.rounds))
-	for i, r := range t.rounds {
-		out[i] = float64(r.Populations[nest])
-	}
-	return out, nil
-}
-
 // CommitmentSeries returns nest's commitment trajectory; rounds without a
 // commitment census yield 0.
 func (t *Trace) CommitmentSeries(nest int) ([]float64, error) {
@@ -141,7 +128,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 
 // ReadJSON parses a trace previously written by WriteJSON. Round shapes are
 // validated against num_nests on decode, so a truncated or hand-edited
-// document fails here instead of panicking later in PopulationSeries.
+// document fails here instead of panicking later in a reader of Rounds.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var doc jsonDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {

@@ -46,13 +46,6 @@ func TestSeries(t *testing.T) {
 	tr := New(2)
 	mustRecord(t, tr, 1, []int{10, 5, 3}, []int{0, 6, 4})
 	mustRecord(t, tr, 2, []int{8, 7, 3}, []int{0, 8, 2})
-	pop, err := tr.PopulationSeries(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pop[0] != 5 || pop[1] != 7 {
-		t.Fatalf("PopulationSeries(1) = %v", pop)
-	}
 	com, err := tr.CommitmentSeries(2)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +53,7 @@ func TestSeries(t *testing.T) {
 	if com[0] != 4 || com[1] != 2 {
 		t.Fatalf("CommitmentSeries(2) = %v", com)
 	}
-	if _, err := tr.PopulationSeries(3); err == nil {
+	if _, err := tr.CommitmentSeries(3); err == nil {
 		t.Fatal("out-of-range nest accepted")
 	}
 	if _, err := tr.CommitmentSeries(-1); err == nil {

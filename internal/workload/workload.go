@@ -50,31 +50,12 @@ func QualityLadder(k int, lo, hi float64) (sim.Environment, error) {
 	return sim.NewEnvironment(qs)
 }
 
-// Point is one cell of an (n, k) sweep grid.
-type Point struct {
-	N    int
-	K    int
-	Seed uint64
-}
-
 // Grid is a cartesian (n, k) sweep.
 type Grid struct {
 	Ns []int
 	Ks []int
 	// Tag decorrelates seeds between experiments that share grid points.
 	Tag string
-}
-
-// Points enumerates the grid with a deterministic seed per point derived
-// from (tag, n, k).
-func (g Grid) Points() []Point {
-	pts := make([]Point, 0, len(g.Ns)*len(g.Ks))
-	for _, n := range g.Ns {
-		for _, k := range g.Ks {
-			pts = append(pts, Point{N: n, K: k, Seed: SeedFor(g.Tag, n, k, 0)})
-		}
-	}
-	return pts
 }
 
 // SeedFor derives a stable 64-bit seed from an experiment tag and up to three
