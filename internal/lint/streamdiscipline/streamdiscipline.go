@@ -25,9 +25,9 @@
 //	      scratch Source from the ant's keyed word), or go to a function
 //	      of the package that reseeds the Source parameter it is handed
 //	      before each draw from it (in the same block or an enclosing
-//	      one); a draw from any other stream consumes in bucket order, not
-//	      ant order, and is flagged unless the range is annotated
-//	      //hh:antorder <why>.
+//	      one) and uses it only to reseed and draw; a draw from any other
+//	      stream consumes in bucket order, not ant order, and is flagged
+//	      unless the range is annotated //hh:antorder <why>.
 //
 //	SD3 — every Emit*/Observe* opcode constant (type EmitOp/ObserveOp)
 //	      must carry a //hh:draws <spec> scalar=<name> contract naming

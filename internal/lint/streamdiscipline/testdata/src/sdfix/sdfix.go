@@ -181,9 +181,10 @@ func storeHelper(key rng.Key, src *rng.Source, i int, h *srcHolder) uint64 {
 
 // bucketDraws ranges a state bucket: a stream draw consumes out of ant
 // order — from a per-ant stream column too, or inside a callee that does
-// not reseed the Source first — while a scratch Source reseeded from the
-// ant's keyed word in the loop body or in the callee, and keyed words
-// themselves, are fine; an annotation overrides.
+// not reseed the Source first or hands it on to a closure, a copy or a
+// field — while a scratch Source reseeded from the ant's keyed word in the
+// loop body or in the callee, and keyed words themselves, are fine; an
+// annotation overrides.
 //
 //hh:hotpath
 //hh:draws one word per member from the reseeded scratch
