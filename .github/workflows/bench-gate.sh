@@ -19,23 +19,30 @@
 #     same sweep unobserved) exceeds max_stream_overhead;
 #   - a workload's core.scalar_over_batch (scalar replay time over batch
 #     replay time on the same seeds, in the same process) falls below its
-#     floor.
+#     floor;
+#   - colony-1m's sim.shard_speedup (its colony's one-worker replay time over
+#     the same colony's time on the default budget, two shards under
+#     GOMAXPROCS=2) falls below min_shard_speedup: two shards no longer beat
+#     one.
 #
-# Both ratios divide two timings taken back to back on one host, so they do
-# not follow the host's speed the way raw times do. The limits come from
+# All three ratios divide two timings taken back to back on one host, so they
+# do not follow the host's speed the way raw times do. The limits come from
 # repeated runs on a 2-core Xeon shared with other tenants, listed in
 # CHANGES.md: every value those runs read at these settings clears them, and
 # a build whose batch lane rounds take twice as long reads below the sweep
-# and emigration floors. colony-1m's ratio is a single sample whose spread on
-# unchanged code reaches down into what such a build reads, so its floor
-# catches only larger regressions. A change may lower a floor only with its
-# reason in CHANGES.md.
+# and emigration floors. colony-1m's scalar ratio is a single sample whose
+# spread on unchanged code reaches down into what such a build reads, so its
+# floor catches only larger regressions. The shard-speedup floor is 1.0: five
+# runs of the polling shard pool read 1.15-1.57, while the parked pool before
+# it read 0.63-1.24, so a pool whose hand-offs cost more than the second shard
+# saves fails. A change may lower a floor only with its reason in CHANGES.md.
 set -uo pipefail
 
 export GOMAXPROCS=2
 seed=1
 seconds=10
 max_stream_overhead=1.20
+min_shard_speedup=1.0
 declare -A floor=(
 	[sweep-lockstep]=7.0
 	[sweep-general]=3.3
@@ -75,6 +82,16 @@ for w in "${workloads[@]}"; do
 		fail "$w: core.scalar_over_batch $ratio is below its floor ${floor[$w]}"
 	else
 		echo "bench-gate: $w core.scalar_over_batch $ratio (floor ${floor[$w]})"
+	fi
+	if [ "$w" = colony-1m ]; then
+		speedup=$(metric "$file" sim.shard_speedup)
+		if [ -z "$speedup" ]; then
+			fail "$w: no sim.shard_speedup in $file"
+		elif below "$speedup" "$min_shard_speedup"; then
+			fail "$w: sim.shard_speedup $speedup is below its floor $min_shard_speedup"
+		else
+			echo "bench-gate: $w sim.shard_speedup $speedup (floor $min_shard_speedup)"
+		fi
 	fi
 	if [ "$w" = sweep-lockstep ]; then
 		overhead=$(metric "$file" trace.stream_overhead)

@@ -70,8 +70,8 @@ func (s *foldSink) Record(_ int, _, round int32, row []int32) {
 // records flow through per-lane ring buffers into a collector goroutine that
 // folds the distributions online while the sweep runs. The ConvergencePoint
 // is identical to MeasureConvergence's (observation is draw-free); the
-// distributions additionally carry exact streaming moments and a mergeable
-// quantile sketch over convergence times.
+// distributions additionally carry exact streaming moments and a quantile
+// sketch over convergence times.
 //
 // Cells the batch engine declines (see core.CompileForBatch) fall back to
 // the scalar loop and fold the same distributions from its results, so the

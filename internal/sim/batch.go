@@ -120,13 +120,12 @@ const batchTableMaxN = 1 << 16
 // stops splitting a replicate once shards would drop below this many ants
 // each (explicit WithBatchShards values bypass the grain). Single-seed runs
 // at k=8 on a 2-core Xeon shared with other tenants, median of the paired
-// shards=2/shards=1 time over 40 seeds: 1.24 at n=2048, 1.16 at 4096, 1.05
-// (simple) and 1.16 (optimal) at 8192, 1.04 at 16384, 0.96 and 1.07 at
-// 32768, 0.93 and 1.05 at 65536, 0.90 and 0.96 at 131072. Every phase
-// dispatch wakes a parked goroutine, so two shards start to pay at about
-// 2^14 ants each on the lockstep path (simple) and 2^16 on the general path
-// (optimal), which dispatches more phases per round; the grain sits between
-// the two. README.md has the full table.
+// shards=2/shards=1 time over 40 seeds, simple and optimal: 1.35 and 1.05
+// at n=2048, 0.97 and 0.99 at 4096, 0.80 and 0.82 at 8192, and 0.76–0.87
+// from 16384 to 131072. With the polling shard pool two shards pay from
+// 2^12 ants each on both paths; the grain was set at 2^15 when every phase
+// dispatch woke a parked goroutine, and lowering it is a claim of its own
+// (ROADMAP.md item 6). README.md has the full table.
 const batchShardGrain = 1 << 15
 
 // BatchResult reports one replicate of a Batch run, mirroring the fields the

@@ -191,16 +191,15 @@ func (ln *lane) stepGeneral() error {
 	// arbitrary matchers on exactly the scalar call sequence. (For the
 	// default Algorithm 1 pairing the dispatch is immaterial: MatchCarry
 	// with all-ones carries draws exactly like Match, a pinned property.)
-	active := ln.active
 	if nR > 0 {
 		//hh:draws matcher dispatch mirrors the scalar call sequence; MatchCarry with all-ones carries draws exactly like Match (a pinned property)
 		if anyCarry := sawTransport && ln.prog.Params.QuorumCarry > 1; anyCarry {
 			if ln.carryM == nil {
 				return fmt.Errorf("transport (carry > 1) unsupported by matcher %q", ln.matcher.Name())
 			}
-			ln.carryM.MatchCarry(nR, active, carries, &ln.matchSrc, nil, nil)
+			ln.match(nR, carries)
 		} else {
-			ln.matcher.Match(nR, active, &ln.matchSrc, nil, nil)
+			ln.match(nR, nil)
 		}
 	}
 

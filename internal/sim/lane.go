@@ -184,8 +184,9 @@ type lane struct {
 	schedOps []FaultOp
 	nCrashed int
 
-	matcher CaptureLister // NewBatch admits only capture-listing matchers
-	carryM  CarryMatcher  // matcher's carry form; nil when unimplemented
+	matcher CaptureLister        // NewBatch admits only capture-listing matchers
+	carryM  CarryMatcher         // matcher's carry form; nil when unimplemented
+	algo1   *AlgorithmOneMatcher // matcher as Algorithm 1, which match runs on the pool; nil for any other
 
 	// Fixed-point draw kernels, shared read-only from the Batch.
 	popT []rng.Threshold
@@ -339,6 +340,7 @@ func newLane(b *Batch, shards int) *lane {
 	ln.fnReset = ln.resetShard
 	ln.matcher = b.newMatcher().(CaptureLister) // NewBatch checked the factory
 	ln.carryM, _ = ln.matcher.(CarryMatcher)
+	ln.algo1, _ = ln.matcher.(*AlgorithmOneMatcher)
 	if sized, ok := ln.matcher.(sizedMatcher); ok {
 		sized.Reserve(n) // recruiting sets reach colony size; never grow mid-run
 	}
@@ -665,6 +667,26 @@ func (ln *lane) perceiveQuality(src *rng.Source, i, r int, q, threshold float64)
 //hh:hotpath
 func countReg(c int) int32 {
 	return int32(min(max(c, math.MinInt32), math.MaxInt32))
+}
+
+// match pairs the round's nR recruiting slots, whose recruit bits are the
+// active column. Algorithm 1 runs through pair, which fans its order-free
+// passes out on the lane's shard pool; any other matcher is called as the
+// scalar engine calls it, through MatchCarry when carries is non-nil and
+// Match otherwise. Either way the pairs come back as the matcher's capture
+// lists and no table is filled.
+//
+//hh:hotpath
+//hh:draws matchSrc through the matcher only; Algorithm 1 takes its one round key there whichever entry runs it
+func (ln *lane) match(nR int, carries []int) {
+	switch {
+	case ln.algo1 != nil:
+		ln.algo1.pair(ln.pool, nR, ln.active, carries, &ln.matchSrc)
+	case carries != nil:
+		ln.carryM.MatchCarry(nR, ln.active, carries, &ln.matchSrc, nil, nil)
+	default:
+		ln.matcher.Match(nR, ln.active, &ln.matchSrc, nil, nil)
+	}
 }
 
 // foldCommitDeltas folds the per-shard commitment delta slabs into the

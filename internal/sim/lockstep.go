@@ -80,12 +80,12 @@ func (ln *lane) stepLockstep(phase uint8) (uint8, error) {
 		counts[Home] = n
 
 		// Recruitment matching: every ant recruits, so slot t is ant t and
-		// no recruiter indirection exists; one dynamic call per round costs
-		// nothing against the per-ant loops. The default matcher is the
+		// no recruiter indirection exists. The default matcher is the
 		// paper's Algorithm 1 via the same implementation (and thus the
-		// same draw sequence) as the scalar engine. The folds read the
-		// pairs from the capture lists, so no tables are filled.
-		ln.matcher.Match(n, ln.active, &ln.matchSrc, nil, nil)
+		// same draw sequence) as the scalar engine, with its order-free
+		// passes on the lane's pool. The folds read the pairs from the
+		// capture lists, so no tables are filled.
+		ln.match(n, nil)
 	}
 
 	// Observe: fold outcomes into the registers. The fold shards across the

@@ -108,6 +108,16 @@ type AlgorithmOneMatcher struct {
 	status   []uint8
 	captures []int32 // captured slots, in capture order
 	captors  []int32 // captors[i] captured captures[i]
+
+	// The order-free passes as shard phases (see pair), bound on the first
+	// pooled call, and their inputs for the current call: the slot,
+	// candidate and shard counts, the active column and the round key.
+	// segN[sh] is the number of candidates shard sh collected.
+	fnCollect, fnTargets func(shard int)
+	segN                 []int
+	phN, phW, phShards   int
+	phActive             []bool
+	phKey                uint64
 }
 
 var (
@@ -171,18 +181,39 @@ func (m *AlgorithmOneMatcher) Match(n int, active []bool, src *rng.Source, captu
 // Captors hold the round's pairs; the tables, if the call passed them, are
 // filled from those lists after the scan.
 //
-// Every pass runs on the calling goroutine. The shuffle stays one
-// sequential pass: a bucketed permutation (Sanders, "Random permutations on
-// distributed, external and hierarchical memory", IPL 1998) could split it
-// across cores, but for 2^20 slots on a 2-core Xeon it measured 17.0–24.8
-// ns/slot on one shard and 10.6–13.3 on two, against 8.1–12.5 for a plain
-// Fisher–Yates pass. Fanning the order-free passes (collection, target
-// draws, table fills) out on the lane's shard pool was measured too and
-// did not pay; see ROADMAP.md item 6.
+// MatchCarry runs every pass on the calling goroutine. The batch lanes call
+// pair instead, which fans the order-free passes out on the lane's shard
+// pool with the same result. The shuffle stays one sequential pass: a
+// bucketed permutation (Sanders, "Random permutations on distributed,
+// external and hierarchical memory", IPL 1998) could split it across cores,
+// but for 2^20 slots on a 2-core Xeon it measured 17.0–24.8 ns/slot on one
+// shard and 10.6–13.3 on two, against 8.1–12.5 for a plain Fisher–Yates
+// pass (ROADMAP.md item 6).
 //
 //hh:hotpath
 //hh:draws one Uint64 from src per call (the round key); the shuffle draws from a key-seeded local stream and the targets are keyed draws, consuming no stream
 func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src *rng.Source, capturedBy []int32, succeeded []bool) {
+	m.pair(nil, n, active, carry, src)
+	fillTables(n, m.captures, m.captors, capturedBy, succeeded)
+}
+
+// pair is MatchCarry without the tables, with Algorithm 1's two order-free
+// passes run as phases of pool, inline when pool is nil:
+//
+//   - candidate collection: each shard compacts the active slots of its own
+//     slot range to the front of that range of cand, and one sequential
+//     copy then closes the gaps between the shards' segments, which leaves
+//     the candidates in slot order exactly as one pass would;
+//   - first-target draws: each shard draws the keyed targets of its span of
+//     the shuffled candidates.
+//
+// The shuffle and the greedy scan stay on the calling goroutine, so the
+// pairs, the capture lists and the one word taken from src are the same at
+// every shard count.
+//
+//hh:hotpath
+//hh:draws one Uint64 from src per call (the round key); the shuffle draws from a key-seeded local stream and the targets are keyed draws, consuming no stream
+func (m *AlgorithmOneMatcher) pair(pool *shardPool, n int, active []bool, carry []int, src *rng.Source) {
 	key := src.Uint64()
 	m.captures = m.captures[:0]
 	m.captors = m.captors[:0]
@@ -190,21 +221,22 @@ func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src 
 		return
 	}
 	m.Reserve(n)
-
-	// Collect the candidates in slot order. The activity pattern is
-	// data-dependent noise, so the pass is branch-free: every slot is
-	// written and the cursor advances by the active bit.
-	status := m.status[:n]
 	cand := m.cand[:n]
-	w := 0
-	for t, a := range active[:n] {
-		s := uint8(0)
-		if a {
-			s = slotActive
+	shards := pool.shards()
+	var w int
+	if shards == 1 {
+		w = m.collect(active, 0, n)
+	} else {
+		if m.fnCollect == nil || len(m.segN) < shards {
+			m.bindShards(shards)
 		}
-		status[t] = s
-		cand[w] = int32(t)
-		w += int(s)
+		m.phN, m.phShards, m.phActive = n, shards, active
+		pool.run(m.fnCollect)
+		w = m.segN[0]
+		for sh := 1; sh < shards; sh++ {
+			lo, _ := shardSpan(n, sh, shards)
+			w += copy(cand[w:], cand[lo:lo+m.segN[sh]])
+		}
 	}
 	//hh:draws only the local key-seeded shuffle stream, which nothing else reads; src gave its one word above
 	if w > 0 {
@@ -213,14 +245,71 @@ func (m *AlgorithmOneMatcher) MatchCarry(n int, active []bool, carry []int, src 
 		shuffle.Reseed(key)
 		shuffle.Shuffle32(cand)
 		target := m.target[:w]
-		rng.KeyedDraws32(target, key, cand, 0, uint64(n))
-		if carry == nil {
-			m.scan(cand, target, status)
+		if shards == 1 {
+			rng.KeyedDraws32(target, key, cand, 0, uint64(n))
 		} else {
-			m.scanCarry(cand, target, carry, key, status)
+			m.phW, m.phKey = w, key
+			pool.run(m.fnTargets)
+		}
+		if carry == nil {
+			m.scan(cand, target, m.status[:n])
+		} else {
+			m.scanCarry(cand, target, carry, key, m.status[:n])
 		}
 	}
-	fillTables(n, m.captures, m.captors, capturedBy, succeeded)
+}
+
+// bindShards binds pair's shard phases and sizes segN for a pool of shards.
+//
+//hh:coldpath runs on a matcher's first pooled call, and again only for a larger pool
+func (m *AlgorithmOneMatcher) bindShards(shards int) {
+	if m.fnCollect == nil {
+		m.fnCollect = m.collectShard
+		m.fnTargets = m.targetShard
+	}
+	if len(m.segN) < shards {
+		m.segN = make([]int, shards)
+	}
+}
+
+// collect writes the status bytes of slots [lo, hi) and compacts that range's
+// active slots, in slot order, to the front of cand[lo:hi], returning how
+// many there are. The activity pattern is data-dependent noise, so the pass
+// is branch-free: every slot is written and the cursor advances by the
+// active bit.
+//
+//hh:hotpath
+func (m *AlgorithmOneMatcher) collect(active []bool, lo, hi int) int {
+	status := m.status[lo:hi]
+	cand := m.cand[lo:hi]
+	w := 0
+	for j, a := range active[lo:hi] {
+		s := uint8(0)
+		if a {
+			s = slotActive
+		}
+		status[j] = s
+		cand[w] = int32(lo + j)
+		w += int(s)
+	}
+	return w
+}
+
+// collectShard is pair's collection phase on one shard's slot range.
+//
+//hh:hotpath
+func (m *AlgorithmOneMatcher) collectShard(sh int) {
+	lo, hi := shardSpan(m.phN, sh, m.phShards)
+	m.segN[sh] = m.collect(m.phActive, lo, hi)
+}
+
+// targetShard is pair's target phase: the first targets of one shard's span
+// of the shuffled candidates.
+//
+//hh:hotpath
+func (m *AlgorithmOneMatcher) targetShard(sh int) {
+	lo, hi := shardSpan(m.phW, sh, m.phShards)
+	rng.KeyedDraws32(m.target[lo:hi], m.phKey, m.cand[lo:hi], 0, uint64(m.phN))
 }
 
 // scan is MatchCarry's capacity-1 greedy pass: each candidate, in shuffled

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -423,6 +424,88 @@ func TestMatchCarryAllOnesMatchesMatch(t *testing.T) {
 		plain2.Match(n, active, ref, refCaptured, refSucceeded)
 		if srcCarry.State() != ref.State() {
 			t.Fatalf("seed %d: MatchCarry ones left the stream at a different position than Match", seed)
+		}
+	}
+}
+
+// TestAlgorithmOnePairMatchesMatch pins the batch lanes' entry to Algorithm
+// 1, pair, to the public calls: on real pools of 2 and 3 shards and with a
+// nil pool, pair must leave the same capture and captor lists as Match (with
+// and without tables) and MatchCarry (nil, all-ones and mixed carries up to
+// 3) on the same Source seed, the same tables once filled from them, and the
+// Source at the same next word. The sizes include spans that are empty or
+// uneven and pools with more shards than slots.
+func TestAlgorithmOnePairMatchesMatch(t *testing.T) {
+	base := runtime.NumGoroutine()
+	pools := []*shardPool{nil, newShardPool(2), newShardPool(3)}
+	defer func() {
+		for _, p := range pools[1:] {
+			p.close()
+		}
+		waitGoroutines(t, base)
+	}()
+	paired := make([]*AlgorithmOneMatcher, len(pools))
+	for i := range paired {
+		paired[i] = &AlgorithmOneMatcher{}
+	}
+	gen := rng.New(29)
+	for _, n := range []int{1, 2, 7, 1024, 1<<16 + 3} {
+		ones := make([]int, n)
+		mixed := make([]int, n)
+		for i := range ones {
+			ones[i] = 1
+			mixed[i] = 1 + int(gen.Uint64n(3))
+		}
+		for _, share := range []float64{0, 0.02, 0.5, 1} {
+			active := make([]bool, n)
+			for i := range active {
+				active[i] = gen.Bernoulli(share)
+			}
+			for _, c := range []struct {
+				name   string
+				carry  []int
+				tables bool
+			}{
+				{"Match", nil, false},
+				{"Match+tables", nil, true},
+				{"MatchCarry(nil)", nil, true},
+				{"MatchCarry(ones)", ones, true},
+				{"MatchCarry(mixed)", mixed, true},
+			} {
+				seed := gen.Uint64()
+				ref := &AlgorithmOneMatcher{}
+				refSrc := rng.New(seed)
+				var refBy, gotBy []int32
+				var refOK, gotOK []bool
+				if c.tables {
+					refBy, gotBy = make([]int32, n), make([]int32, n)
+					refOK, gotOK = make([]bool, n), make([]bool, n)
+				}
+				if c.name == "Match" || c.name == "Match+tables" {
+					ref.Match(n, active, refSrc, refBy, refOK)
+				} else {
+					ref.MatchCarry(n, active, c.carry, refSrc, refBy, refOK)
+				}
+				refNext := refSrc.Uint64()
+				for i, p := range pools {
+					m := paired[i]
+					src := rng.New(seed)
+					m.pair(p, n, active, c.carry, src)
+					where := fmt.Sprintf("n=%d active=%g%% %s, %d shards", n, share*100, c.name, p.shards())
+					if !slices.Equal(m.Captures(), ref.Captures()) || !slices.Equal(m.Captors(), ref.Captors()) {
+						t.Fatalf("%s: pair's capture lists differ from the public call's", where)
+					}
+					if c.tables {
+						fillTables(n, m.Captures(), m.Captors(), gotBy, gotOK)
+						if !slices.Equal(gotBy, refBy) || !slices.Equal(gotOK, refOK) {
+							t.Fatalf("%s: tables filled from pair's lists differ", where)
+						}
+					}
+					if src.Uint64() != refNext {
+						t.Fatalf("%s: pair left the Source at a different word than the public call", where)
+					}
+				}
+			}
 		}
 	}
 }

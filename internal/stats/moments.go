@@ -49,30 +49,6 @@ func (w *Welford) AddAll(xs []float64) {
 	}
 }
 
-// Merge combines another accumulator into this one using the parallel
-// variance formula (Chan et al.), so sharded experiment runs can be reduced.
-func (w *Welford) Merge(other Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = other
-		return
-	}
-	nA, nB := float64(w.n), float64(other.n)
-	delta := other.mean - w.mean
-	total := nA + nB
-	w.mean += delta * nB / total
-	w.m2 += other.m2 + delta*delta*nA*nB/total
-	w.n += other.n
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-}
-
 // N returns the number of observations.
 func (w *Welford) N() int { return w.n }
 

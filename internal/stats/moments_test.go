@@ -82,48 +82,6 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestWelfordMergeMatchesSequential checks the parallel-reduction identity.
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	t.Parallel()
-	src := rng.New(202)
-	f := func(cut uint8) bool {
-		xs := make([]float64, 64)
-		local := src.Split(uint64(cut) + 7)
-		for i := range xs {
-			xs[i] = local.Float64() * 10
-		}
-		c := int(cut) % 63
-		var a, b, whole Welford
-		a.AddAll(xs[:c])
-		b.AddAll(xs[c:])
-		whole.AddAll(xs)
-		a.Merge(b)
-		return a.N() == whole.N() &&
-			almostEqual(a.Mean(), whole.Mean(), 1e-9) &&
-			almostEqual(a.Variance(), whole.Variance(), 1e-9) &&
-			a.Min() == whole.Min() && a.Max() == whole.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordMergeEmptySides(t *testing.T) {
-	t.Parallel()
-	var a, b Welford
-	b.Add(1)
-	b.Add(3)
-	a.Merge(b)
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatalf("merge into empty: n=%d mean=%v", a.N(), a.Mean())
-	}
-	var c Welford
-	a.Merge(c)
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatalf("merge of empty: n=%d mean=%v", a.N(), a.Mean())
-	}
-}
-
 func TestCI95Coverage(t *testing.T) {
 	t.Parallel()
 	// Draw many samples of known mean; the CI should cover ~95% of the time.

@@ -5,14 +5,10 @@ import (
 	"math"
 )
 
-// QuantileSketch is a mergeable quantile sketch with a bounded relative
-// error, in the DDSketch family: positive observations land in
-// logarithmically sized buckets indexed by ⌈log_γ x⌉ with γ = (1+α)/(1-α),
-// so any quantile query answers within relative error α of a sample value
-// at that rank. Bucket counts are plain integers, which makes Merge an
-// exact bucket-wise addition — associative and commutative, so sharded
-// sweeps reduce in any order to the same sketch (the property the
-// streaming-telemetry collector relies on).
+// QuantileSketch is a quantile sketch with a bounded relative error, in the
+// DDSketch family: positive observations land in logarithmically sized
+// buckets indexed by ⌈log_γ x⌉ with γ = (1+α)/(1-α), so any quantile query
+// answers within relative error α of a sample value at that rank.
 //
 // Observations at or below zero are folded into a dedicated zero bucket
 // (convergence times are positive, but the sketch stays total). Min and
@@ -98,13 +94,13 @@ func (s *QuantileSketch) Add(x float64) {
 		s.zero++
 		return
 	}
-	s.bump(s.index(x), 1)
+	s.bump(s.index(x))
 }
 
-// bump adds count to bucket idx, growing the dense window to cover it.
-func (s *QuantileSketch) bump(idx int, count uint64) {
+// bump adds one to bucket idx, growing the dense window to cover it.
+func (s *QuantileSketch) bump(idx int) {
 	if len(s.counts) == 0 {
-		s.counts = append(s.counts, count)
+		s.counts = append(s.counts, 1)
 		s.offset = idx
 		return
 	}
@@ -118,37 +114,7 @@ func (s *QuantileSketch) bump(idx int, count uint64) {
 		copy(grown, s.counts)
 		s.counts = grown
 	}
-	s.counts[idx-s.offset] += count
-}
-
-// Merge folds other into s bucket-wise. Sketches must share the same
-// accuracy: bucket boundaries are a function of alpha, so mixing
-// accuracies would misassign mass.
-func (s *QuantileSketch) Merge(other *QuantileSketch) error {
-	if other == nil || other.n == 0 {
-		return nil
-	}
-	if other.alpha != s.alpha {
-		return fmt.Errorf("stats: merging sketches with different accuracies (%g vs %g)", s.alpha, other.alpha)
-	}
-	if s.n == 0 {
-		s.min, s.max = other.min, other.max
-	} else {
-		if other.min < s.min {
-			s.min = other.min
-		}
-		if other.max > s.max {
-			s.max = other.max
-		}
-	}
-	s.n += other.n
-	s.zero += other.zero
-	for i, c := range other.counts {
-		if c != 0 {
-			s.bump(other.offset+i, c)
-		}
-	}
-	return nil
+	s.counts[idx-s.offset]++
 }
 
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) within

@@ -8,24 +8,6 @@ import (
 	"github.com/gmrl/househunt/internal/rng"
 )
 
-func sketchEqual(t *testing.T, a, b *QuantileSketch) {
-	t.Helper()
-	if a.N() != b.N() {
-		t.Fatalf("N mismatch: %d vs %d", a.N(), b.N())
-	}
-	if a.Min() != b.Min() || a.Max() != b.Max() {
-		t.Fatalf("min/max mismatch: [%g,%g] vs [%g,%g]", a.Min(), a.Max(), b.Min(), b.Max())
-	}
-	if a.N() == 0 {
-		return
-	}
-	for q := 0.0; q <= 1.0; q += 0.01 {
-		if av, bv := a.Quantile(q), b.Quantile(q); av != bv {
-			t.Fatalf("Quantile(%g) mismatch: %g vs %g", q, av, bv)
-		}
-	}
-}
-
 // TestSketchAccuracy checks every quantile against the sorted-slice oracle
 // within the sketch's relative-error guarantee, allowing a ±1 rank slack for
 // ties at bucket boundaries.
@@ -76,86 +58,6 @@ func TestSketchAccuracy(t *testing.T) {
 	}
 	if s.Min() != sorted[0] || s.Max() != sorted[len(sorted)-1] {
 		t.Errorf("min/max = %g/%g, want %g/%g", s.Min(), s.Max(), sorted[0], sorted[len(sorted)-1])
-	}
-}
-
-// TestSketchMergeAssociative pins that merging shards in any order and any
-// grouping yields exactly the same sketch as adding every observation to one
-// sketch — the property the per-lane collector reduction relies on.
-func TestSketchMergeAssociative(t *testing.T) {
-	const alpha = 0.02
-	src := rng.New(0xBEEF)
-	shards := make([][]float64, 7)
-	var all []float64
-	for i := range shards {
-		n := 50 + src.Intn(200)
-		shard := make([]float64, n)
-		for j := range shard {
-			shard[j] = float64(1 + src.Intn(100000))
-		}
-		shards[i] = shard
-		all = append(all, shard...)
-	}
-
-	build := func(xs []float64) *QuantileSketch {
-		s := MustQuantileSketch(alpha)
-		for _, x := range xs {
-			s.Add(x)
-		}
-		return s
-	}
-	reference := build(all)
-
-	// Left fold in shard order.
-	left := MustQuantileSketch(alpha)
-	for _, sh := range shards {
-		if err := left.Merge(build(sh)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sketchEqual(t, reference, left)
-
-	// Right fold (reverse order).
-	right := MustQuantileSketch(alpha)
-	for i := len(shards) - 1; i >= 0; i-- {
-		if err := right.Merge(build(shards[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sketchEqual(t, reference, right)
-
-	// Balanced tree grouping.
-	var tree func(lo, hi int) *QuantileSketch
-	tree = func(lo, hi int) *QuantileSketch {
-		if hi-lo == 1 {
-			return build(shards[lo])
-		}
-		mid := (lo + hi) / 2
-		l, r := tree(lo, mid), tree(mid, hi)
-		if err := l.Merge(r); err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	sketchEqual(t, reference, tree(0, len(shards)))
-
-	// Merging empties is the identity.
-	withEmpty := build(all)
-	if err := withEmpty.Merge(MustQuantileSketch(alpha)); err != nil {
-		t.Fatal(err)
-	}
-	if err := withEmpty.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	sketchEqual(t, reference, withEmpty)
-}
-
-func TestSketchMergeRejectsMixedAccuracy(t *testing.T) {
-	a := MustQuantileSketch(0.01)
-	b := MustQuantileSketch(0.02)
-	b.Add(3)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("expected accuracy-mismatch error, got nil")
 	}
 }
 
